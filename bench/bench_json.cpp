@@ -11,10 +11,8 @@
 // hardware thread through the exec subsystem ("threads" records the actual
 // worker count — on a 1-core machine they measure the speculation overhead,
 // not a speedup); results are bit-identical to the serial rows by design.
-// The *_batch rows run the same work through the 64-lane bit-parallel
-// BatchFrameSimulator (learn_full_pass keeps batch_lanes = 0 so its row
-// stays comparable across PRs); results are bit-identical to the serial
-// rows by design.
+// The learn_full_pass_batch* rows run learn(), whose passes always simulate
+// through the 64-lane bit-parallel BatchFrameSimulator.
 //
 // Usage: bench_bench_json [--min-seconds S] [output.json]
 // (default: 2.0-second budget per row, BENCH_sim.json in cwd; "-" writes
@@ -138,15 +136,12 @@ Row bench_parallel_patterns(const Netlist& nl) {
 }
 
 Row bench_learn(const Netlist& nl, const netlist::Topology& topo, exec::Pool* pool,
-                unsigned threads, const char* name, std::size_t batch_lanes) {
+                unsigned threads, const char* name) {
     // One full learn() pass per rep over the shared CSR snapshot (the
-    // Session pattern); items = stems processed per pass. batch_lanes = 0
-    // keeps the serial rows on the one-run-per-injection path so they stay
-    // comparable across PRs; the _batch row turns the 64-lane engine on.
+    // Session pattern); items = stems processed per pass.
     core::LearnConfig cfg;
     cfg.threads = threads;
     cfg.executor = pool;
-    cfg.batch_lanes = batch_lanes;
     const std::size_t stems = nl.stems().size();
     Row row = measure(name, stems, g_min_seconds, [&] {
         const core::LearnResult r = core::learn(nl, topo, cfg);
@@ -182,14 +177,13 @@ Row bench_fault_sim(const Netlist& nl, const netlist::Topology& topo, exec::Pool
 
 Row bench_budget_overhead(const Netlist& nl, const netlist::Topology& topo) {
     // Cost of the governance layer on the learning hot path: full serial
-    // scalar passes with an active (but never-tripping) Budget — deadline
-    // polling at every stem boundary — interleaved with identical ungoverned
-    // passes, so drift hits both sides equally. The row reports governed
+    // passes with an active (but never-tripping) Budget — deadline polling
+    // at every stem boundary — interleaved with identical ungoverned passes,
+    // so drift hits both sides equally. The row reports governed
     // throughput; overhead_pct is the governed-vs-plain wall-time delta (CI
     // pins it under 2%; polling is one steady_clock read per stem).
     core::LearnConfig governed;
     governed.threads = 1;
-    governed.batch_lanes = 0;
     governed.budget.deadline = std::chrono::hours(24);
     governed.budget.max_items = static_cast<std::size_t>(-1) / 2;
     core::LearnConfig plain = governed;
@@ -202,9 +196,11 @@ Row bench_budget_overhead(const Netlist& nl, const netlist::Topology& topo) {
     double plain_min = 1e300;
     unsigned pairs = 0;
     const util::Timer total;
-    // At least 3 pairs: the overhead estimate uses best-of-N pass times,
-    // which filters scheduler noise a single smoke-length pair would not.
-    while (pairs < 3 || total.seconds() < 2 * g_min_seconds) {
+    // At least 25 pairs: the overhead estimate uses best-of-N pass times,
+    // which filters scheduler noise a single smoke-length pair would not. A
+    // 1-thread gen5378 pass takes ~0.13 s; on a shared 4-CPU VM two
+    // identical configs still differed by up to ±15% best-of-9.
+    while (pairs < 25 || total.seconds() < 2 * g_min_seconds) {
         {
             const util::Timer t;
             const core::LearnResult r = core::learn(nl, topo, governed);
@@ -215,8 +211,10 @@ Row bench_budget_overhead(const Netlist& nl, const netlist::Topology& topo) {
             if (!r.outcome.ok()) std::fprintf(stderr, "budget_overhead: tripped?\n");
         }
         {
+            // Both sides hold their result past the timer read, so neither
+            // pays for freeing the learned data inside its timed window.
             const util::Timer t;
-            (void)core::learn(nl, topo, plain);
+            const core::LearnResult r = core::learn(nl, topo, plain);
             plain_min = std::min(plain_min, t.seconds());
         }
         ++pairs;
@@ -238,7 +236,6 @@ Row bench_learn_resume(const Netlist& nl, const netlist::Topology& topo) {
     // serialization plus the resumed pass's state rebuild).
     core::LearnConfig base;
     base.threads = 1;
-    base.batch_lanes = 0;
     core::LearnConfig budgeted = base;
     budgeted.budget.max_items = nl.stems().size() / 2;
 
@@ -265,7 +262,7 @@ Row bench_learn_resume(const Netlist& nl, const netlist::Topology& topo) {
         }
         {
             const util::Timer t;
-            (void)core::learn(nl, topo, base);
+            const core::LearnResult r = core::learn(nl, topo, base);
             one_shot_min = std::min(one_shot_min, t.seconds());
         }
         ++pairs;
@@ -538,7 +535,8 @@ Row bench_sat_untestable(const Netlist& nl, const netlist::Topology& topo) {
 Row bench_learn_sat_mode(const Netlist& nl, const netlist::Topology& topo) {
     // learn() with the SAT probe phase on: the full frame-sim pipeline plus
     // K-frame failed-literal mining over every stem. items = stems per pass,
-    // directly comparable to learn_full_pass — the delta is the SAT phase.
+    // directly comparable to learn_full_pass_batch — the delta is the SAT
+    // phase.
     core::LearnConfig cfg;
     cfg.threads = 1;
     cfg.sat_frames = 4;
@@ -702,10 +700,9 @@ int main(int argc, char** argv) {
     rows.push_back(bench_frame_sim(nl));
     rows.push_back(bench_frame_sim_batch(nl, topo));
     rows.push_back(bench_parallel_patterns(nl));
-    rows.push_back(bench_learn(nl, topo, nullptr, 1, "learn_full_pass", 0));
-    rows.push_back(bench_learn(nl, topo, nullptr, 1, "learn_full_pass_batch", 64));
+    rows.push_back(bench_learn(nl, topo, nullptr, 1, "learn_full_pass_batch"));
     rows.push_back(bench_fault_sim(nl, topo, nullptr, 1, /*mt=*/false));
-    rows.push_back(bench_learn(nl, topo, &pool, hw, "learn_full_pass_mt", 0));
+    rows.push_back(bench_learn(nl, topo, &pool, hw, "learn_full_pass_batch_mt"));
     rows.push_back(bench_fault_sim(nl, topo, &pool, hw, /*mt=*/true));
     rows.push_back(bench_multi_session_atpg(nl));
     rows.push_back(bench_budget_overhead(nl, topo));

@@ -2,14 +2,13 @@
 //
 //   seqlearn_cli stats  <circuit.bench | suite:NAME> [--json]
 //   seqlearn_cli learn  <circuit.bench | suite:NAME> [--frames N] [--threads N]
-//                       [--batch-lanes N] [--limit-stems N] [--deadline-ms N]
-//                       [--sat-frames K] [--checkpoint FILE] [--resume FILE]
-//                       [--save-db FILE] [--db-format text|binary] [--out FILE]
-//                       [--json]
+//                       [--limit-stems N] [--deadline-ms N] [--sat-frames K]
+//                       [--checkpoint FILE] [--resume FILE] [--save-db FILE]
+//                       [--db-format text|binary] [--out FILE] [--json]
 //   seqlearn_cli atpg   <circuit.bench | suite:NAME> [--mode none|forbidden|known]
 //                       [--backend framesim|sat|auto] [--sat-frames K]
 //                       [--backtracks N] [--load-db FILE] [--save-db FILE]
-//                       [--db-format text|binary] [--random N] [--deadline-ms N]
+//                       [--db-format text|binary] [--deadline-ms N]
 //                       [--order index|level|scoap_hard_first|random]
 //                       [--order-seed N] [--guidance none|scoap]
 //                       [--rand-warmup N] [--fill x|zero|one|random]
@@ -58,11 +57,9 @@
 // stage. --checkpoint FILE saves a budget-stopped learn for a later
 // --resume FILE, which continues it to the same final result an unbudgeted
 // run produces. --threads N runs every stage on N workers (default: one per
-// hardware thread; results are bit-identical at any thread count).
-// --batch-lanes N sets the 64-lane bit-parallel stem batching of the
-// learning pass (default 64; 0 forces the scalar path; results are
-// bit-identical at any setting). gen writes a synthetic ISCAS-like circuit
-// via workload::circuit_gen for scaling experiments.
+// hardware thread; results are bit-identical at any thread count). gen
+// writes a synthetic ISCAS-like circuit via workload::circuit_gen for
+// scaling experiments.
 //
 // --backend picks the ATPG engine per README "Backends": framesim (default,
 // the paper's flow), sat (every fault through the CNF timeframe-expansion
@@ -392,8 +389,6 @@ int cmd_learn(api::Session& session, const netlist::Diagnostics& diags, int argc
     core::LearnConfig cfg;
     if (const char* f = flag_value(argc, argv, "--frames"))
         cfg.max_frames = static_cast<std::uint32_t>(std::atoi(f));
-    if (const char* b = flag_value(argc, argv, "--batch-lanes"))
-        cfg.batch_lanes = static_cast<std::size_t>(std::atoi(b));
     if (const char* l = flag_value(argc, argv, "--limit-stems")) {
         // Budgeted pass: stop deterministically after N work items
         // (LimitReached; partial results are kept and stats.cancelled is
@@ -457,8 +452,6 @@ int cmd_atpg(api::Session& session, const netlist::Diagnostics& diags, int argc,
     cfg.backtrack_limit = 30;
     if (const char* bt = flag_value(argc, argv, "--backtracks"))
         cfg.backtrack_limit = static_cast<std::uint32_t>(std::atoi(bt));
-    if (const char* r = flag_value(argc, argv, "--random"))
-        cfg.random_sequences = static_cast<std::size_t>(std::atoi(r));
     if (const char* d = flag_value(argc, argv, "--deadline-ms"))
         cfg.budget.deadline = std::chrono::milliseconds(std::atoll(d));
     if (const char* b = flag_value(argc, argv, "--backend")) {
@@ -546,8 +539,6 @@ int cmd_atpg(api::Session& session, const netlist::Diagnostics& diags, int argc,
     std::printf("  coverage:   %.2f%% fault, %.2f%% test\n",
                 100.0 * report.list.fault_coverage(),
                 100.0 * report.list.test_coverage());
-    std::printf("  sequences:  %zu (bootstrap detected %zu)\n",
-                report.outcome.tests.size(), report.outcome.detected_by_bootstrap);
     std::printf("  patterns:   %zu (%zu frames)\n", report.outcome.tests.size(),
                 report.outcome.pattern_frames);
     if (cfg.rand_warmup > 0)

@@ -19,10 +19,6 @@ Session::Session(DesignPtr design, SessionConfig cfg)
 Session::Session(netlist::Netlist nl, SessionConfig cfg)
     : Session(DesignBuilder(std::move(nl)).build(), std::move(cfg)) {}
 
-Session Session::view(const netlist::Netlist& nl, SessionConfig cfg) {
-    return Session(netlist::Netlist(nl), std::move(cfg));
-}
-
 unsigned Session::resolve_threads(unsigned stage_threads) const noexcept {
     if (stage_threads != 0) return stage_threads;
     if (cfg_.threads != 0) return cfg_.threads;

@@ -188,13 +188,6 @@ public:
     /// yourself when several Sessions will share the circuit.
     explicit Session(netlist::Netlist nl, SessionConfig cfg = {});
 
-    /// Deprecated lifetime-footgun shim: the borrowed netlist had to
-    /// outlive the Session. Now copies `nl` into a private Design; kept one
-    /// release so existing callers compile. Use Session(DesignPtr) (or the
-    /// owning constructor) instead.
-    [[deprecated("construct from a shared api::Design instead")]]
-    static Session view(const netlist::Netlist& nl, SessionConfig cfg = {});
-
     Session(Session&&) noexcept = default;
     Session& operator=(Session&&) noexcept = default;
 
@@ -248,7 +241,7 @@ public:
     /// the (possibly again partial) result like learn() does. The config —
     /// cfg.learn for the first overload — must have the same result-affecting
     /// fields as the run that produced the checkpoint (execution fields:
-    /// threads / executor / batch_lanes / budget may differ freely); throws
+    /// threads / executor / budget may differ freely); throws
     /// std::invalid_argument otherwise. A resumed run completes to the same
     /// final db/ties the uninterrupted run would have produced.
     const core::LearnResult& resume_learn(const core::LearnCheckpoint& ckpt);

@@ -4,7 +4,6 @@
 #include "exec/speculate.hpp"
 #include "exec/worker_set.hpp"
 #include "netlist/structure.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 #include <algorithm>
@@ -193,31 +192,10 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
         }
     }
 
-    // Optional random-simulation bootstrap: cheap coverage of the easy
-    // faults so the deterministic engine only sees the hard remainder.
-    if (cfg.random_sequences > 0) {
-        util::Rng rng(cfg.random_seed);
-        for (std::size_t s = 0; s < cfg.random_sequences; ++s) {
-            const exec::RunStatus st = exec::poll_point(cfg.cancel, budget);
-            if (st != exec::RunStatus::Completed) {
-                out.run = outcome_from(st, budget);
-                return;
-            }
-            sim::InputSequence seq(cfg.random_sequence_length,
-                                   sim::InputFrame(topo.inputs().size(), logic::Val3::X));
-            for (auto& frame : seq) {
-                for (auto& v : frame)
-                    v = rng.chance(0.5) ? logic::Val3::One : logic::Val3::Zero;
-            }
-            const std::size_t dropped = fsim.drop_detected(seq, list);
-            out.detected_by_bootstrap += dropped;
-            if (dropped > 0) out.tests.push_back(std::move(seq));
-        }
-    }
-
-    // Config-seeded random warmup: same contract as the bootstrap above but
-    // the stream is a pure function of the campaign configuration, so a
-    // scenario row is reproducible without the caller picking a seed.
+    // Config-seeded random warmup: cheap coverage of the easy faults so the
+    // deterministic engine only sees the hard remainder. The stream is a
+    // pure function of the campaign configuration, so a scenario row is
+    // reproducible without the caller picking a seed.
     if (cfg.rand_warmup > 0) {
         const exec::RunStatus st = exec::poll_point(cfg.cancel, budget);
         if (st != exec::RunStatus::Completed) {

@@ -83,14 +83,6 @@ struct AtpgConfig {
     std::uint32_t redundancy_effort = 2000;
     /// Engine decision cap per solve (safety valve).
     std::uint32_t max_decisions = 200000;
-    /// Random-simulation bootstrap: fault-simulate this many random input
-    /// sequences before deterministic generation and drop what they detect
-    /// (0 = off). Real ATPG flows run with this on; the paper-table benches
-    /// keep it off so the deterministic-engine deltas stay visible.
-    std::size_t random_sequences = 0;
-    /// Frames per bootstrap sequence.
-    std::size_t random_sequence_length = 24;
-    std::uint64_t random_seed = 1;
     /// Fault-ordering strategy applied to the canonical serial target
     /// schedule (the deterministic fault-index queue). Parallel runs commit
     /// in schedule order, so every strategy is bit-identical at any thread
@@ -105,8 +97,10 @@ struct AtpgConfig {
     /// Random-pattern warmup: this many deterministic random sequences
     /// (xoshiro seeded from a digest of the result-affecting config) are
     /// fault-simulated before deterministic ATPG, bulk-dropping easy faults
-    /// (0 = off). Unlike `random_sequences` (whose seed is caller-chosen),
-    /// the warmup stream is a pure function of the campaign configuration.
+    /// (0 = off). The warmup stream is a pure function of the campaign
+    /// configuration, so a run is reproducible without choosing a seed.
+    /// Real ATPG flows run with this on; the paper-table benches keep it
+    /// off so the deterministic-engine deltas stay visible.
     std::size_t rand_warmup = 0;
     /// Frames per warmup sequence.
     std::size_t rand_warmup_length = 24;
@@ -137,7 +131,6 @@ struct AtpgOutcome {
     std::size_t invalid_tests = 0;
     std::size_t untestable_by_tie = 0;
     std::size_t untestable_by_proof = 0;
-    std::size_t detected_by_bootstrap = 0;
     /// Faults dropped by the config-seeded random warmup (rand_warmup > 0)
     /// and the warmup sequences that earned credit.
     std::size_t detected_by_warmup = 0;

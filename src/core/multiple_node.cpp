@@ -21,14 +21,8 @@ bool is_constant(const Netlist& nl, GateId g) {
     return t == GateType::Const0 || t == GateType::Const1;
 }
 
-struct TargetScratch {
-    std::vector<sim::Injection> inj;
-    sim::FrameSimResult res;
-};
-
 // Mutations one target wants to apply; at most one tie (the target itself).
 struct TargetDelta {
-    bool processed = false;
     bool contradiction = false;
     bool tie = false;
     GateId tie_gate = netlist::kNoGate;
@@ -42,7 +36,7 @@ struct TargetDelta {
     std::vector<Rel> relations;
 
     void clear() {
-        processed = contradiction = tie = false;
+        contradiction = tie = false;
         relations.clear();
     }
 };
@@ -87,6 +81,9 @@ struct SpecCtx {
 // in the schedule on purpose — their seeded facts produce the proving
 // conflict), so plans can be built once per batch.
 struct TargetPlan {
+    /// Two records contrapose to opposite values on the same stem at the
+    /// same frame: the premise n=!v is impossible outright (a tie, no
+    /// simulation needed).
     bool contradictory = false;
     std::uint32_t T = 0;
 };
@@ -126,7 +123,8 @@ TargetPlan plan_target(const StemRecords& records, const MultipleNodeConfig& cfg
 }
 
 // Extraction over a completed run (order-insensitive: the relation set is a
-// function of the frame-T implied set alone). Shared by every path.
+// function of the frame-T implied set alone). Shared by the speculative and
+// commit sides.
 template <typename Ctx>
 void extract_target(const Netlist& nl, Literal target, std::uint32_t T,
                     const sim::FrameSimResult& res, Ctx& ctx) {
@@ -145,60 +143,8 @@ void extract_target(const Netlist& nl, Literal target, std::uint32_t T,
     }
 }
 
-// One target, start to finish, on the scalar simulator — shared by the
-// serial, speculative, and recompute paths. Returns whether the target was
-// processed.
-template <typename Ctx>
-bool process_target(const Netlist& nl, sim::FrameSimulator& sim, const StemRecords& records,
-                    const MultipleNodeConfig& cfg, Literal target, TargetScratch& s,
-                    Ctx& ctx) {
-    if (ctx.tied(target.gate) || is_constant(nl, target.gate)) return false;
-    s.inj.clear();
-    const TargetPlan plan = plan_target(records, cfg, target, s.inj);
-
-    if (plan.contradictory) {
-        // Two records contrapose to opposite values on the same stem at
-        // the same frame: the premise n=!v is impossible outright.
-        ctx.set_tie(target.gate, target.value, plan.T);
-        ctx.mark_contradiction();
-        return true;
-    }
-
-    sim::FrameSimOptions opt;
-    opt.max_frames = plan.T + 1;
-    opt.stop_on_state_repeat = false;  // the window is already exact
-    sim.run_into(s.inj, opt, s.res);
-    extract_target(nl, target, plan.T, s.res, ctx);
-    return true;
-}
-
-MultipleNodeOutcome run_serial(const Netlist& nl, sim::FrameSimulator& sim,
-                               const StemRecords& records, const MultipleNodeConfig& cfg,
-                               std::span<const Literal> targets, TieSet& ties,
-                               ImplicationDB& db, const LearnExecEnv& env) {
-    MultipleNodeOutcome out;
-    TargetScratch scratch;
-    DirectCtx ctx{ties, db, out};
-    for (std::size_t idx = 0; idx < targets.size(); ++idx) {
-        const exec::RunStatus st = exec::poll_point(env.cancel, env.budget);
-        if (st != exec::RunStatus::Completed) {
-            out.stop = st;
-            break;
-        }
-        if (cfg.max_targets != 0 && out.targets_processed >= cfg.max_targets) break;
-        if (env.failpoint != nullptr) env.failpoint->poll(exec::FailSite::WorkItem);
-        if (process_target(nl, sim, records, cfg, targets[idx], scratch, ctx))
-            ++out.targets_processed;
-        if (env.budget != nullptr) env.budget->note_item();
-        out.next_index = idx + 1;
-    }
-    return out;
-}
-
-// ------------------------------------------------------------------ batched
-
-// Per-worker scratch for the batched path. Lane spans point into the flat
-// `inj` buffer, which is fully built before the spans are taken.
+// Per-worker scratch. Lane spans point into the flat `inj` buffer, which is
+// fully built before the spans are taken.
 struct MultiBatchScratch {
     std::vector<sim::Injection> inj;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> inj_span;  // per lane
@@ -263,15 +209,14 @@ void simulate_target_batch(sim::BatchFrameSimulator& bsim, std::span<const Liter
 // skeleton is shared via exec::speculate_batches; keep the client
 // scaffolding (slot sizing, version snapshot, re-batch-after-tie recompute
 // loop) in lockstep with that file.
-MultipleNodeOutcome run_batched(const Netlist& nl,
-                                std::span<sim::BatchFrameSimulator> batch_sims,
+MultipleNodeOutcome run_batched(const Netlist& nl, std::span<sim::BatchFrameSimulator> sims,
                                 const StemRecords& records, const MultipleNodeConfig& cfg,
-                                std::span<const Literal> targets, std::size_t batch_targets,
-                                TieSet& ties, ImplicationDB& db, const LearnExecEnv& env,
+                                std::span<const Literal> targets, TieSet& ties,
+                                ImplicationDB& db, const LearnExecEnv& env,
                                 unsigned workers) {
     MultipleNodeOutcome out;
     const std::size_t n = targets.size();
-    const std::size_t bs = std::min(batch_targets, kMaxBatchTargets);
+    const std::size_t bs = kMaxBatchTargets;
 
     const exec::SpeculateOptions sopt;
     std::vector<MultiBatchScratch> ws(workers);
@@ -320,7 +265,7 @@ MultipleNodeOutcome run_batched(const Netlist& nl,
         std::array<BatchPlanEntry, kMaxBatchTargets> entries;
         while (i < end) {
             const std::size_t count = std::min(bs, end - i);
-            simulate_target_batch(batch_sims[0], targets, i, count, records, cfg, nl,
+            simulate_target_batch(sims[0], targets, i, count, records, cfg, nl,
                                   [&](GateId g) { return ties.is_tied(g); }, w, entries);
             std::size_t done = count;
             for (std::size_t p = 0; p < count; ++p) {
@@ -361,7 +306,7 @@ MultipleNodeOutcome run_batched(const Netlist& nl,
         if (env.failpoint != nullptr) env.failpoint->poll(exec::FailSite::WorkItem);
         MultiBatchScratch& w = ws[worker];
         std::array<BatchPlanEntry, kMaxBatchTargets> entries;
-        simulate_target_batch(batch_sims[worker], targets, base, count, records, cfg, nl,
+        simulate_target_batch(sims[worker], targets, base, count, records, cfg, nl,
                               [&](GateId g) { return ties.is_tied(g); }, w, entries);
         for (std::size_t p = 0; p < count; ++p) {
             TargetDelta& delta = d.deltas[p];
@@ -409,94 +354,26 @@ MultipleNodeOutcome run_batched(const Netlist& nl,
 }  // namespace
 
 MultipleNodeOutcome multiple_node_learning(const Netlist& nl,
-                                           std::span<sim::FrameSimulator> sims,
+                                           std::span<sim::BatchFrameSimulator> sims,
                                            const StemRecords& records,
                                            const MultipleNodeConfig& cfg, TieSet& ties,
                                            ImplicationDB& db, const LearnExecEnv& env,
-                                           std::span<sim::BatchFrameSimulator> batch_sims,
-                                           std::size_t batch_targets,
                                            std::size_t first_target) {
     const std::vector<Literal> all_targets = records.targets(cfg.min_records);
     const std::size_t skip = std::min(first_target, all_targets.size());
     const std::span<const Literal> targets{all_targets.data() + skip,
                                            all_targets.size() - skip};
-    // Every path below reports next_index relative to `targets`; shift back
-    // to the global order before returning.
-    auto globalize = [skip](MultipleNodeOutcome out) {
-        out.next_index += skip;
-        return out;
-    };
 
     unsigned workers = env.pool != nullptr ? env.pool->size() : 1;
     if (env.max_workers != 0) workers = std::min(workers, env.max_workers);
     workers = std::min<unsigned>(workers, static_cast<unsigned>(sims.size()));
 
-    if (batch_targets != 0 && !batch_sims.empty() && !targets.empty()) {
-        workers = std::min<unsigned>(workers, static_cast<unsigned>(batch_sims.size()));
-        return globalize(run_batched(nl, batch_sims, records, cfg, targets, batch_targets,
-                                     ties, db, env, std::max(1u, workers)));
-    }
-
-    if (workers <= 1 || targets.size() < 2) {
-        return globalize(run_serial(nl, sims[0], records, cfg, targets, ties, db, env));
-    }
-
-    MultipleNodeOutcome out;
-    const exec::SpeculateOptions sopt;
-    std::vector<TargetScratch> ws(workers);
-    std::vector<TargetDelta> slots(exec::resolved_max_window(sopt, workers));
-    std::uint64_t dispatch_version = 0;
-    std::size_t next_progress = 0;
-
-    auto prepare = [&](std::size_t, std::size_t) { dispatch_version = ties.version(); };
-    auto compute = [&](unsigned worker, std::size_t item, std::size_t slot) {
-        TargetDelta& d = slots[slot];
-        d.clear();
-        // Fast abort on a pending sticky stop (see single_node.cpp).
-        if ((env.cancel != nullptr && env.cancel->requested()) ||
-            (env.budget != nullptr && env.budget->deadline_exceeded()))
-            return;
-        if (env.failpoint != nullptr) env.failpoint->poll(exec::FailSite::WorkItem);
-        SpecCtx ctx{ties, d};
-        d.processed =
-            process_target(nl, sims[worker], records, cfg, targets[item], ws[worker], ctx);
-    };
-    auto commit = [&](std::size_t item, std::size_t slot) -> exec::Commit {
-        // Poll before the dedup: sticky stop conditions must Stop a retried
-        // item whose compute fast-aborted (see single_node.cpp).
-        const exec::RunStatus st = exec::poll_point(env.cancel, env.budget);
-        if (st != exec::RunStatus::Completed) {
-            out.stop = st;
-            out.next_index = item;
-            return exec::Commit::Stop;
-        }
-        if (cfg.max_targets != 0 && out.targets_processed >= cfg.max_targets) {
-            out.next_index = item;
-            return exec::Commit::Stop;
-        }
-        if (item >= next_progress) {
-            if (env.budget != nullptr) env.budget->note_item();
-            next_progress = item + 1;
-            out.next_index = next_progress;
-        }
-        if (ties.version() != dispatch_version) return exec::Commit::Retry;
-        const TargetDelta& d = slots[slot];
-        if (!d.processed) return exec::Commit::Done;
-        if (env.failpoint != nullptr) env.failpoint->poll(exec::FailSite::SpecCommit);
-        ++out.targets_processed;
-        if (d.tie) {
-            ties.set(d.tie_gate, d.tie_value, d.tie_cycle);
-            ++out.ties_found;
-        }
-        if (d.contradiction) ++out.contradiction_ties;
-        for (const TargetDelta::Rel& r : d.relations) {
-            if (db.add(r.lhs, r.rhs, r.frame)) ++out.relations_added;
-        }
-        return exec::Commit::Done;
-    };
-    exec::speculate_ordered(env.pool, targets.size(), sopt, prepare, compute, commit,
-                            workers);
-    return globalize(out);
+    // The pass reports next_index relative to `targets`; shift back to the
+    // global order.
+    MultipleNodeOutcome out = run_batched(nl, sims, records, cfg, targets, ties, db, env,
+                                          std::max(1u, workers));
+    out.next_index += skip;
+    return out;
 }
 
 }  // namespace seqlearn::core

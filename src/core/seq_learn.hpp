@@ -50,12 +50,6 @@ struct LearnConfig {
     /// production). Polled inside work items, speculation commits, and batch
     /// recomputes.
     exec::FailurePoint* failpoint = nullptr;
-    /// Lanes per bit-parallel batch in the single-node pass (two lanes — the
-    /// inject-0 and inject-1 runs — per stem, so 64 lanes = 32 stems per
-    /// batch). 0 and 1 disable batching and simulate one scenario per
-    /// event-driven run. Results are bit-identical at every setting; the
-    /// batched path is the fast one (see sim::BatchFrameSimulator).
-    std::size_t batch_lanes = 64;
     /// Forward-simulation depth (the paper's experiments use 50).
     std::uint32_t max_frames = 50;
     /// Stop a stem simulation when the sequential state repeats.
@@ -172,9 +166,8 @@ struct LearnCheckpoint {
 
 /// Digest of the LearnConfig fields that affect learning *results* (depth,
 /// passes, caps, equivalence tuning). Execution-only fields — threads,
-/// executor, batch_lanes, budget, callbacks — are excluded: results are
-/// bit-identical across them, so a checkpoint taken under one is resumable
-/// under another.
+/// executor, budget, callbacks — are excluded: results are bit-identical
+/// across them, so a checkpoint taken under one is resumable under another.
 std::uint64_t learn_config_digest(const LearnConfig& cfg);
 
 /// Package an interrupted result for resumption. Throws std::logic_error
@@ -191,9 +184,9 @@ LearnResult learn(const netlist::Netlist& nl, const netlist::Topology& topo,
 
 /// Continue an interrupted run from `ckpt`. The combined run (original up
 /// to the cursor, then this) produces bit-identical results to a single
-/// uninterrupted learn() with the same config — at any thread count or
-/// batch width. Throws std::invalid_argument when the checkpoint does not
-/// match the netlist or the config digest.
+/// uninterrupted learn() with the same config — at any thread count. Throws
+/// std::invalid_argument when the checkpoint does not match the netlist or
+/// the config digest.
 LearnResult resume_learn(const netlist::Netlist& nl, const netlist::Topology& topo,
                          const LearnConfig& cfg, const LearnCheckpoint& ckpt);
 

@@ -9,26 +9,21 @@
 // as stem records for the multiple-node pass.
 //
 // Execution model: the pass is serially defined — ties learned at stem k
-// are simulation facts for every stem after k — yet runs on N workers with
-// bit-identical results via ordered speculation (exec::speculate_ordered):
-// workers simulate and extract stems against the tie state frozen at window
-// dispatch, emitting per-stem result deltas; the calling thread commits the
-// deltas in stem order, and any stem whose commit finds the tie set moved
-// since its dispatch is recomputed against the fresh state. Tie discoveries
-// are rare (a few percent of stems), so almost all speculation commits.
-//
-// Batching: when the caller supplies BatchFrameSimulators, stems are packed
-// `batch_stems` at a time — each stem's {inject 0, inject 1} pair occupying
-// two lanes — and a whole batch becomes one 64-lane bit-parallel run and one
-// speculation item, shrinking both the simulation cost (constants, learned
-// ties, and shared cone gates are evaluated once per batch instead of once
-// per run) and the ordered-commit traffic by the batch factor. The shared
-// extraction body is order-insensitive within a frame (per-frame ties are
-// established before relations are emitted), so the batched and scalar
-// schedules produce bit-identical learning results even though their event
-// orders differ; a batch whose commit lands a new tie re-derives its
-// remaining stems against the fresh tie state, preserving the exact serial
-// semantics.
+// are simulation facts for every stem after k. Stems are packed 32 at a
+// time, each stem's {inject 0, inject 1} pair occupying two lanes, so a
+// batch is one 64-lane bit-parallel run (sim::BatchFrameSimulator):
+// constants, learned ties, and shared cone gates are evaluated once per
+// batch instead of once per injection. Each batch is one item of ordered
+// speculation (exec::speculate_batches): workers simulate and extract
+// batches against the tie state frozen at window dispatch, emitting
+// per-stem result deltas; the calling thread commits the deltas in stem
+// order. A commit that finds the tie set moved since dispatch re-derives the
+// rest of its batch against the fresh state, re-batching after every stem
+// that lands a tie. Tie discoveries are rare (a few percent of stems), so
+// almost all speculation commits. The extraction is order-insensitive within
+// a frame (per-frame ties are established before relations are emitted), so
+// the results are exactly the serial one-injection-per-run schedule's at any
+// worker count, even though the batch's event order differs.
 
 #include "core/impl_db.hpp"
 #include "core/stem_records.hpp"
@@ -39,7 +34,6 @@
 #include "exec/outcome.hpp"
 #include "exec/pool.hpp"
 #include "sim/batch_frame_sim.hpp"
-#include "sim/frame_sim.hpp"
 
 #include <functional>
 #include <span>
@@ -77,10 +71,11 @@ struct LearnExecEnv {
 
 /// Run single-node learning over `stems` using the per-worker simulators
 /// `sims` (all sharing one Topology, identically configured: gating,
-/// equivalences, and tie vectors aliasing `ties`). sims[0] drives the serial
-/// path; sims.size() must be >= the resolved worker count. New relations
-/// land in `db`, new ties in `ties` (and become simulation facts for later
-/// stems via the aliased tie vectors), and observations in `records`.
+/// equivalences, and tie vectors aliasing `ties`). sims[0] drives the
+/// calling thread's recomputes; at most sims.size() workers run, and `sims`
+/// must not be empty. New relations land in `db`, new ties in `ties` (and
+/// become simulation facts for later stems via the aliased tie vectors),
+/// and observations in `records`.
 ///
 /// Relations are stored when at least one side is a sequential element
 /// (gate-gate relations follow from these and are skipped, as in the
@@ -88,18 +83,11 @@ struct LearnExecEnv {
 /// `progress`, when non-null, is invoked on the calling thread before each
 /// stem with (stems visited so far, stems.size()); returning false cancels
 /// the pass (partial results are kept and the outcome's stop status set).
-///
-/// `batch_sims` (same count and configuration discipline as `sims`) enables
-/// 64-lane batched simulation: stems are packed `batch_stems` per batch
-/// (clamped to 32 = 64 lanes / 2 injections). Empty `batch_sims` or
-/// `batch_stems` == 0 selects the one-run-per-injection path. Results are
-/// bit-identical either way.
 SingleNodeOutcome single_node_learning(
-    const netlist::Netlist& nl, std::span<sim::FrameSimulator> sims,
+    const netlist::Netlist& nl, std::span<sim::BatchFrameSimulator> sims,
     std::span<const netlist::GateId> stems, std::uint32_t max_frames, TieSet& ties,
     ImplicationDB& db, StemRecords& records,
     const std::function<bool(std::size_t, std::size_t)>* progress = nullptr,
-    const LearnExecEnv& env = {}, std::span<sim::BatchFrameSimulator> batch_sims = {},
-    std::size_t batch_stems = 0);
+    const LearnExecEnv& env = {});
 
 }  // namespace seqlearn::core

@@ -498,14 +498,6 @@ std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
         acfg.compact = true;
         acfg.fill = *parsed;
     }
-    // Result-affecting strategy keys bypass the warm snapshot path the same
-    // way non-default `sat_frames`/`frames` do on learn: the request runs
-    // self-contained (fresh learn, no promotion), so the cache only ever
-    // holds default-configuration artifacts.
-    const bool default_strategy =
-        acfg.order == guide::OrderStrategy::Index &&
-        acfg.guidance == guide::Guidance::None && acfg.rand_warmup == 0 &&
-        !acfg.compact;
 
     InflightGuard inflight(*this, id);
     const std::shared_ptr<std::atomic<bool>> cancel = inflight.flag();
@@ -518,13 +510,16 @@ std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
 
     // Warm path: reuse the cache entry's learned snapshot (no re-learn).
     // Cold: the Session learns on demand; promote that result for later
-    // requests when it completed.
-    const bool warm = r.entry.learned != nullptr && default_strategy;
+    // requests when it completed. The Session always learns with the default
+    // LearnConfig, so the ATPG-only strategy keys (order, guidance,
+    // rand_warmup, fill) never change the learned data and never bypass the
+    // snapshot.
+    const bool warm = r.entry.learned != nullptr;
     if (acfg.mode != atpg::LearnMode::None) {
         if (warm) session.use_learned(r.entry.learned);
         else {
             const core::LearnResult& learned = session.learn();
-            if (learned.outcome.ok() && default_strategy) {
+            if (learned.outcome.ok()) {
                 const std::shared_ptr<const core::LearnedSnapshot> snap =
                     session.freeze_learned();
                 cache_.attach_learned(r.entry.digest, snap);

@@ -294,21 +294,6 @@ TEST_P(AtpgModes, AllModesProduceValidatedTestsOnly) {
 
 INSTANTIATE_TEST_SUITE_P(RandomCircuits, AtpgModes, ::testing::Values(3, 7, 13, 21));
 
-TEST(AtpgLoop, RandomBootstrapDropsEasyFaults) {
-    const Netlist nl = make_s27();
-    const netlist::Topology topo(nl);
-    fault::FaultList list(fault::collapse(nl).representatives());
-    AtpgConfig cfg;
-    cfg.backtrack_limit = 1;  // leave essentially everything to the bootstrap
-    cfg.identify_untestable = false;
-    cfg.random_sequences = 64;
-    const AtpgOutcome out = run_atpg(topo, list, cfg);
-    EXPECT_GT(out.detected_by_bootstrap, 20u);
-    EXPECT_GE(list.counts().detected, out.detected_by_bootstrap);
-    // Bootstrap sequences are part of the returned test set.
-    EXPECT_FALSE(out.tests.empty());
-}
-
 TEST(AtpgLoop, BacktrackLimitCausesAborts) {
     // A reconvergent circuit with a tiny limit should abort somewhere yet
     // never crash; with a large limit the aborted set may only shrink.

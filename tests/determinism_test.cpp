@@ -61,29 +61,21 @@ struct Golden {
 // agree.
 
 void expect_golden(const netlist::Netlist& nl, const Golden& want) {
-    // The matrix spans the exec subsystem's two axes: worker threads
-    // (ordered speculative commit) and 64-lane stem/target batching
-    // (batch_lanes 0 = scalar event-driven runs, 6 = tiny 3-stem batches
-    // that retire and re-form constantly, 64 = full-width). Every cell must
-    // reproduce the same goldens bit for bit.
+    // Worker threads are the exec subsystem's one axis (ordered speculative
+    // commit over 64-lane batches); every thread count must reproduce the
+    // same goldens bit for bit.
     for (const unsigned threads : {1u, 2u, 8u}) {
-        for (const std::size_t lanes : {std::size_t{0}, std::size_t{6}, std::size_t{64}}) {
-            if (lanes == 6 && threads != 1) continue;  // narrow batches: 1-thread only
-            LearnConfig cfg;
-            cfg.threads = threads;
-            cfg.batch_lanes = lanes;
-            const LearnResult r = testing::learn(nl, cfg);
-            const auto ctx = [&] {
-                return ::testing::Message() << "threads=" << threads << " lanes=" << lanes;
-            };
-            EXPECT_EQ(r.db.size(), want.relations) << ctx();
-            EXPECT_EQ(r.stats.ties_combinational, want.ties_comb) << ctx();
-            EXPECT_EQ(r.stats.ties_sequential, want.ties_seq) << ctx();
-            EXPECT_EQ(r.stats.equiv_classes, want.equiv_classes) << ctx();
-            EXPECT_EQ(r.stats.multi_relations, want.multi_relations) << ctx();
-            EXPECT_EQ(r.stats.multi_ties, want.multi_ties) << ctx();
-            EXPECT_EQ(relation_hash(r.db), want.relation_hash) << ctx();
-        }
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        LearnConfig cfg;
+        cfg.threads = threads;
+        const LearnResult r = testing::learn(nl, cfg);
+        EXPECT_EQ(r.db.size(), want.relations);
+        EXPECT_EQ(r.stats.ties_combinational, want.ties_comb);
+        EXPECT_EQ(r.stats.ties_sequential, want.ties_seq);
+        EXPECT_EQ(r.stats.equiv_classes, want.equiv_classes);
+        EXPECT_EQ(r.stats.multi_relations, want.multi_relations);
+        EXPECT_EQ(r.stats.multi_ties, want.multi_ties);
+        EXPECT_EQ(relation_hash(r.db), want.relation_hash);
     }
 }
 
@@ -277,29 +269,41 @@ TEST(FaultSimDeterminism, ValidationMatchesAcrossThreadCounts) {
     }
 }
 
-// Full-result agreement between the scalar and 64-lane batched learning
-// paths on a circuit large enough to exercise batch re-forming after tie
-// discoveries (the goldens above pin small circuits; this pins every tie
-// value, proof cycle, and the whole relation set on a bigger one).
-TEST(LearnDeterminism, BatchedAndScalarPathsAgree) {
+// FNV-1a over every gate's (tied value, proof cycle) in id order.
+std::uint64_t tie_digest(const TieSet& ties) {
+    std::uint64_t h = 1469598103934665603ULL;
+    auto mix = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ULL;
+    };
+    for (std::size_t g = 0; g < ties.dense().size(); ++g) {
+        mix(static_cast<std::uint64_t>(ties.dense()[g]));
+        mix(ties.dense_cycles()[g]);
+    }
+    return h;
+}
+
+// A circuit large enough to exercise batch re-forming after tie discoveries
+// (the goldens above pin small circuits; this pins every tie value, proof
+// cycle, and the whole relation set on a bigger one). Recorded from the
+// one-simulation-run-per-injection learning schedule, which the batched
+// passes must reproduce exactly.
+TEST(LearnDeterminism, BatchedPassesMatchOneRunPerInjectionGolden) {
     const netlist::Netlist nl =
         workload::generate(workload::iscas_like("bdet", 24, 260, 9));
-    LearnConfig scalar_cfg;
-    scalar_cfg.threads = 1;
-    scalar_cfg.batch_lanes = 0;
-    const LearnResult a = testing::learn(nl, scalar_cfg);
-    LearnConfig batch_cfg;
-    batch_cfg.threads = 1;
-    batch_cfg.batch_lanes = 64;
-    const LearnResult b = testing::learn(nl, batch_cfg);
-    EXPECT_GT(a.ties.count(), 0u);  // otherwise the re-forming path is idle
-    EXPECT_EQ(a.db.size(), b.db.size());
-    EXPECT_EQ(relation_hash(a.db), relation_hash(b.db));
-    EXPECT_EQ(a.ties.dense(), b.ties.dense());
-    EXPECT_EQ(a.ties.dense_cycles(), b.ties.dense_cycles());
-    EXPECT_EQ(a.stats.multi_relations, b.stats.multi_relations);
-    EXPECT_EQ(a.stats.multi_ties, b.stats.multi_ties);
-    EXPECT_EQ(a.stats.stems_processed, b.stats.stems_processed);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        LearnConfig cfg;
+        cfg.threads = threads;
+        const LearnResult r = testing::learn(nl, cfg);
+        EXPECT_EQ(r.db.size(), 584u);
+        EXPECT_EQ(relation_hash(r.db), 5307505795015843314ULL);
+        EXPECT_EQ(r.ties.count(), 75u);
+        EXPECT_EQ(tie_digest(r.ties), 9548001425052896834ULL);
+        EXPECT_EQ(r.stats.multi_ties, 6u);
+        EXPECT_EQ(r.stats.multi_relations, 0u);
+        EXPECT_EQ(r.stats.stems_processed, 136u);
+    }
 }
 
 // Two learn() invocations on the same circuit must agree exactly (the

@@ -255,6 +255,48 @@ TEST(ServerDeterminism, WarmSnapshotServesIdenticalHashes) {
     srv.stop();
 }
 
+// The ATPG-only strategy keys (order, guidance, warmup) steer the campaign,
+// never the learned data, so a guided request rides the cached snapshot and
+// reproduces the campaign a fresh daemon runs after learning on demand.
+TEST(ServerDeterminism, GuidedAtpgReusesLearnedSnapshot) {
+    const std::string bench =
+        netlist::write_bench_string(workload::suite_circuit("fig1x"));
+    const auto guided_atpg = [](Client& c, const std::string& digest) {
+        return c.rpc("{\"cmd\": \"atpg\", \"design\": \"" + digest +
+                     "\", \"guidance\": \"scoap\", \"order\": \"level\", "
+                     "\"rand_warmup\": 8}");
+    };
+
+    std::string warm_digest;
+    {
+        server::Server srv{server::ServerConfig{}};
+        std::string err;
+        ASSERT_TRUE(srv.start(&err)) << err;
+        Client c(srv.port());
+        const std::string digest = c.rpc(load_frame(bench, "fig1x")).get_string("design");
+        ASSERT_FALSE(digest.empty());
+        ASSERT_TRUE(
+            c.rpc("{\"cmd\": \"learn\", \"design\": \"" + digest + "\"}").get_bool("ok"));
+        const JsonValue atpg = guided_atpg(c, digest);
+        ASSERT_TRUE(atpg.get_bool("ok"));
+        EXPECT_TRUE(atpg.get_bool("warm"));
+        warm_digest = atpg.get_string("campaign_digest");
+        srv.stop();
+    }
+
+    server::Server fresh{server::ServerConfig{}};
+    std::string err;
+    ASSERT_TRUE(fresh.start(&err)) << err;
+    Client c(fresh.port());
+    const std::string digest = c.rpc(load_frame(bench, "fig1x")).get_string("design");
+    const JsonValue cold = guided_atpg(c, digest);
+    ASSERT_TRUE(cold.get_bool("ok"));
+    EXPECT_FALSE(cold.get_bool("warm"));
+    EXPECT_FALSE(warm_digest.empty());
+    EXPECT_EQ(cold.get_string("campaign_digest"), warm_digest);
+    fresh.stop();
+}
+
 // --- cache eviction under a tight cap --------------------------------------
 
 TEST(ServerCache, EvictionUnderTightCapKeepsServing) {

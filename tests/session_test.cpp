@@ -53,19 +53,6 @@ TEST(Session, LearnIsCachedUntilReconfigured) {
     EXPECT_LE(second.db.size(), first_relations);
 }
 
-TEST(Session, DeprecatedViewShimCopiesIntoAPrivateDesign) {
-    const Netlist nl = testing::random_circuit(7, 6, 5, 30);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    Session session = Session::view(nl);
-#pragma GCC diagnostic pop
-    // The shim no longer borrows: the Session owns a private Design built
-    // from a copy, so the caller's netlist may die first (the old footgun).
-    EXPECT_NE(&session.netlist(), &nl);
-    EXPECT_EQ(session.netlist().size(), nl.size());
-    EXPECT_GT(session.learn().db.size(), 0u);
-}
-
 TEST(Design, ManySessionsShareOneCompiledDesign) {
     const DesignPtr design = DesignBuilder(workload::suite_circuit("s27")).build();
     Session a(design);
