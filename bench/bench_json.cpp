@@ -11,6 +11,8 @@
 // hardware thread through the exec subsystem ("threads" records the actual
 // worker count — on a 1-core machine they measure the speculation overhead,
 // not a speedup); results are bit-identical to the serial rows by design.
+// fault_sim_drop_detected_ties_mt differs from fault_sim_drop_detected_mt
+// only in carrying one learn's ties on the good machine.
 // The learn_full_pass_batch* rows run learn(), whose passes always simulate
 // through the 64-lane bit-parallel BatchFrameSimulator.
 //
@@ -152,19 +154,22 @@ Row bench_learn(const Netlist& nl, const netlist::Topology& topo, exec::Pool* po
 }
 
 Row bench_fault_sim(const Netlist& nl, const netlist::Topology& topo, exec::Pool* pool,
-                    unsigned threads, bool mt) {
+                    unsigned threads, const char* name, const core::TieSet* ties = nullptr) {
     // drop_detected over the full collapsed list with 24-frame random
     // sequences — the validation hot path of every ATPG campaign; items =
     // faults simulated per pass. The simulator shares one CSR snapshot, the
-    // Session pattern; the mt row fans the 63-fault passes over the pool.
+    // Session pattern; the mt rows fan the 63-fault passes over the pool.
+    // With `ties` the good machine carries learned ties, so every pass also
+    // builds its tie lanes from the fault cones (the learning-aware
+    // validation path); the sequences are the same as without.
     fault::FaultSimulator fsim(topo);
     if (pool != nullptr) fsim.set_executor(pool, threads);
+    if (ties != nullptr) fsim.set_good_ties(&ties->dense(), &ties->dense_cycles());
     const fault::CollapsedFaults collapsed = fault::collapse(nl);
     util::Rng rng(1);
     sim::InputSequence seq(24, sim::InputFrame(nl.inputs().size(), logic::Val3::X));
     Row row = measure(
-        mt ? "fault_sim_drop_detected_mt" : "fault_sim_drop_detected",
-        collapsed.size(), g_min_seconds, [&] {
+        name, collapsed.size(), g_min_seconds, [&] {
             for (auto& frame : seq)
                 for (auto& v : frame)
                     v = rng.chance(0.5) ? logic::Val3::One : logic::Val3::Zero;
@@ -701,9 +706,17 @@ int main(int argc, char** argv) {
     rows.push_back(bench_frame_sim_batch(nl, topo));
     rows.push_back(bench_parallel_patterns(nl));
     rows.push_back(bench_learn(nl, topo, nullptr, 1, "learn_full_pass_batch"));
-    rows.push_back(bench_fault_sim(nl, topo, nullptr, 1, /*mt=*/false));
+    rows.push_back(bench_fault_sim(nl, topo, nullptr, 1, "fault_sim_drop_detected"));
     rows.push_back(bench_learn(nl, topo, &pool, hw, "learn_full_pass_batch_mt"));
-    rows.push_back(bench_fault_sim(nl, topo, &pool, hw, /*mt=*/true));
+    rows.push_back(bench_fault_sim(nl, topo, &pool, hw, "fault_sim_drop_detected_mt"));
+    {
+        core::LearnConfig lcfg;
+        lcfg.threads = hw;
+        lcfg.executor = &pool;
+        const core::LearnResult learned = core::learn(nl, topo, lcfg);
+        rows.push_back(bench_fault_sim(nl, topo, &pool, hw, "fault_sim_drop_detected_ties_mt",
+                                       &learned.ties));
+    }
     rows.push_back(bench_multi_session_atpg(nl));
     rows.push_back(bench_budget_overhead(nl, topo));
     rows.push_back(bench_learn_resume(nl, topo));

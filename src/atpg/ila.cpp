@@ -3,23 +3,10 @@
 namespace seqlearn::atpg {
 
 std::vector<bool> fault_cone_mask(const netlist::Topology& topo, const fault::Fault& f) {
-    std::vector<bool> mask(topo.size(), false);
     // For an output fault the affected line starts at the gate itself; for a
-    // pin fault the divergence starts at the consuming gate. Reachability
-    // runs over the full CSR fanout spans (combinational and sequential).
-    const GateId root = f.gate;
-    mask[root] = true;
-    std::vector<GateId> stack{root};
-    while (!stack.empty()) {
-        const GateId g = stack.back();
-        stack.pop_back();
-        for (const GateId h : topo.fanouts(g)) {
-            if (!mask[h]) {
-                mask[h] = true;
-                stack.push_back(h);
-            }
-        }
-    }
+    // pin fault the divergence starts at the consuming gate.
+    std::vector<bool> mask(topo.size(), false);
+    for (const GateId g : topo.forward_cone(f.gate)) mask[g] = true;
     return mask;
 }
 

@@ -41,8 +41,9 @@ struct Ila {
 
 /// Gates whose value can differ between the good and faulty machines: the
 /// forward cone of the fault site, traversed *through* sequential elements
-/// (a latched fault effect persists across frames). Gates outside this set
-/// always have equal planes, which the engine exploits by mirroring writes.
+/// (a latched fault effect persists across frames) — Topology::forward_cone.
+/// Gates outside this set always have equal planes, which the engine
+/// exploits by mirroring writes.
 std::vector<bool> fault_cone_mask(const netlist::Topology& topo, const fault::Fault& f);
 
 }  // namespace seqlearn::atpg

@@ -65,26 +65,15 @@ bool route_to_sat(const netlist::Topology& topo, const fault::Fault& f,
                   const guide::Testability* tst) {
     // Fault cone (forward reachability through comb and seq sinks) — the
     // same closure the miter encodes, so its size bounds the CNF size.
-    std::vector<std::uint8_t> in_cone(topo.size(), 0);
-    std::vector<netlist::GateId> stack{f.gate};
-    in_cone[f.gate] = 1;
-    std::size_t cone = 0;
+    const std::vector<netlist::GateId> cone_gates = topo.forward_cone(f.gate);
+    const std::size_t cone = cone_gates.size();
     std::size_t tied_in_cone = 0;
     std::uint32_t min_level = topo.level(f.gate);
     std::uint32_t max_level = min_level;
-    while (!stack.empty()) {
-        const netlist::GateId g = stack.back();
-        stack.pop_back();
-        ++cone;
+    for (const netlist::GateId g : cone_gates) {
         min_level = std::min(min_level, topo.level(g));
         max_level = std::max(max_level, topo.level(g));
         if (ties != nullptr && ties->value(g) != logic::Val3::X) ++tied_in_cone;
-        for (const netlist::GateId h : topo.fanouts(g)) {
-            if (in_cone[h] == 0) {
-                in_cone[h] = 1;
-                stack.push_back(h);
-            }
-        }
     }
     // Estimated CNF load: clauses scale with cone x frames. Tie-dense cones
     // prune the SAT search (units everywhere) and are exactly where the

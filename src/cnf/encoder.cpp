@@ -256,18 +256,7 @@ bool FaultMiter::encode(const fault::Fault& f, std::uint32_t frames,
     // Fault cone: forward reachability from the fault site through both
     // combinational and sequential sinks (same closure FaultSimulator marks).
     in_cone_.assign(topo.size(), 0);
-    std::vector<GateId> stack{f.gate};
-    in_cone_[f.gate] = 1;
-    while (!stack.empty()) {
-        const GateId g = stack.back();
-        stack.pop_back();
-        for (const GateId h : topo.fanouts(g)) {
-            if (in_cone_[h] == 0) {
-                in_cone_[h] = 1;
-                stack.push_back(h);
-            }
-        }
-    }
+    for (const GateId g : topo.forward_cone(f.gate)) in_cone_[g] = 1;
     bool observable = false;
     for (const GateId o : topo.outputs()) observable |= in_cone_[o] != 0;
     if (!observable) return false;

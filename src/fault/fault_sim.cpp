@@ -17,15 +17,24 @@ FaultSimulator::FaultSimulator(const Topology& topo)
       out_force0_(topo.size(), 0),
       pin_force1_(topo.num_fanin_edges(), 0),
       pin_force0_(topo.num_fanin_edges(), 0),
-      pats_(topo.size(), logic::kPatAllX),
-      outside_cone_(topo.size(), ~0ULL) {}
+      pats_(topo.size(), logic::kPatAllX) {}
 
 void FaultSimulator::set_good_ties(const std::vector<Val3>* values,
-                                   const std::vector<std::uint32_t>* cycles) noexcept {
+                                   const std::vector<std::uint32_t>* cycles) {
     tie_values_ = values;
     tie_cycles_ = cycles;
-    if (values != nullptr && tie_index_.size() != topo_->size())
-        tie_index_.assign(topo_->size(), -1);
+    for (const TieLanes& t : tie_lanes_) tie_index_[t.gate] = -1;
+    tie_lanes_.clear();
+    if (values != nullptr) {
+        if (tie_index_.size() != topo_->size()) tie_index_.assign(topo_->size(), -1);
+        cone_lanes_.resize(topo_->num_components());
+        for (GateId g = 0; g < topo_->size(); ++g) {
+            const Val3 v = (*values)[g];
+            if (v == Val3::X) continue;
+            tie_index_[g] = static_cast<std::int32_t>(tie_lanes_.size());
+            tie_lanes_.push_back({g, cycles ? (*cycles)[g] : 0, v, 0, 0});
+        }
+    }
     // Worker clones must simulate the same good machine.
     for (const std::unique_ptr<FaultSimulator>& w : workers_) {
         w->set_good_ties(values, cycles);
@@ -50,29 +59,6 @@ void FaultSimulator::clear_forces() {
         pin_force0_[e] = 0;
     }
     forced_edges_.clear();
-}
-
-void FaultSimulator::mark_cone(GateId root, std::uint64_t lane_bit) {
-    // Forward reachability through both combinational and sequential sinks
-    // (a latched fault effect persists across frames). The lane bit doubles
-    // as the visited marker, so reconvergent regions are expanded once.
-    auto clear_bit = [&](GateId g) -> bool {
-        std::uint64_t& m = outside_cone_[g];
-        if ((m & lane_bit) == 0) return false;
-        if (m == ~0ULL) cone_touched_.push_back(g);
-        m &= ~lane_bit;
-        return true;
-    };
-    clear_bit(root);
-    cone_stack_.clear();
-    cone_stack_.push_back(root);
-    while (!cone_stack_.empty()) {
-        const GateId g = cone_stack_.back();
-        cone_stack_.pop_back();
-        for (const GateId h : topo_->fanouts(g)) {
-            if (clear_bit(h)) cone_stack_.push_back(h);
-        }
-    }
 }
 
 std::vector<bool> FaultSimulator::run(const sim::InputSequence& seq,
@@ -103,24 +89,24 @@ std::vector<bool> FaultSimulator::run(const sim::InputSequence& seq,
 
     // Tie lanes: lane 0 always; faulty lanes only where the tied gate is
     // outside that fault's cone (there the machines agree line-for-line).
-    for (const TieLanes& t : tie_lanes_) tie_index_[t.gate] = -1;
-    tie_lanes_.clear();
-    if (tie_values_ != nullptr) {
-        for (const GateId g : cone_touched_) outside_cone_[g] = ~0ULL;
-        cone_touched_.clear();
+    // Fault j seeds lane j+1 at its site's component; one sweep of the
+    // component DAG then marks every cone of the pass.
+    if (!tie_lanes_.empty()) {
+        std::fill(cone_lanes_.begin(), cone_lanes_.end(), 0);
+        std::uint32_t first = topo.num_components();
         for (std::size_t j = 0; j < faults.size(); ++j) {
-            mark_cone(faults[j].gate, 1ULL << (j + 1));
+            const std::uint32_t c = topo.component(faults[j].gate);
+            cone_lanes_[c] |= 1ULL << (j + 1);
+            first = std::min(first, c);
         }
+        topo.propagate_lanes(cone_lanes_, first);
         const std::uint64_t used_lanes = faults.size() == 63
                                              ? ~0ULL
                                              : ((1ULL << (faults.size() + 1)) - 1);
-        for (GateId g = 0; g < topo.size(); ++g) {
-            const Val3 v = (*tie_values_)[g];
-            if (v == Val3::X) continue;
-            const std::uint64_t lanes = (outside_cone_[g] | 1ULL) & used_lanes;
-            tie_index_[g] = static_cast<std::int32_t>(tie_lanes_.size());
-            tie_lanes_.push_back({g, v == Val3::One ? lanes : 0, v == Val3::Zero ? lanes : 0,
-                                  tie_cycles_ ? (*tie_cycles_)[g] : 0});
+        for (TieLanes& t : tie_lanes_) {
+            const std::uint64_t lanes = ~cone_lanes_[topo.component(t.gate)] & used_lanes;
+            t.ones = t.value == Val3::One ? lanes : 0;
+            t.zeros = t.value == Val3::Zero ? lanes : 0;
         }
     }
     std::size_t frame_index = 0;
@@ -150,7 +136,7 @@ std::vector<bool> FaultSimulator::run(const sim::InputSequence& seq,
     };
 
     state_.assign(seq_elems.size(), logic::kPatAllX);
-    std::vector<bool> detected(faults.size(), false);
+    std::uint64_t detected_lanes = 0;
 
     for (const sim::InputFrame& frame : seq) {
         if (frame.size() != inputs.size())
@@ -191,11 +177,7 @@ std::vector<bool> FaultSimulator::run(const sim::InputSequence& seq,
             const Pattern p = pats_[o];
             const Val3 good = pat_get(p, 0);
             if (good == Val3::X) continue;
-            const std::uint64_t diff = good == Val3::One ? p.zeros : p.ones;
-            if (diff == 0) continue;
-            for (std::size_t j = 0; j < faults.size(); ++j) {
-                if (diff & (1ULL << (j + 1))) detected[j] = true;
-            }
+            detected_lanes |= good == Val3::One ? p.zeros : p.ones;
         }
         // Capture next state (pin faults on sequential data pins included).
         for (std::size_t i = 0; i < seq_elems.size(); ++i) {
@@ -207,6 +189,8 @@ std::vector<bool> FaultSimulator::run(const sim::InputSequence& seq,
         }
         ++frame_index;
     }
+    std::vector<bool> detected(faults.size());
+    for (std::size_t j = 0; j < faults.size(); ++j) detected[j] = (detected_lanes >> (j + 1)) & 1;
     return detected;
 }
 
@@ -310,8 +294,8 @@ std::size_t FaultSimulator::memory_bytes() const noexcept {
     std::size_t bytes = vec(force_flags_) + vec(out_force1_) + vec(out_force0_) +
                         vec(pin_force1_) + vec(pin_force0_) + vec(forced_gates_) +
                         vec(forced_edges_) + vec(tie_lanes_) + vec(tie_index_) +
-                        vec(pats_) + vec(state_) + vec(outside_cone_) + vec(cone_touched_) +
-                        vec(cone_stack_) + vec(chunk_indices_) + vec(chunk_) +
+                        vec(pats_) + vec(state_) + vec(cone_lanes_) + vec(chunk_indices_) +
+                        vec(chunk_) +
                         detected_words_ * sizeof(std::uint64_t);
     for (const auto& w : workers_) {
         if (w) bytes += sizeof(FaultSimulator) + w->memory_bytes();

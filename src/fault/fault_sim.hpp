@@ -9,10 +9,14 @@
 //
 // Hot-path design: all structural access goes through the flat CSR
 // netlist::Topology (contiguous fanin spans in the 64-lane evaluation loop,
-// fanout spans for fault-cone marking). Fault forcing lives in flat per-gate
-// and per-fanin-edge mask arrays that persist on the simulator and are
-// cleared entry-by-entry between passes, so a run() in steady state performs
-// no per-pass heap allocation.
+// its strongly-connected-component DAG for fault cones). Fault forcing lives
+// in flat per-gate and per-fanin-edge mask arrays that persist on the
+// simulator and are cleared entry-by-entry between passes. With ties
+// attached, one Topology::propagate_lanes() sweep per pass marks all 63
+// fault cones at once (one lane bit per fault, one word per component), and
+// only the tied gates are visited to build their lanes. Primary-output
+// detection accumulates into one lane mask per pass. Apart from the
+// returned flags, run() performs no per-pass heap allocation.
 
 #include "exec/budget.hpp"
 #include "exec/cancel.hpp"
@@ -64,13 +68,16 @@ public:
     /// untied) with per-gate proof cycles (frames before the cycle are not
     /// seeded; null = all combinational). Ties always apply to the good
     /// machine (lane 0); a faulty lane receives a tie only when the tied
-    /// gate lies outside that fault's cone, where the faulty machine
-    /// behaves identically. This closes the pessimism gap between the
-    /// learning-aware ATPG and plain 3-valued validation (the paper's
-    /// "pitfalls of necessary assignments" discussion). Vectors must
-    /// outlive the simulator.
+    /// gate lies outside that fault's cone — the gates of the components
+    /// its component reaches in Topology's condensation DAG — where the
+    /// faulty machine behaves identically. This closes the pessimism gap
+    /// between the learning-aware ATPG and plain 3-valued validation (the
+    /// paper's "pitfalls of necessary assignments" discussion). The tied
+    /// gates, values and cycles are read here: call again after editing the
+    /// vectors. Vectors must outlive the simulator (worker clones built
+    /// later read them too).
     void set_good_ties(const std::vector<Val3>* values,
-                       const std::vector<std::uint32_t>* cycles) noexcept;
+                       const std::vector<std::uint32_t>* cycles);
 
     /// Simulate `seq` with up to kFaultsPerPass `faults` injected in
     /// parallel; returns one flag per fault (true = detected).
@@ -96,7 +103,6 @@ public:
 
 private:
     void clear_forces();
-    void mark_cone(netlist::GateId root, std::uint64_t lane_bit);
     std::size_t drop_detected_parallel(const sim::InputSequence& seq, FaultList& list,
                                        std::span<const std::size_t> todo,
                                        std::size_t passes, unsigned workers);
@@ -116,24 +122,24 @@ private:
 
     const std::vector<Val3>* tie_values_ = nullptr;
     const std::vector<std::uint32_t>* tie_cycles_ = nullptr;
-    // Per tied gate: the lanes its tie may be asserted in (rebuilt per run).
+    // Per tied gate (fixed by set_good_ties): the lanes its tie may be
+    // asserted in, rebuilt per run.
     struct TieLanes {
         netlist::GateId gate;
+        std::uint32_t cycle;
+        Val3 value;
         std::uint64_t ones;
         std::uint64_t zeros;
-        std::uint32_t cycle;
     };
     std::vector<TieLanes> tie_lanes_;
-    // gate -> index into tie_lanes_ (or -1); fixed once ties are set.
+    // gate -> index into tie_lanes_ (or -1); fixed by set_good_ties.
     std::vector<std::int32_t> tie_index_;
 
-    // Reused run() scratch: per-gate patterns, sequential state, fault-cone
-    // lane masks (entries reset through cone_touched_), and the BFS stack.
+    // Reused run() scratch: per-gate patterns, sequential state, and (with
+    // ties) per-component fault-cone lane masks.
     std::vector<logic::Pattern> pats_;
     std::vector<logic::Pattern> state_;
-    std::vector<std::uint64_t> outside_cone_;
-    std::vector<netlist::GateId> cone_touched_;
-    std::vector<netlist::GateId> cone_stack_;
+    std::vector<std::uint64_t> cone_lanes_;
     // Reused drop_detected() chunk buffers.
     std::vector<std::size_t> chunk_indices_;
     std::vector<Fault> chunk_;

@@ -13,6 +13,15 @@
 // scheduling and the sequential span at the frame boundary, with no
 // per-edge type test.
 //
+// It also holds the strongly connected components of the gate graph over
+// every fanout edge, combinational and sequential (an iterative Tarjan at
+// construction). Components are numbered so every edge runs from a lower to
+// a higher component, and the condensation DAG is stored in CSR. A gate's
+// forward cone through both kinds of sink — "a fault's cone" for the fault
+// simulator, the ATPG engine, the CNF miter and the backend router — is
+// exactly the gates of the components its own component reaches, so
+// propagate_lanes() computes up to 64 such cones in one sweep of the DAG.
+//
 // A Topology is a snapshot: it must be rebuilt after the Netlist is edited.
 
 #include "logic/val3.hpp"
@@ -90,12 +99,48 @@ public:
     /// Constant sources in id order (event-driven runs must seed them).
     std::span<const GateId> const_gates() const noexcept { return consts_; }
 
-    /// Heap bytes held by the CSR arrays and the levelization — the
-    /// per-circuit structural footprint the serving cache accounts against
-    /// its memory cap (bytes/gate stays flat as circuits grow).
+    // --- strongly connected components -----------------------------------
+    /// Number of strongly connected components (every gate is in exactly one;
+    /// a gate on no cycle is a component of its own).
+    std::uint32_t num_components() const noexcept {
+        return static_cast<std::uint32_t>(comp_gate_off_.size() - 1);
+    }
+    /// Component of gate `g`. For every fanout edge g -> h,
+    /// component(g) <= component(h).
+    std::uint32_t component(GateId g) const noexcept { return comp_[g]; }
+    /// Gates of component `c`, in ascending id order.
+    std::span<const GateId> component_gates(std::uint32_t c) const noexcept {
+        return {comp_gate_.data() + comp_gate_off_[c],
+                comp_gate_.data() + comp_gate_off_[c + 1]};
+    }
+    /// Successors of component `c` in the condensation DAG: distinct, each
+    /// greater than `c`.
+    std::span<const std::uint32_t> component_succs(std::uint32_t c) const noexcept {
+        return {comp_succ_.data() + comp_succ_off_[c],
+                comp_succ_.data() + comp_succ_off_[c + 1]};
+    }
+    /// OR-propagate per-component lane masks along the condensation DAG in
+    /// one ascending sweep from `first`, the lowest seeded component (no
+    /// component below it can reach a seed). `lanes` holds num_components()
+    /// words. On return lanes[c] is the OR of the seeds of every component
+    /// that reaches `c`, itself included. Seeding bit j at component(r) thus
+    /// marks r's forward cone — r and every gate reachable from it through
+    /// combinational and sequential sinks — in lane j.
+    void propagate_lanes(std::span<std::uint64_t> lanes, std::uint32_t first) const noexcept;
+    /// The forward cone of `root` (through combinational and sequential
+    /// sinks, `root` included) in component order: one propagate_lanes()
+    /// sweep over a single lane.
+    std::vector<GateId> forward_cone(GateId root) const;
+
+    /// Heap bytes held by the CSR arrays, the levelization and the
+    /// components — the per-circuit structural footprint the serving cache
+    /// accounts against its memory cap (bytes/gate stays flat as circuits
+    /// grow).
     std::size_t memory_bytes() const noexcept;
 
 private:
+    void build_components();
+
     std::vector<std::uint32_t> fanin_off_;   // size() + 1
     std::vector<GateId> fanin_;
     std::vector<std::uint32_t> fanout_off_;  // size() + 1
@@ -109,6 +154,11 @@ private:
     std::vector<GateId> outputs_;
     std::vector<GateId> seq_elems_;
     Levelization lv_;
+    std::vector<std::uint32_t> comp_;           // gate -> component
+    std::vector<std::uint32_t> comp_gate_off_;  // num_components() + 1
+    std::vector<GateId> comp_gate_;
+    std::vector<std::uint32_t> comp_succ_off_;  // num_components() + 1
+    std::vector<std::uint32_t> comp_succ_;
 };
 
 }  // namespace seqlearn::netlist

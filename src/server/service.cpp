@@ -4,11 +4,16 @@
 #include "cnf/dispatch.hpp"
 #include "core/db_io.hpp"
 #include "core/impl_db.hpp"
+#include "exec/pool.hpp"
 #include "server/json.hpp"
 
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 namespace seqlearn::server {
@@ -82,16 +87,51 @@ std::string fmt_double(double v, const char* fmt = "%.4f") {
     return buf;
 }
 
+/// A numeric request field that get_count() refused; dispatch() answers it
+/// with a code-2 usage error.
+struct FieldError : std::invalid_argument {
+    using std::invalid_argument::invalid_argument;
+};
+
+/// Numeric member `key` as a whole number in [0, max], or `fallback` when
+/// absent. JSON numbers arrive as doubles, and casting a negative,
+/// fractional, non-finite or oversized one is undefined behaviour, so any
+/// such value (or a non-number) throws FieldError naming the key instead.
+template <typename T>
+T get_count(const JsonValue& req, std::string_view key, T fallback,
+            T max = std::numeric_limits<T>::max()) {
+    const JsonValue* v = req.get(key);
+    if (v == nullptr) return fallback;
+    const double d = v->as_number(-1.0);
+    // 2^digits bounds T exactly (T's max may round up as a double).
+    if (std::isfinite(d) && d >= 0 && d == std::floor(d) &&
+        d < std::ldexp(1.0, std::numeric_limits<T>::digits) && static_cast<T>(d) <= max)
+        return static_cast<T>(d);
+    throw FieldError("\"" + std::string(key) + "\" must be a whole number in [0, " +
+                     std::to_string(max) + "]");
+}
+
 /// Parse the shared governance fields (deadline_ms / limit knobs) into a
 /// BudgetSpec. Absent fields leave the spec unlimited.
 exec::BudgetSpec budget_from(const JsonValue& req, const char* item_key) {
+    using std::chrono::milliseconds;
+    // A deadline is added to steady_clock::now(); half the clock's range
+    // keeps that sum representable.
+    constexpr milliseconds::rep kMaxDeadlineMs =
+        std::chrono::duration_cast<milliseconds>(std::chrono::steady_clock::duration::max())
+            .count() /
+        2;
     exec::BudgetSpec spec;
-    const double deadline = req.get_number("deadline_ms", 0.0);
-    if (deadline > 0) spec.deadline = std::chrono::milliseconds(
-        static_cast<long long>(deadline));
-    const double items = req.get_number(item_key, 0.0);
-    if (items > 0) spec.max_items = static_cast<std::size_t>(items);
+    spec.deadline = milliseconds(
+        get_count<milliseconds::rep>(req, "deadline_ms", 0, kMaxDeadlineMs));
+    spec.max_items = get_count<std::size_t>(req, item_key, 0);
     return spec;
+}
+
+/// The request's worker count: 0 (the default) keeps its meaning, more
+/// than the machine's hardware threads is refused.
+unsigned threads_from(const JsonValue& req, unsigned fallback) {
+    return get_count<unsigned>(req, "threads", fallback, exec::Pool::hardware_threads());
 }
 
 }  // namespace
@@ -241,10 +281,15 @@ std::string Service::dispatch(std::string_view frame) {
     if (id.empty())
         id = "r" + std::to_string(
                  next_request_seq_.fetch_add(1, std::memory_order_relaxed));
-    if (cmd == "load") return cmd_load(*doc, id);
-    if (cmd == "learn") return cmd_learn(*doc, id);
-    if (cmd == "atpg") return cmd_atpg(*doc, id);
-    return cmd_fault_sim(*doc, id);
+    try {
+        if (cmd == "load") return cmd_load(*doc, id);
+        if (cmd == "learn") return cmd_learn(*doc, id);
+        if (cmd == "atpg") return cmd_atpg(*doc, id);
+        return cmd_fault_sim(*doc, id);
+    } catch (const FieldError& e) {
+        errors_.fetch_add(1, std::memory_order_relaxed);
+        return error_response(cmd, id, ProtoCode::Usage, "usage", e.what());
+    }
 }
 
 std::string Service::cmd_load(const JsonValue& req, const std::string& id) {
@@ -363,19 +408,21 @@ void Service::store_write_through(const DesignCache::Entry& entry,
 }
 
 std::string Service::cmd_learn(const JsonValue& req, const std::string& id) {
+    const bool force = req.get_bool("force", false);
+    const auto frames = get_count<std::uint32_t>(req, "frames", 0);
+    const auto sat_frames = get_count<std::uint32_t>(req, "sat_frames", 0);
+    const unsigned threads = threads_from(req, cfg_.threads);
+    const exec::BudgetSpec budget = budget_from(req, "limit_stems");
     Resolved r = resolve(req, "learn", id);
     if (!r.error.empty()) {
         errors_.fetch_add(1, std::memory_order_relaxed);
         return r.error;
     }
-    const bool force = req.get_bool("force", false);
-    const double frames = req.get_number("frames", 0.0);
-    const double sat_frames = req.get_number("sat_frames", 0.0);
 
     // Warm path: a previous request's completed learn is attached to the
     // cache entry; with no result-affecting override, serve it directly —
     // no Session, no simulation, microseconds.
-    if (!force && frames <= 0 && sat_frames <= 0 && r.entry.learned) {
+    if (!force && frames == 0 && sat_frames == 0 && r.entry.learned) {
         const core::LearnResult& res = r.entry.learned->result();
         std::string out = head(true, "learn", id, ProtoCode::Ok);
         out += ", \"design\": \"" + hex_u64(r.entry.digest) + "\"";
@@ -394,16 +441,16 @@ std::string Service::cmd_learn(const JsonValue& req, const std::string& id) {
     InflightGuard inflight(*this, id);
     const std::shared_ptr<std::atomic<bool>> cancel = inflight.flag();
     api::SessionConfig scfg;
-    scfg.threads = static_cast<unsigned>(req.get_number("threads", cfg_.threads));
+    scfg.threads = threads;
     scfg.progress = [cancel, this](const api::Progress&) {
         return !cancel->load(std::memory_order_acquire) && !draining();
     };
     api::Session session(r.entry.design, std::move(scfg));
 
     core::LearnConfig lcfg;
-    if (frames > 0) lcfg.max_frames = static_cast<std::uint32_t>(frames);
-    if (sat_frames > 0) lcfg.sat_frames = static_cast<std::uint32_t>(sat_frames);
-    lcfg.budget = budget_from(req, "limit_stems");
+    if (frames > 0) lcfg.max_frames = frames;
+    lcfg.sat_frames = sat_frames;
+    lcfg.budget = budget;
     const core::LearnResult& res = session.learn(lcfg);
     if (res.outcome.status == exec::RunStatus::Cancelled)
         cancelled_.fetch_add(1, std::memory_order_relaxed);
@@ -411,7 +458,7 @@ std::string Service::cmd_learn(const JsonValue& req, const std::string& id) {
     // Promote a complete default-config result to the cache entry (every
     // later learn/atpg/stats on this circuit is served warm) and write it
     // through to the durable store (every later *process* too).
-    if (res.outcome.ok() && frames <= 0 && sat_frames <= 0) {
+    if (res.outcome.ok() && frames == 0 && sat_frames == 0) {
         const std::shared_ptr<const core::LearnedSnapshot> snap =
             session.freeze_learned();
         cache_.attach_learned(r.entry.digest, snap);
@@ -438,16 +485,19 @@ std::string Service::cmd_learn(const JsonValue& req, const std::string& id) {
 }
 
 std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
+    atpg::AtpgConfig acfg;
+    acfg.backtrack_limit = get_count<std::uint32_t>(req, "backtracks", 30);
+    acfg.budget = budget_from(req, "limit_faults");
+    acfg.sat_frames = get_count<std::uint32_t>(req, "sat_frames", 0);
+    acfg.order_seed = get_count<std::uint64_t>(req, "order_seed", 1);
+    acfg.rand_warmup = get_count<std::size_t>(req, "rand_warmup", 0);
+    const unsigned threads = threads_from(req, cfg_.threads);
     Resolved r = resolve(req, "atpg", id);
     if (!r.error.empty()) {
         errors_.fetch_add(1, std::memory_order_relaxed);
         return r.error;
     }
     const std::string mode_s = req.get_string("mode", "forbidden");
-    atpg::AtpgConfig acfg;
-    acfg.backtrack_limit =
-        static_cast<std::uint32_t>(req.get_number("backtracks", 30.0));
-    acfg.budget = budget_from(req, "limit_faults");
     if (mode_s == "none") {
         acfg.mode = atpg::LearnMode::None;
     } else if (mode_s == "forbidden" || mode_s == "known") {
@@ -465,7 +515,6 @@ std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
                               "unknown backend \"" + backend_s +
                                   "\" (want framesim, sat, or auto)");
     }
-    acfg.sat_frames = static_cast<std::uint32_t>(req.get_number("sat_frames", 0.0));
     const std::string order_s = req.get_string("order", "index");
     if (const auto parsed = guide::parse_order(order_s)) {
         acfg.order = *parsed;
@@ -474,7 +523,6 @@ std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
                               "unknown order \"" + order_s +
                                   "\" (want index, level, scoap_hard_first, or random)");
     }
-    acfg.order_seed = static_cast<std::uint64_t>(req.get_number("order_seed", 1.0));
     const std::string guidance_s = req.get_string("guidance", "none");
     if (const auto parsed = guide::parse_guidance(guidance_s)) {
         acfg.guidance = *parsed;
@@ -483,8 +531,6 @@ std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
                               "unknown guidance \"" + guidance_s +
                                   "\" (want none or scoap)");
     }
-    acfg.rand_warmup =
-        static_cast<std::size_t>(req.get_number("rand_warmup", 0.0));
     const std::string fill_s = req.get_string("fill", "");
     if (!fill_s.empty()) {
         // A `fill` key turns on the static-compaction pass, like the CLI's
@@ -502,7 +548,7 @@ std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
     InflightGuard inflight(*this, id);
     const std::shared_ptr<std::atomic<bool>> cancel = inflight.flag();
     api::SessionConfig scfg;
-    scfg.threads = static_cast<unsigned>(req.get_number("threads", cfg_.threads));
+    scfg.threads = threads;
     scfg.progress = [cancel, this](const api::Progress&) {
         return !cancel->load(std::memory_order_acquire) && !draining();
     };
@@ -572,6 +618,8 @@ std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
 }
 
 std::string Service::cmd_fault_sim(const JsonValue& req, const std::string& id) {
+    const unsigned threads = threads_from(req, cfg_.threads);
+    const exec::BudgetSpec budget = budget_from(req, "limit_sequences");
     Resolved r = resolve(req, "fault_sim", id);
     if (!r.error.empty()) {
         errors_.fetch_add(1, std::memory_order_relaxed);
@@ -585,8 +633,8 @@ std::string Service::cmd_fault_sim(const JsonValue& req, const std::string& id) 
     InflightGuard inflight(*this, id);
     const std::shared_ptr<std::atomic<bool>> cancel = inflight.flag();
     api::SessionConfig scfg;
-    scfg.threads = static_cast<unsigned>(req.get_number("threads", cfg_.threads));
-    scfg.budget = budget_from(req, "limit_sequences");
+    scfg.threads = threads;
+    scfg.budget = budget;
     if (mode_s != "none") {
         scfg.atpg.mode = mode_s == "known" ? atpg::LearnMode::KnownValue
                                            : atpg::LearnMode::ForbiddenValue;

@@ -1,6 +1,7 @@
 // Tests for the fault substrate: universe generation, equivalence
 // collapsing, the status list, and the 63-fault-parallel sequential fault
-// simulator cross-validated against netlist-surgery reference simulation.
+// simulator cross-validated against netlist-surgery reference simulation
+// and, with learned ties attached, against a scalar two-machine reference.
 
 #include "fault/collapse.hpp"
 #include "fault/fault.hpp"
@@ -8,10 +9,13 @@
 #include "fault/fault_sim.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/builder.hpp"
+#include "netlist/levelize.hpp"
+#include "netlist/structure.hpp"
 #include "netlist/topology.hpp"
 #include "sim/comb_engine.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
+#include "workload/suite.hpp"
 
 #include <gtest/gtest.h>
 
@@ -389,6 +393,142 @@ TEST(FaultSim, ParallelDropForwardsGoodTiesToClones) {
     }
     for (std::size_t i = 0; i < serial_list.size(); ++i) {
         EXPECT_EQ(serial_list.status(i), parallel_list.status(i)) << i;
+    }
+}
+
+// Scalar reference for tie-augmented detection: one machine simulated with
+// 3-valued gate evaluation, returning its primary-output values per frame.
+// A tie applies from its proof cycle on at every gate `tie_ok` accepts. For
+// a faulty machine (`f` non-null) the caller accepts only gates outside
+// {f.gate} ∪ fanout_cone(f.gate, through_seq), the cone computed by the
+// Netlist walker rather than Topology's components. Ties must be sound: a
+// binary value opposite its tie is reported.
+template <typename TieOk>
+std::vector<std::vector<Val3>> reference_outputs(const Netlist& nl,
+                                                 const netlist::Levelization& lv,
+                                                 const Fault* f, const InputSequence& seq,
+                                                 const std::vector<Val3>& ties,
+                                                 const std::vector<std::uint32_t>& cycles,
+                                                 TieOk&& tie_ok) {
+    const auto seq_elems = nl.seq_elements();
+    const auto inputs = nl.inputs();
+    std::vector<Val3> v(nl.size(), Val3::X);
+    std::vector<Val3> state(seq_elems.size(), Val3::X);
+    std::vector<Val3> ins;
+    std::vector<std::vector<Val3>> outputs;
+    for (std::size_t t = 0; t < seq.size(); ++t) {
+        auto tie = [&](GateId g, Val3 x) {
+            if (ties[g] == Val3::X || t < cycles[g] || !tie_ok(g)) return x;
+            if (x != Val3::X && x != ties[g])
+                ADD_FAILURE() << "unsound tie at " << nl.name_of(g) << " frame " << t;
+            return ties[g];
+        };
+        auto force = [&](GateId g, Val3 x) {
+            return f != nullptr && f->pin == kOutputPin && g == f->gate ? f->stuck : x;
+        };
+        auto pin = [&](GateId g, std::size_t i) {
+            return f != nullptr && g == f->gate && f->pin == static_cast<std::int32_t>(i)
+                       ? f->stuck
+                       : v[nl.fanins(g)[i]];
+        };
+        for (std::size_t i = 0; i < inputs.size(); ++i) v[inputs[i]] = force(inputs[i], seq[t][i]);
+        for (std::size_t i = 0; i < seq_elems.size(); ++i)
+            v[seq_elems[i]] = force(seq_elems[i], tie(seq_elems[i], state[i]));
+        for (const GateId g : lv.topo_order) {
+            const GateType type = nl.type(g);
+            if (type == GateType::Input || netlist::is_sequential(type)) continue;
+            ins.resize(nl.fanins(g).size());
+            for (std::size_t i = 0; i < ins.size(); ++i) ins[i] = pin(g, i);
+            v[g] = force(g, tie(g, logic::eval_op(netlist::to_op(type), ins)));
+        }
+        for (std::size_t i = 0; i < seq_elems.size(); ++i) state[i] = pin(seq_elems[i], 0);
+        std::vector<Val3>& out = outputs.emplace_back();
+        for (const GateId o : nl.outputs()) out.push_back(v[o]);
+    }
+    return outputs;
+}
+
+TEST(FaultSim, TieLanesMatchPerFaultReference) {
+    for (const char* name : {"gen953", "rt510b"}) {
+        SCOPED_TRACE(name);
+        const Netlist nl = workload::suite_circuit(name);
+        const core::LearnResult learned = testing::learn(nl);
+        const std::vector<Val3>& ties = learned.ties.dense();
+        const std::vector<std::uint32_t>& cycles = learned.ties.dense_cycles();
+        ASSERT_GT(learned.ties.count(), 0u);
+        const netlist::Topology topo(nl);
+        const netlist::Levelization lv = netlist::levelize(nl);
+        const std::vector<Fault> faults = collapse(nl).representatives();
+        util::Rng rng(41);
+        std::vector<InputSequence> seqs;
+        for (int i = 0; i < 2; ++i) seqs.push_back(random_sequence(nl, 16, rng));
+
+        // Reference verdicts: good machine once per sequence, every tie;
+        // each faulty machine takes ties outside its fault's cone only.
+        std::vector<std::vector<std::vector<Val3>>> good;
+        for (const InputSequence& seq : seqs)
+            good.push_back(reference_outputs(nl, lv, nullptr, seq, ties, cycles,
+                                             [](GateId) { return true; }));
+        std::vector<std::vector<bool>> expect(seqs.size());
+        std::vector<bool> in_cone(nl.size());
+        for (const Fault& f : faults) {
+            std::fill(in_cone.begin(), in_cone.end(), false);
+            in_cone[f.gate] = true;
+            for (const GateId g : netlist::fanout_cone(nl, f.gate, /*through_seq=*/true))
+                in_cone[g] = true;
+            for (std::size_t s = 0; s < seqs.size(); ++s) {
+                const auto bad = reference_outputs(nl, lv, &f, seqs[s], ties, cycles,
+                                                   [&](GateId g) { return !in_cone[g]; });
+                bool detected = false;
+                for (std::size_t t = 0; t < bad.size(); ++t)
+                    for (std::size_t o = 0; o < bad[t].size(); ++o)
+                        detected = detected || (good[s][t][o] != Val3::X &&
+                                                bad[t][o] != Val3::X &&
+                                                good[s][t][o] != bad[t][o]);
+                expect[s].push_back(detected);
+            }
+        }
+
+        std::size_t with_ties = 0;
+        std::size_t without_ties = 0;
+        FaultSimulator plain(topo);
+        FaultSimulator fsim(topo);
+        fsim.set_good_ties(&ties, &cycles);
+        for (std::size_t s = 0; s < seqs.size(); ++s) {
+            for (std::size_t pos = 0; pos < faults.size(); pos += kFaultsPerPass) {
+                const std::size_t n = std::min(kFaultsPerPass, faults.size() - pos);
+                const std::span<const Fault> chunk(faults.data() + pos, n);
+                const std::vector<bool> got = fsim.run(seqs[s], chunk);
+                const std::vector<bool> base = plain.run(seqs[s], chunk);
+                for (std::size_t j = 0; j < n; ++j) {
+                    EXPECT_EQ(got[j], expect[s][pos + j])
+                        << to_string(nl, faults[pos + j]) << " seq " << s;
+                    with_ties += got[j];
+                    without_ties += base[j];
+                }
+            }
+        }
+        // The ties matter here: without them fewer faults are detected.
+        EXPECT_GT(with_ties, without_ties);
+
+        // drop_detected over the sequences, serial and on 4 workers: a fault
+        // ends Detected exactly when some sequence detects it in the
+        // reference.
+        exec::Pool pool(4);
+        for (const unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE(threads);
+            FaultSimulator dropper(topo);
+            if (threads > 1) dropper.set_executor(&pool, threads);
+            dropper.set_good_ties(&ties, &cycles);
+            FaultList list(faults);
+            for (const InputSequence& seq : seqs) dropper.drop_detected(seq, list);
+            for (std::size_t i = 0; i < faults.size(); ++i) {
+                bool any = false;
+                for (const std::vector<bool>& e : expect) any = any || e[i];
+                EXPECT_EQ(list.status(i) == FaultStatus::Detected, any)
+                    << to_string(nl, faults[i]);
+            }
+        }
     }
 }
 

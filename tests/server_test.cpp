@@ -411,6 +411,47 @@ TEST(ServerRobustness, MalformedFramesGetStructuredErrors) {
     srv.stop();
 }
 
+TEST(ServerRobustness, OutOfRangeNumericFieldsAreUsageErrors) {
+    server::ServerConfig cfg;
+    cfg.service.threads = 1;
+    server::Server srv(cfg);
+    std::string err;
+    ASSERT_TRUE(srv.start(&err)) << err;
+    Client c(srv.port());
+    const std::string bench =
+        netlist::write_bench_string(workload::suite_circuit("s27"));
+    JsonValue loaded = c.rpc(load_frame(bench, "s27"));
+    ASSERT_TRUE(loaded.get_bool("ok"));
+    const std::string atpg = "{\"cmd\": \"atpg\", \"mode\": \"none\", \"design\": \"" +
+                             loaded.get_string("design") + "\"";
+
+    // Each value would be undefined behaviour to cast to its field's type
+    // (or would start 10^12 worker threads): a code-2 usage error naming
+    // the key, and the connection keeps serving.
+    const std::pair<const char*, const char*> bad[] = {
+        {"threads", "-1"},
+        {"threads", "1e12"},
+        {"backtracks", "2.5"},
+        {"rand_warmup", "1e30"},
+    };
+    for (const auto& [key, value] : bad) {
+        SCOPED_TRACE(std::string(key) + "=" + value);
+        const JsonValue r =
+            c.rpc(atpg + ", \"" + key + "\": " + value + ", \"id\": \"bad\"}");
+        EXPECT_FALSE(r.get_bool("ok"));
+        EXPECT_EQ(r.get_number("code"), 2);
+        EXPECT_EQ(r.get_string("id"), "bad");
+        ASSERT_NE(r.get("error"), nullptr);
+        EXPECT_EQ(r.get("error")->get_string("class"), "usage");
+        EXPECT_NE(r.get("error")->get_string("message").find(key), std::string::npos);
+
+        const JsonValue ok = c.rpc(atpg + ", \"threads\": 1, \"backtracks\": 4}");
+        EXPECT_TRUE(ok.get_bool("ok"));
+        EXPECT_EQ(ok.get_number("code"), 0);
+    }
+    srv.stop();
+}
+
 // --- graceful drain and cancellation ----------------------------------------
 
 TEST(ServerShutdown, InFlightRequestGetsResponseNotDroppedConnection) {

@@ -1,6 +1,8 @@
 // Tests for the CSR topology snapshot: adjacency equivalence against the
-// Netlist's per-gate lists, the comb/seq fanout partition, cached codes, and
-// the zero-allocation run_into() contract of the frame simulator.
+// Netlist's per-gate lists, the comb/seq fanout partition, cached codes, the
+// strongly-connected-component DAG against the Netlist's own fanout-cone
+// walker, and the zero-allocation run_into() contract of the frame
+// simulator.
 
 #include "netlist/levelize.hpp"
 #include "netlist/structure.hpp"
@@ -8,6 +10,7 @@
 #include "sim/frame_sim.hpp"
 #include "test_helpers.hpp"
 #include "workload/paper_circuits.hpp"
+#include "workload/suite.hpp"
 
 #include <gtest/gtest.h>
 
@@ -98,6 +101,90 @@ TEST(Topology, MatchesNetlistOnRandomCircuits) {
     }
     // Larger shape: more fanout sharing, deeper logic.
     expect_adjacency_equivalent(testing::random_circuit(5, 10, 12, 150));
+}
+
+// The component numbering is a topological order of the condensation: no
+// edge runs backwards, component members partition the gates, and the DAG's
+// successor lists hold exactly the distinct cross-component edge targets.
+void expect_components_well_formed(const Netlist& nl, const Topology& topo) {
+    std::vector<std::size_t> seen(topo.size(), 0);
+    for (std::uint32_t c = 0; c < topo.num_components(); ++c) {
+        ASSERT_FALSE(topo.component_gates(c).empty()) << "component " << c;
+        for (const GateId g : topo.component_gates(c)) {
+            ASSERT_EQ(topo.component(g), c);
+            ++seen[g];
+        }
+        std::vector<std::uint32_t> expect;
+        for (const GateId g : topo.component_gates(c))
+            for (const GateId h : nl.fanouts(g))
+                if (topo.component(h) != c) expect.push_back(topo.component(h));
+        std::sort(expect.begin(), expect.end());
+        expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
+        const auto succs = topo.component_succs(c);
+        std::vector<std::uint32_t> got(succs.begin(), succs.end());
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, expect) << "component " << c;
+    }
+    for (GateId g = 0; g < topo.size(); ++g) {
+        EXPECT_EQ(seen[g], 1u) << nl.name_of(g);
+        for (const GateId h : nl.fanouts(g))
+            EXPECT_LE(topo.component(g), topo.component(h))
+                << nl.name_of(g) << " -> " << nl.name_of(h);
+    }
+}
+
+// Every gate's cone from the component DAG equals {r} ∪ fanout_cone(r,
+// through_seq): 64 roots per propagate_lanes() sweep, one lane each, and
+// the single-root forward_cone() as well.
+void expect_cones_match_netlist_walker(const Netlist& nl) {
+    const Topology topo(nl);
+    expect_components_well_formed(nl, topo);
+    std::vector<std::vector<GateId>> reference(nl.size());
+    for (GateId r = 0; r < nl.size(); ++r) {
+        reference[r] = fanout_cone(nl, r, /*through_seq=*/true);
+        reference[r].push_back(r);
+        std::sort(reference[r].begin(), reference[r].end());
+        reference[r].erase(std::unique(reference[r].begin(), reference[r].end()),
+                           reference[r].end());
+        std::vector<GateId> cone = topo.forward_cone(r);
+        std::sort(cone.begin(), cone.end());
+        ASSERT_EQ(cone, reference[r]) << "root " << nl.name_of(r);
+    }
+    std::vector<std::uint64_t> lanes(topo.num_components());
+    for (GateId base = 0; base < nl.size(); base += 64) {
+        const GateId end = std::min<GateId>(base + 64, static_cast<GateId>(nl.size()));
+        std::fill(lanes.begin(), lanes.end(), 0);
+        std::uint32_t first = topo.num_components();
+        for (GateId r = base; r < end; ++r) {
+            lanes[topo.component(r)] |= 1ULL << (r - base);
+            first = std::min(first, topo.component(r));
+        }
+        topo.propagate_lanes(lanes, first);
+        for (GateId r = base; r < end; ++r) {
+            std::vector<GateId> reached;
+            for (GateId g = 0; g < nl.size(); ++g)
+                if ((lanes[topo.component(g)] >> (r - base)) & 1) reached.push_back(g);
+            ASSERT_EQ(reached, reference[r]) << "root " << nl.name_of(r);
+        }
+    }
+}
+
+TEST(TopologyComponents, ConesMatchNetlistWalkerOnSuiteCircuits) {
+    for (const char* name : {"s27", "gen953"}) {
+        SCOPED_TRACE(name);
+        expect_cones_match_netlist_walker(workload::suite_circuit(name));
+    }
+}
+
+TEST(TopologyComponents, ConesMatchNetlistWalkerOnFeedbackCircuits) {
+    for (const std::uint64_t seed : {3ULL, 11ULL, 29ULL, 57ULL}) {
+        SCOPED_TRACE(seed);
+        const Netlist nl = testing::random_circuit(seed, 5, 8, 70);
+        // Feedback through the flip-flops: some component has several gates.
+        const Topology topo(nl);
+        EXPECT_LT(topo.num_components(), topo.size());
+        expect_cones_match_netlist_walker(nl);
+    }
 }
 
 TEST(FrameSimulator, RunIntoMatchesRunAndReusesBuffers) {
