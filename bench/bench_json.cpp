@@ -52,6 +52,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -69,10 +70,10 @@ struct Row {
     double seconds = 0;
     std::size_t items = 0;
     unsigned threads = 1;
-    /// Extra JSON members appended verbatim after the standard ones, e.g.
-    /// "\"overhead_pct\": 1.3" — rows with row-specific metrics use this
-    /// instead of widening the stable schema for everyone.
-    std::string extra;
+    /// Writes extra members after the standard ones, e.g. overhead_pct —
+    /// rows with row-specific metrics use this instead of widening the
+    /// stable schema for everyone.
+    std::function<void(server::JsonWriter&)> extra;
 };
 
 // Repeat `body(items_per_rep)` until `min_seconds` of wall time accumulates.
@@ -91,6 +92,12 @@ Row measure(std::string name, std::size_t items_per_rep, double min_seconds, Bod
 }
 
 double g_min_seconds = 2.0;
+
+/// {"cmd": cmd, "design": digest}: a request on a loaded design.
+std::string design_frame(std::string_view cmd, const std::string& digest) {
+    server::JsonWriter w;
+    return w.begin_object().field("cmd", cmd).field("design", digest).end_object().take();
+}
 
 Row bench_frame_sim(const Netlist& nl) {
     sim::FrameSimulator fsim(nl, sim::SeqGating::all_open(nl));
@@ -226,10 +233,8 @@ Row bench_budget_overhead(const Netlist& nl, const netlist::Topology& topo) {
     }
     row.seconds = governed_s;
     row.items_per_sec = static_cast<double>(row.items) / governed_s;
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "\"overhead_pct\": %.2f",
-                  (governed_min / plain_min - 1.0) * 100.0);
-    row.extra = buf;
+    const double overhead_pct = (governed_min / plain_min - 1.0) * 100.0;
+    row.extra = [=](server::JsonWriter& w) { w.field("overhead_pct", overhead_pct, 2); };
     return row;
 }
 
@@ -274,10 +279,8 @@ Row bench_learn_resume(const Netlist& nl, const netlist::Topology& topo) {
     }
     row.seconds = split_s;
     row.items_per_sec = static_cast<double>(row.items) / split_s;
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "\"overhead_pct\": %.2f",
-                  (split_min / one_shot_min - 1.0) * 100.0);
-    row.extra = buf;
+    const double overhead_pct = (split_min / one_shot_min - 1.0) * 100.0;
+    row.extra = [=](server::JsonWriter& w) { w.field("overhead_pct", overhead_pct, 2); };
     return row;
 }
 
@@ -381,18 +384,19 @@ Row bench_server_throughput() {
     std::string digest;
     if (warm_fd >= 0 &&
         rpc(warm_fd,
-            "{\"cmd\": \"load\", \"bench\": \"" + server::json_escape(bench) + "\"}",
+            server::JsonWriter().begin_object().field("cmd", "load").field("bench", bench)
+                .end_object().take(),
             &response)) {
         if (const auto doc = server::JsonValue::parse(response, nullptr))
             digest = doc->get_string("design");
-        rpc(warm_fd, "{\"cmd\": \"learn\", \"design\": \"" + digest + "\"}", &response);
+        rpc(warm_fd, design_frame("learn", digest), &response);
         ::close(warm_fd);
     }
 
     const std::array<std::string, 3> frames = {
-        "{\"cmd\": \"stats\", \"design\": \"" + digest + "\"}",
-        "{\"cmd\": \"learn\", \"design\": \"" + digest + "\"}",
-        "{\"cmd\": \"atpg\", \"design\": \"" + digest + "\"}",
+        design_frame("stats", digest),
+        design_frame("learn", digest),
+        design_frame("atpg", digest),
     };
 
     std::vector<std::vector<double>> latencies(kClients);
@@ -439,9 +443,7 @@ Row bench_server_throughput() {
         p95 = all[std::min(all.size() - 1,
                            static_cast<std::size_t>(all.size() * 0.95))];
     }
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "\"p95_ms\": %.3f", p95);
-    row.extra = buf;
+    row.extra = [=](server::JsonWriter& w) { w.field("p95_ms", p95, 3); };
     return row;
 }
 
@@ -487,16 +489,14 @@ Row bench_scenario(const std::string& circuit, const Netlist& nl,
     row.items = list.size();
     row.items_per_sec = static_cast<double>(row.items) / row.seconds;
     const fault::FaultList::Counts c = list.counts();
-    char buf[320];
-    std::snprintf(buf, sizeof buf,
-                  "\"fault_coverage\": %.4f, \"test_coverage\": %.4f, "
-                  "\"detected\": %zu, \"aborts\": %zu, \"untestable\": %zu, "
-                  "\"patterns\": %zu, \"pattern_frames\": %zu, \"gen_calls\": %zu, "
-                  "\"warmup_dropped\": %zu, \"compaction_before\": %zu",
-                  list.fault_coverage(), list.test_coverage(), c.detected, c.aborted,
-                  c.untestable, out.tests.size(), out.pattern_frames, out.gen_calls,
-                  out.detected_by_warmup, out.compaction_before);
-    row.extra = buf;
+    row.extra = [=](server::JsonWriter& w) {
+        w.field("fault_coverage", list.fault_coverage(), 4);
+        w.field("test_coverage", list.test_coverage(), 4).field("detected", c.detected);
+        w.field("aborts", c.aborted).field("untestable", c.untestable);
+        w.field("patterns", out.tests.size()).field("pattern_frames", out.pattern_frames);
+        w.field("gen_calls", out.gen_calls).field("warmup_dropped", out.detected_by_warmup);
+        w.field("compaction_before", out.compaction_before);
+    };
     if (!out.run.ok()) std::fprintf(stderr, "%s: campaign stopped early\n", row.name.c_str());
     return row;
 }
@@ -526,14 +526,12 @@ Row bench_sat_untestable(const Netlist& nl, const netlist::Topology& topo) {
     const core::LearnResult learned = core::learn(nl, topo, lcfg);
     const std::size_t tie_untestable =
         learned.ties.untestable_faults(nl, fault::fault_universe(nl)).size();
-    char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  "\"untestable\": %zu, \"witnesses\": %zu, "
-                  "\"table4_tie_untestable\": %zu, \"table4_sat_delta\": %lld",
-                  untestable, witnesses, tie_untestable,
-                  static_cast<long long>(untestable) -
-                      static_cast<long long>(tie_untestable));
-    row.extra = buf;
+    row.extra = [=](server::JsonWriter& w) {
+        w.field("untestable", untestable).field("witnesses", witnesses);
+        w.field("table4_tie_untestable", tie_untestable);
+        w.field("table4_sat_delta", static_cast<long long>(untestable) -
+                                        static_cast<long long>(tie_untestable));
+    };
     return row;
 }
 
@@ -553,10 +551,9 @@ Row bench_learn_sat_mode(const Netlist& nl, const netlist::Topology& topo) {
         sat_relations = r.stats.sat_relations;
         if (r.stats.sat_probes == 0) std::fprintf(stderr, "learn_sat_mode: no probes?\n");
     });
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "\"sat_ties\": %zu, \"sat_relations\": %zu",
-                  sat_ties, sat_relations);
-    row.extra = buf;
+    row.extra = [=](server::JsonWriter& w) {
+        w.field("sat_ties", sat_ties).field("sat_relations", sat_relations);
+    };
     return row;
 }
 
@@ -599,8 +596,7 @@ Row bench_server_warm_restart(const Netlist& nl, const netlist::Topology& topo) 
         }
     }
 
-    const std::string stats_frame =
-        "{\"cmd\": \"stats\", \"design\": \"" + server::hex_u64(digest) + "\"}";
+    const std::string stats_frame = design_frame("stats", server::hex_u64(digest));
     row = measure("server_warm_restart", 1, g_min_seconds, [&] {
         server::ServiceConfig cfg;
         server::SnapshotStoreConfig scfg;
@@ -619,11 +615,10 @@ Row bench_server_warm_restart(const Netlist& nl, const netlist::Topology& topo) 
 
     const double warm_s =
         row.items > 0 ? row.seconds / static_cast<double>(row.items) : 0;
-    char buf[128];
-    std::snprintf(buf, sizeof buf,
-                  "\"cold_learn_s\": %.3f, \"speedup_vs_cold\": %.1f", cold_learn_s,
-                  warm_s > 0 ? cold_learn_s / warm_s : 0.0);
-    row.extra = buf;
+    const double speedup = warm_s > 0 ? cold_learn_s / warm_s : 0.0;
+    row.extra = [=](server::JsonWriter& w) {
+        w.field("cold_learn_s", cold_learn_s, 3).field("speedup_vs_cold", speedup, 1);
+    };
     return row;
 }
 
@@ -663,11 +658,11 @@ Row bench_snapshot_load(const Netlist& nl, const netlist::Topology& topo) {
         (void)core::load_learned_any(in, nl);  // sniffs magic, binary path
         bin_min = std::min(bin_min, t.seconds());
     });
-    char buf[128];
-    std::snprintf(buf, sizeof buf,
-                  "\"speedup_vs_text\": %.1f, \"text_bytes\": %zu, \"binary_bytes\": %zu",
-                  text_min / bin_min, text.size(), bin.size());
-    row.extra = buf;
+    row.extra = [speedup = text_min / bin_min, text_bytes = text.size(),
+                 binary_bytes = bin.size()](server::JsonWriter& w) {
+        w.field("speedup_vs_text", speedup, 1).field("text_bytes", text_bytes);
+        w.field("binary_bytes", binary_bytes);
+    };
     return row;
 }
 
@@ -754,19 +749,17 @@ int main(int argc, char** argv) {
                                       guide::Guidance::Scoap, cnf::Backend::Auto));
     }
 
-    std::string json = "{\n  \"circuit\": \"gen5378\",\n  \"benchmarks\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        char buf[256];
-        std::snprintf(buf, sizeof buf,
-                      "    {\"name\": \"%s\", \"items_per_sec\": %.1f, "
-                      "\"seconds\": %.3f, \"items\": %zu, \"threads\": %u",
-                      rows[i].name.c_str(), rows[i].items_per_sec, rows[i].seconds,
-                      rows[i].items, rows[i].threads);
-        json += buf;
-        if (!rows[i].extra.empty()) json += ", " + rows[i].extra;
-        json += i + 1 < rows.size() ? "},\n" : "}\n";
+    // One row per line: the committed BENCH_sim.json diffs row by row.
+    server::JsonWriter w(2);
+    w.begin_object().field("circuit", "gen5378").key("benchmarks").begin_array();
+    for (const Row& row : rows) {
+        w.begin_object().field("name", row.name).field("items_per_sec", row.items_per_sec, 1);
+        w.field("seconds", row.seconds, 3).field("items", row.items);
+        w.field("threads", row.threads);
+        if (row.extra) row.extra(w);
+        w.end_object();
     }
-    json += "  ]\n}\n";
+    const std::string json = w.end_array().end_object().str() + "\n";
 
     std::fputs(json.c_str(), stdout);
     if (out_path != "-") {

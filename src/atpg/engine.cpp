@@ -4,6 +4,10 @@
 
 namespace seqlearn::atpg {
 
+std::string_view mode_name(LearnMode m) {
+    return m == LearnMode::None ? "none" : m == LearnMode::KnownValue ? "known" : "forbidden";
+}
+
 namespace {
 
 using logic::GateOp;

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 namespace seqlearn::atpg {
@@ -37,6 +38,9 @@ enum class LearnMode : std::uint8_t {
     KnownValue,      ///< implied literals become assignments to justify
     ForbiddenValue,  ///< implied literals' complements become forbidden
 };
+
+/// The CLI and protocol spelling: "none", "known" or "forbidden".
+std::string_view mode_name(LearnMode m);
 
 struct EngineConfig {
     LearnMode mode = LearnMode::None;

@@ -4,19 +4,6 @@
 
 namespace seqlearn::cnf {
 
-bool parse_backend(std::string_view name, Backend& out) {
-    if (name == "framesim") {
-        out = Backend::FrameSim;
-    } else if (name == "sat") {
-        out = Backend::Sat;
-    } else if (name == "auto") {
-        out = Backend::Auto;
-    } else {
-        return false;
-    }
-    return true;
-}
-
 const char* backend_name(Backend b) noexcept {
     switch (b) {
         case Backend::FrameSim: return "framesim";

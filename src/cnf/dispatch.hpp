@@ -36,9 +36,7 @@ enum class Backend : std::uint8_t {
     Auto,      ///< route per fault; SAT also re-targets frame-sim aborts
 };
 
-/// Parse "framesim" / "sat" / "auto" (the CLI and server spelling).
-/// Returns false on an unknown name, leaving `out` untouched.
-bool parse_backend(std::string_view name, Backend& out);
+/// The CLI and protocol spelling: "framesim", "sat" or "auto".
 const char* backend_name(Backend b) noexcept;
 
 struct CnfVerdict {

@@ -6,15 +6,21 @@ namespace seqlearn::cnf {
 
 namespace {
 
-// Luby restart sequence (1,1,2,1,1,2,4,...) scaled by the base interval.
-std::uint64_t luby(std::uint64_t i) {
-    std::uint64_t k = 1;
-    while ((1ULL << k) - 1 < i + 1) ++k;
-    while ((1ULL << k) - 1 != i + 1) {
-        --k;
-        i -= (1ULL << k) - 1;
+// Luby restart sequence (1,1,2,1,1,2,4,...) scaled by the base interval, in
+// MiniSat's form: find the subsequence holding index x, then descend into it.
+std::uint64_t luby(std::uint64_t x) {
+    std::uint64_t size = 1;
+    unsigned seq = 0;
+    while (size < x + 1) {
+        size = 2 * size + 1;
+        ++seq;
     }
-    return 1ULL << (k - 1);
+    while (size - 1 != x) {
+        size = (size - 1) >> 1;
+        --seq;
+        x %= size;
+    }
+    return std::uint64_t{1} << seq;
 }
 
 constexpr std::uint64_t kRestartBase = 100;

@@ -7,14 +7,6 @@
 
 namespace seqlearn::guide {
 
-std::optional<OrderStrategy> parse_order(std::string_view s) {
-    if (s == "index") return OrderStrategy::Index;
-    if (s == "level") return OrderStrategy::Level;
-    if (s == "scoap_hard_first") return OrderStrategy::ScoapHardFirst;
-    if (s == "random") return OrderStrategy::Random;
-    return std::nullopt;
-}
-
 std::string_view order_name(OrderStrategy s) {
     switch (s) {
         case OrderStrategy::Index: return "index";

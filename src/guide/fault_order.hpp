@@ -12,7 +12,6 @@
 #include "netlist/topology.hpp"
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -25,11 +24,8 @@ enum class OrderStrategy : std::uint8_t {
     Random,          ///< Fisher–Yates shuffle from a 64-bit seed
 };
 
-/// Parse a strategy name ("index", "level", "scoap_hard_first", "random").
-/// Returns nullopt on unknown names (callers produce the usage error).
-std::optional<OrderStrategy> parse_order(std::string_view s);
-
-/// Canonical name of `s` (inverse of parse_order).
+/// The CLI and protocol spelling: "index", "level", "scoap_hard_first" or
+/// "random".
 std::string_view order_name(OrderStrategy s);
 
 /// Permute `targets` (indices into `list`) in place according to `s`.

@@ -3,27 +3,14 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <optional>
 
 namespace seqlearn::guide {
 
 using logic::Val3;
 
-std::optional<Guidance> parse_guidance(std::string_view s) {
-    if (s == "none") return Guidance::None;
-    if (s == "scoap") return Guidance::Scoap;
-    return std::nullopt;
-}
-
 std::string_view guidance_name(Guidance g) {
     return g == Guidance::Scoap ? "scoap" : "none";
-}
-
-std::optional<FillMode> parse_fill(std::string_view s) {
-    if (s == "x") return FillMode::X;
-    if (s == "zero") return FillMode::Zero;
-    if (s == "one") return FillMode::One;
-    if (s == "random") return FillMode::Random;
-    return std::nullopt;
 }
 
 std::string_view fill_name(FillMode m) {

@@ -22,7 +22,6 @@
 #include "sim/comb_engine.hpp"
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -43,9 +42,8 @@ enum class FillMode : std::uint8_t {
     Random,  ///< deterministic random fill (same seed as the warmup)
 };
 
-std::optional<Guidance> parse_guidance(std::string_view s);
+/// The CLI and protocol spellings ("none"/"scoap"; "x"/"zero"/"one"/"random").
 std::string_view guidance_name(Guidance g);
-std::optional<FillMode> parse_fill(std::string_view s);
 std::string_view fill_name(FillMode m);
 
 struct WarmupStats {

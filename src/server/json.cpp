@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace seqlearn::server {
 
@@ -272,6 +274,7 @@ std::optional<JsonValue> JsonValue::parse(std::string_view text, std::string* er
 }
 
 std::string json_escape(std::string_view s) {
+    static constexpr char kHex[] = "0123456789abcdef";
     std::string out;
     out.reserve(s.size());
     for (const char c : s) {
@@ -283,15 +286,70 @@ std::string json_escape(std::string_view s) {
             case '\r': out += "\\r"; break;
             default:
                 if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
+                    out += "\\u00";
+                    out += kHex[(c >> 4) & 0xf];
+                    out += kHex[c & 0xf];
                 } else {
                     out += c;
                 }
         }
     }
     return out;
+}
+
+void JsonWriter::next_element() {
+    // A member's value follows its key; the top-level value follows nothing.
+    if (std::exchange(after_key_, false) || nonempty_.empty()) return;
+    const std::size_t depth = nonempty_.size();
+    if (nonempty_.back()) out_ += ',';
+    if (static_cast<int>(depth) <= wrap_depth_) out_ += '\n' + std::string(2 * depth, ' ');
+    else if (nonempty_.back()) out_ += ' ';
+    nonempty_.back() = true;
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+    next_element();
+    out_ += bracket;
+    nonempty_.push_back(false);
+    return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+    const std::size_t depth = nonempty_.size();
+    if (nonempty_.back() && static_cast<int>(depth) <= wrap_depth_)
+        out_ += '\n' + std::string(2 * (depth - 1), ' ');
+    nonempty_.pop_back();
+    out_ += bracket;
+    return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+    value(name);
+    out_ += ": ";
+    after_key_ = true;
+    return *this;
+}
+
+JsonWriter& JsonWriter::literal(std::string_view text) {
+    next_element();
+    out_ += text;
+    return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+    next_element();
+    out_ += '"' + json_escape(s) + '"';
+    return *this;
+}
+
+JsonWriter& JsonWriter::value(double v, int decimals) {
+    if (!std::isfinite(v)) return literal("null");
+    // Room for DBL_MAX's 309 integer digits, a sign, the point and decimals.
+    char buf[352];
+    const auto res =
+        std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, decimals);
+    if (res.ec != std::errc()) return literal("null");
+    return literal(std::string_view(buf, static_cast<std::size_t>(res.ptr - buf)));
 }
 
 std::string hex_u64(std::uint64_t v) {

@@ -1,5 +1,6 @@
 #include "server/service.hpp"
 
+#include "api/request.hpp"
 #include "api/session.hpp"
 #include "cnf/dispatch.hpp"
 #include "core/db_io.hpp"
@@ -7,20 +8,79 @@
 #include "exec/pool.hpp"
 #include "server/json.hpp"
 
-#include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 namespace seqlearn::server {
 
 namespace {
 
-/// The CLI's exit_code_for, as protocol codes.
+/// Request fields from the frame's JSON members.
+class JsonFields final : public api::Fields {
+public:
+    explicit JsonFields(const JsonValue& req) : req_(req) {}
+
+    std::optional<std::string> text(std::string_view key) const override {
+        const JsonValue* v = req_.get(key);
+        if (v == nullptr) return std::nullopt;
+        if (!v->is_string())
+            throw api::FieldError("\"" + std::string(key) + "\" must be a string");
+        return v->as_string();
+    }
+    std::optional<double> number(std::string_view key) const override {
+        const JsonValue* v = req_.get(key);
+        if (v == nullptr) return std::nullopt;
+        return v->as_number(std::numeric_limits<double>::quiet_NaN());
+    }
+    std::string label(std::string_view key) const override { return std::string(key); }
+
+private:
+    const JsonValue& req_;
+};
+
+/// Common response head: {"ok": ..., "cmd": ..., "id": ..., "code": N, left
+/// open for the command's members.
+JsonWriter head(bool ok, std::string_view cmd, const std::string& id, ProtoCode code) {
+    JsonWriter w;
+    w.begin_object().field("ok", ok).field("cmd", cmd);
+    if (!id.empty()) w.field("id", id);
+    w.field("code", static_cast<int>(code));
+    return w;
+}
+
+std::string error_response(std::string_view cmd, const std::string& id, ProtoCode code,
+                           const char* cls, const std::string& message,
+                           const netlist::Diagnostics* diags = nullptr) {
+    JsonWriter w = head(false, cmd, id, code);
+    w.key("error").begin_object();
+    w.field("code", static_cast<int>(code)).field("class", cls).field("message", message);
+    if (diags != nullptr) write_diagnostics(w.key("diagnostics"), *diags);
+    return w.end_object().end_object().take();
+}
+
+/// The learn response, warm or cold.
+std::string learn_response(const std::string& id, ProtoCode code, std::uint64_t digest,
+                           bool warm, const core::LearnResult& res) {
+    JsonWriter w = head(true, "learn", id, code);
+    w.field("design", hex_u64(digest)).field("warm", warm);
+    w.field("relations", res.db.size()).field("ties", res.ties.count());
+    w.field("equiv_classes", res.stats.equiv_classes);
+    w.field("stems_processed", res.stats.stems_processed);
+    if (res.stats.sat_probes > 0) {
+        w.field("sat_probes", res.stats.sat_probes);
+        w.field("sat_ties", res.stats.sat_ties);
+        w.field("sat_relations", res.stats.sat_relations);
+    }
+    w.field("cpu_seconds", res.stats.cpu_seconds, 3);
+    w.field("relation_hash", hex_u64(core::relation_hash(res.db)));
+    write_outcome(w.key("outcome"), res.outcome);
+    return w.end_object().take();
+}
+
+}  // namespace
+
 ProtoCode code_for(const exec::RunOutcome& o) {
     switch (o.status) {
         case exec::RunStatus::Completed: return ProtoCode::Ok;
@@ -32,109 +92,22 @@ ProtoCode code_for(const exec::RunOutcome& o) {
     return ProtoCode::Internal;
 }
 
-std::string outcome_json(const exec::RunOutcome& o) {
-    std::string out = "{\"status\": \"";
-    out += o.name();
-    out += "\"";
-    if (!o.diagnostic.empty())
-        out += ", \"diagnostic\": \"" + json_escape(o.diagnostic) + "\"";
-    out += "}";
-    return out;
+void write_outcome(JsonWriter& w, const exec::RunOutcome& o) {
+    w.begin_object().field("status", o.name());
+    if (!o.diagnostic.empty()) w.field("diagnostic", o.diagnostic);
+    w.end_object();
 }
 
-std::string diagnostics_json(const netlist::Diagnostics& diags) {
-    std::string out = "[";
-    bool first = true;
+void write_diagnostics(JsonWriter& w, const netlist::Diagnostics& diags) {
+    w.begin_array();
     for (const netlist::Diagnostic& d : diags.records()) {
-        if (!first) out += ", ";
-        first = false;
-        out += "{\"severity\": \"";
-        out += d.severity == netlist::Severity::Error ? "error" : "warning";
-        out += "\", \"line\": " + std::to_string(d.line);
-        out += ", \"message\": \"" + json_escape(d.message) + "\"}";
+        w.begin_object();
+        w.field("severity", d.severity == netlist::Severity::Error ? "error" : "warning");
+        w.field("line", d.line).field("message", d.message);
+        w.end_object();
     }
-    out += "]";
-    return out;
+    w.end_array();
 }
-
-/// Common response head: {"ok": ..., "cmd": ..., "id": ..., "code": N
-std::string head(bool ok, std::string_view cmd, const std::string& id, ProtoCode code) {
-    std::string out = ok ? "{\"ok\": true" : "{\"ok\": false";
-    out += ", \"cmd\": \"";
-    out += cmd;
-    out += "\"";
-    if (!id.empty()) out += ", \"id\": \"" + json_escape(id) + "\"";
-    out += ", \"code\": " + std::to_string(static_cast<int>(code));
-    return out;
-}
-
-std::string error_response(std::string_view cmd, const std::string& id, ProtoCode code,
-                           const char* cls, const std::string& message,
-                           const std::string& extra = {}) {
-    std::string out = head(false, cmd, id, code);
-    out += ", \"error\": {\"code\": " + std::to_string(static_cast<int>(code));
-    out += ", \"class\": \"";
-    out += cls;
-    out += "\", \"message\": \"" + json_escape(message) + "\"";
-    if (!extra.empty()) out += ", " + extra;
-    out += "}}";
-    return out;
-}
-
-std::string fmt_double(double v, const char* fmt = "%.4f") {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, fmt, v);
-    return buf;
-}
-
-/// A numeric request field that get_count() refused; dispatch() answers it
-/// with a code-2 usage error.
-struct FieldError : std::invalid_argument {
-    using std::invalid_argument::invalid_argument;
-};
-
-/// Numeric member `key` as a whole number in [0, max], or `fallback` when
-/// absent. JSON numbers arrive as doubles, and casting a negative,
-/// fractional, non-finite or oversized one is undefined behaviour, so any
-/// such value (or a non-number) throws FieldError naming the key instead.
-template <typename T>
-T get_count(const JsonValue& req, std::string_view key, T fallback,
-            T max = std::numeric_limits<T>::max()) {
-    const JsonValue* v = req.get(key);
-    if (v == nullptr) return fallback;
-    const double d = v->as_number(-1.0);
-    // 2^digits bounds T exactly (T's max may round up as a double).
-    if (std::isfinite(d) && d >= 0 && d == std::floor(d) &&
-        d < std::ldexp(1.0, std::numeric_limits<T>::digits) && static_cast<T>(d) <= max)
-        return static_cast<T>(d);
-    throw FieldError("\"" + std::string(key) + "\" must be a whole number in [0, " +
-                     std::to_string(max) + "]");
-}
-
-/// Parse the shared governance fields (deadline_ms / limit knobs) into a
-/// BudgetSpec. Absent fields leave the spec unlimited.
-exec::BudgetSpec budget_from(const JsonValue& req, const char* item_key) {
-    using std::chrono::milliseconds;
-    // A deadline is added to steady_clock::now(); half the clock's range
-    // keeps that sum representable.
-    constexpr milliseconds::rep kMaxDeadlineMs =
-        std::chrono::duration_cast<milliseconds>(std::chrono::steady_clock::duration::max())
-            .count() /
-        2;
-    exec::BudgetSpec spec;
-    spec.deadline = milliseconds(
-        get_count<milliseconds::rep>(req, "deadline_ms", 0, kMaxDeadlineMs));
-    spec.max_items = get_count<std::size_t>(req, item_key, 0);
-    return spec;
-}
-
-/// The request's worker count: 0 (the default) keeps its meaning, more
-/// than the machine's hardware threads is refused.
-unsigned threads_from(const JsonValue& req, unsigned fallback) {
-    return get_count<unsigned>(req, "threads", fallback, exec::Pool::hardware_threads());
-}
-
-}  // namespace
 
 struct Service::Resolved {
     DesignCache::Entry entry;
@@ -278,15 +251,16 @@ std::string Service::dispatch(std::string_view frame) {
     SlotGuard slot(*this, true);
     // Anonymous requests still need a unique registry key so drain can
     // cancel them; clients that want cross-connection cancel send their own.
-    if (id.empty())
-        id = "r" + std::to_string(
-                 next_request_seq_.fetch_add(1, std::memory_order_relaxed));
+    if (id.empty()) {
+        id = "r";
+        id += std::to_string(next_request_seq_.fetch_add(1, std::memory_order_relaxed));
+    }
     try {
         if (cmd == "load") return cmd_load(*doc, id);
         if (cmd == "learn") return cmd_learn(*doc, id);
         if (cmd == "atpg") return cmd_atpg(*doc, id);
         return cmd_fault_sim(*doc, id);
-    } catch (const FieldError& e) {
+    } catch (const api::FieldError& e) {
         errors_.fetch_add(1, std::memory_order_relaxed);
         return error_response(cmd, id, ProtoCode::Usage, "usage", e.what());
     }
@@ -318,21 +292,17 @@ std::string Service::cmd_load(const JsonValue& req, const std::string& id) {
             "load", id, ProtoCode::Parse, "parse",
             "bench text failed to parse (" +
                 std::to_string(loaded.diagnostics.error_count()) + " errors)",
-            "\"diagnostics\": " + diagnostics_json(loaded.diagnostics));
+            &loaded.diagnostics);
     }
     const api::Design& d = *loaded.entry.design;
-    std::string out = head(true, "load", id, ProtoCode::Ok);
-    out += ", \"design\": \"" + hex_u64(loaded.entry.digest) + "\"";
-    out += loaded.was_cached ? ", \"cached\": true" : ", \"cached\": false";
-    out += ", \"circuit\": \"" + json_escape(d.name()) + "\"";
-    out += ", \"gates\": " + std::to_string(d.netlist().size());
-    out += ", \"stems\": " + std::to_string(d.stems().size());
-    out += ", \"collapsed_faults\": " + std::to_string(d.collapsed_faults().size());
-    out += ", \"memory_bytes\": " + std::to_string(loaded.entry.bytes);
+    JsonWriter w = head(true, "load", id, ProtoCode::Ok);
+    w.field("design", hex_u64(loaded.entry.digest)).field("cached", loaded.was_cached);
+    w.field("circuit", d.name()).field("gates", d.netlist().size());
+    w.field("stems", d.stems().size()).field("collapsed_faults", d.collapsed_faults().size());
+    w.field("memory_bytes", loaded.entry.bytes);
     if (!loaded.diagnostics.empty())
-        out += ", \"diagnostics\": " + diagnostics_json(loaded.diagnostics);
-    out += "}";
-    return out;
+        write_diagnostics(w.key("diagnostics"), loaded.diagnostics);
+    return w.end_object().take();
 }
 
 /// Resolve the request's "design" digest: in-memory cache first, then the
@@ -408,35 +378,25 @@ void Service::store_write_through(const DesignCache::Entry& entry,
 }
 
 std::string Service::cmd_learn(const JsonValue& req, const std::string& id) {
+    const JsonFields fields(req);
     const bool force = req.get_bool("force", false);
-    const auto frames = get_count<std::uint32_t>(req, "frames", 0);
-    const auto sat_frames = get_count<std::uint32_t>(req, "sat_frames", 0);
-    const unsigned threads = threads_from(req, cfg_.threads);
-    const exec::BudgetSpec budget = budget_from(req, "limit_stems");
+    const core::LearnConfig lcfg = api::learn_config_from(fields);
+    const unsigned threads = api::threads_from(fields, cfg_.threads);
     Resolved r = resolve(req, "learn", id);
     if (!r.error.empty()) {
         errors_.fetch_add(1, std::memory_order_relaxed);
         return r.error;
     }
+    // Only a default-depth, SAT-free learn is shared through the cache.
+    const bool default_learn = lcfg.max_frames == core::LearnConfig{}.max_frames &&
+                               lcfg.sat_frames == 0;
 
     // Warm path: a previous request's completed learn is attached to the
     // cache entry; with no result-affecting override, serve it directly —
     // no Session, no simulation, microseconds.
-    if (!force && frames == 0 && sat_frames == 0 && r.entry.learned) {
-        const core::LearnResult& res = r.entry.learned->result();
-        std::string out = head(true, "learn", id, ProtoCode::Ok);
-        out += ", \"design\": \"" + hex_u64(r.entry.digest) + "\"";
-        out += ", \"warm\": true";
-        out += ", \"relations\": " + std::to_string(res.db.size());
-        out += ", \"ties\": " + std::to_string(res.ties.count());
-        out += ", \"equiv_classes\": " + std::to_string(res.stats.equiv_classes);
-        out += ", \"stems_processed\": " + std::to_string(res.stats.stems_processed);
-        out += ", \"cpu_seconds\": " + fmt_double(res.stats.cpu_seconds, "%.3f");
-        out += ", \"relation_hash\": \"" + hex_u64(core::relation_hash(res.db)) + "\"";
-        out += ", \"outcome\": " + outcome_json(res.outcome);
-        out += "}";
-        return out;
-    }
+    if (!force && default_learn && r.entry.learned)
+        return learn_response(id, ProtoCode::Ok, r.entry.digest, true,
+                              r.entry.learned->result());
 
     InflightGuard inflight(*this, id);
     const std::shared_ptr<std::atomic<bool>> cancel = inflight.flag();
@@ -447,10 +407,6 @@ std::string Service::cmd_learn(const JsonValue& req, const std::string& id) {
     };
     api::Session session(r.entry.design, std::move(scfg));
 
-    core::LearnConfig lcfg;
-    if (frames > 0) lcfg.max_frames = frames;
-    lcfg.sat_frames = sat_frames;
-    lcfg.budget = budget;
     const core::LearnResult& res = session.learn(lcfg);
     if (res.outcome.status == exec::RunStatus::Cancelled)
         cancelled_.fetch_add(1, std::memory_order_relaxed);
@@ -458,91 +414,23 @@ std::string Service::cmd_learn(const JsonValue& req, const std::string& id) {
     // Promote a complete default-config result to the cache entry (every
     // later learn/atpg/stats on this circuit is served warm) and write it
     // through to the durable store (every later *process* too).
-    if (res.outcome.ok() && frames == 0 && sat_frames == 0) {
+    if (res.outcome.ok() && default_learn) {
         const std::shared_ptr<const core::LearnedSnapshot> snap =
             session.freeze_learned();
         cache_.attach_learned(r.entry.digest, snap);
         if (snap) store_write_through(r.entry, *snap);
     }
-
-    std::string out = head(true, "learn", id, code_for(res.outcome));
-    out += ", \"design\": \"" + hex_u64(r.entry.digest) + "\"";
-    out += ", \"warm\": false";
-    out += ", \"relations\": " + std::to_string(res.db.size());
-    out += ", \"ties\": " + std::to_string(res.ties.count());
-    out += ", \"equiv_classes\": " + std::to_string(res.stats.equiv_classes);
-    out += ", \"stems_processed\": " + std::to_string(res.stats.stems_processed);
-    if (res.stats.sat_probes > 0) {
-        out += ", \"sat_probes\": " + std::to_string(res.stats.sat_probes);
-        out += ", \"sat_ties\": " + std::to_string(res.stats.sat_ties);
-        out += ", \"sat_relations\": " + std::to_string(res.stats.sat_relations);
-    }
-    out += ", \"cpu_seconds\": " + fmt_double(res.stats.cpu_seconds, "%.3f");
-    out += ", \"relation_hash\": \"" + hex_u64(core::relation_hash(res.db)) + "\"";
-    out += ", \"outcome\": " + outcome_json(res.outcome);
-    out += "}";
-    return out;
+    return learn_response(id, code_for(res.outcome), r.entry.digest, false, res);
 }
 
 std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
-    atpg::AtpgConfig acfg;
-    acfg.backtrack_limit = get_count<std::uint32_t>(req, "backtracks", 30);
-    acfg.budget = budget_from(req, "limit_faults");
-    acfg.sat_frames = get_count<std::uint32_t>(req, "sat_frames", 0);
-    acfg.order_seed = get_count<std::uint64_t>(req, "order_seed", 1);
-    acfg.rand_warmup = get_count<std::size_t>(req, "rand_warmup", 0);
-    const unsigned threads = threads_from(req, cfg_.threads);
+    const JsonFields fields(req);
+    const atpg::AtpgConfig acfg = api::atpg_config_from(fields);
+    const unsigned threads = api::threads_from(fields, cfg_.threads);
     Resolved r = resolve(req, "atpg", id);
     if (!r.error.empty()) {
         errors_.fetch_add(1, std::memory_order_relaxed);
         return r.error;
-    }
-    const std::string mode_s = req.get_string("mode", "forbidden");
-    if (mode_s == "none") {
-        acfg.mode = atpg::LearnMode::None;
-    } else if (mode_s == "forbidden" || mode_s == "known") {
-        acfg.mode = mode_s == "known" ? atpg::LearnMode::KnownValue
-                                      : atpg::LearnMode::ForbiddenValue;
-        acfg.count_c_cycle_redundant = true;
-    } else {
-        return error_response("atpg", id, ProtoCode::Usage, "usage",
-                              "unknown mode \"" + mode_s +
-                                  "\" (want none, forbidden, or known)");
-    }
-    const std::string backend_s = req.get_string("backend", "framesim");
-    if (!cnf::parse_backend(backend_s, acfg.backend)) {
-        return error_response("atpg", id, ProtoCode::Usage, "usage",
-                              "unknown backend \"" + backend_s +
-                                  "\" (want framesim, sat, or auto)");
-    }
-    const std::string order_s = req.get_string("order", "index");
-    if (const auto parsed = guide::parse_order(order_s)) {
-        acfg.order = *parsed;
-    } else {
-        return error_response("atpg", id, ProtoCode::Usage, "usage",
-                              "unknown order \"" + order_s +
-                                  "\" (want index, level, scoap_hard_first, or random)");
-    }
-    const std::string guidance_s = req.get_string("guidance", "none");
-    if (const auto parsed = guide::parse_guidance(guidance_s)) {
-        acfg.guidance = *parsed;
-    } else {
-        return error_response("atpg", id, ProtoCode::Usage, "usage",
-                              "unknown guidance \"" + guidance_s +
-                                  "\" (want none or scoap)");
-    }
-    const std::string fill_s = req.get_string("fill", "");
-    if (!fill_s.empty()) {
-        // A `fill` key turns on the static-compaction pass, like the CLI's
-        // --fill flag.
-        const auto parsed = guide::parse_fill(fill_s);
-        if (!parsed) {
-            return error_response("atpg", id, ProtoCode::Usage, "usage",
-                                  "unknown fill \"" + fill_s +
-                                      "\" (want x, zero, one, or random)");
-        }
-        acfg.compact = true;
-        acfg.fill = *parsed;
     }
 
     InflightGuard inflight(*this, id);
@@ -574,72 +462,51 @@ std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
         }
     }
 
-    const api::AtpgReport& report = session.atpg(std::move(acfg));
+    const api::AtpgReport& report = session.atpg(acfg);
     if (report.outcome.run.status == exec::RunStatus::Cancelled)
         cancelled_.fetch_add(1, std::memory_order_relaxed);
     const auto c = report.list.counts();
-    std::string out = head(true, "atpg", id, code_for(report.outcome.run));
-    out += ", \"design\": \"" + hex_u64(r.entry.digest) + "\"";
-    out += warm ? ", \"warm\": true" : ", \"warm\": false";
-    out += ", \"mode\": \"" + mode_s + "\"";
-    out += ", \"backend\": \"" + backend_s + "\"";
-    out += ", \"total\": " + std::to_string(c.total);
-    out += ", \"detected\": " + std::to_string(c.detected);
-    out += ", \"untestable\": " + std::to_string(c.untestable);
-    out += ", \"aborted\": " + std::to_string(c.aborted);
-    out += ", \"undetected\": " + std::to_string(c.undetected);
-    out += ", \"test_coverage\": " + fmt_double(report.list.test_coverage());
-    out += ", \"tests\": " + std::to_string(report.outcome.tests.size());
-    out += ", \"order\": \"" + order_s + "\"";
-    out += ", \"guidance\": \"" + guidance_s + "\"";
-    out += ", \"patterns\": {\"count\": " + std::to_string(report.outcome.tests.size());
-    out += ", \"total_frames\": " + std::to_string(report.outcome.pattern_frames);
-    out += ", \"compaction_before\": " +
-           std::to_string(report.outcome.compaction_before);
-    out += ", \"compaction_after\": " + std::to_string(report.outcome.compaction_after);
-    out += "}";
+    const atpg::AtpgOutcome& out = report.outcome;
+    JsonWriter w = head(true, "atpg", id, code_for(out.run));
+    w.field("design", hex_u64(r.entry.digest)).field("warm", warm);
+    w.field("mode", atpg::mode_name(acfg.mode)).field("backend", cnf::backend_name(acfg.backend));
+    w.field("total", c.total).field("detected", c.detected).field("untestable", c.untestable);
+    w.field("aborted", c.aborted).field("undetected", c.undetected);
+    w.field("test_coverage", report.list.test_coverage(), 4).field("tests", out.tests.size());
+    w.field("order", guide::order_name(acfg.order));
+    w.field("guidance", guide::guidance_name(acfg.guidance));
+    w.key("patterns").begin_object();
+    w.field("count", out.tests.size()).field("total_frames", out.pattern_frames);
+    w.field("compaction_before", out.compaction_before);
+    w.field("compaction_after", out.compaction_after);
+    w.end_object();
     if (acfg.rand_warmup > 0) {
-        out += ", \"warmup_detected\": " +
-               std::to_string(report.outcome.detected_by_warmup);
-        out += ", \"warmup_sequences\": " +
-               std::to_string(report.outcome.warmup_sequences);
+        w.field("warmup_detected", out.detected_by_warmup);
+        w.field("warmup_sequences", out.warmup_sequences);
     }
-    if (report.outcome.sat_targeted > 0) {
-        out += ", \"sat_targeted\": " + std::to_string(report.outcome.sat_targeted);
-        out += ", \"sat_witnesses\": " + std::to_string(report.outcome.sat_witnesses);
-        out += ", \"untestable_by_cnf\": " +
-               std::to_string(report.outcome.untestable_by_cnf);
+    if (out.sat_targeted > 0) {
+        w.field("sat_targeted", out.sat_targeted).field("sat_witnesses", out.sat_witnesses);
+        w.field("untestable_by_cnf", out.untestable_by_cnf);
     }
-    out += ", \"cpu_seconds\": " + fmt_double(report.outcome.cpu_seconds, "%.3f");
-    out += ", \"campaign_digest\": \"" + hex_u64(api::campaign_digest(report)) + "\"";
-    out += ", \"outcome\": " + outcome_json(report.outcome.run);
-    out += "}";
-    return out;
+    w.field("cpu_seconds", out.cpu_seconds, 3);
+    w.field("campaign_digest", hex_u64(api::campaign_digest(report)));
+    write_outcome(w.key("outcome"), out.run);
+    return w.end_object().take();
 }
 
 std::string Service::cmd_fault_sim(const JsonValue& req, const std::string& id) {
-    const unsigned threads = threads_from(req, cfg_.threads);
-    const exec::BudgetSpec budget = budget_from(req, "limit_sequences");
+    const JsonFields fields(req);
+    api::SessionConfig scfg;
+    api::mode_from(fields, scfg.atpg);
+    scfg.threads = api::threads_from(fields, cfg_.threads);
+    scfg.budget = api::budget_from(fields, "limit_sequences");
     Resolved r = resolve(req, "fault_sim", id);
     if (!r.error.empty()) {
         errors_.fetch_add(1, std::memory_order_relaxed);
         return r.error;
     }
-    const std::string mode_s = req.get_string("mode", "forbidden");
-    if (mode_s != "none" && mode_s != "forbidden" && mode_s != "known")
-        return error_response("fault_sim", id, ProtoCode::Usage, "usage",
-                              "unknown mode \"" + mode_s +
-                                  "\" (want none, forbidden, or known)");
     InflightGuard inflight(*this, id);
     const std::shared_ptr<std::atomic<bool>> cancel = inflight.flag();
-    api::SessionConfig scfg;
-    scfg.threads = threads;
-    scfg.budget = budget;
-    if (mode_s != "none") {
-        scfg.atpg.mode = mode_s == "known" ? atpg::LearnMode::KnownValue
-                                           : atpg::LearnMode::ForbiddenValue;
-        scfg.atpg.count_c_cycle_redundant = true;
-    }
     scfg.progress = [cancel, this](const api::Progress&) {
         return !cancel->load(std::memory_order_acquire) && !draining();
     };
@@ -652,19 +519,16 @@ std::string Service::cmd_fault_sim(const JsonValue& req, const std::string& id) 
     const api::FaultSimReport report = session.fault_sim();
     if (report.outcome.status == exec::RunStatus::Cancelled)
         cancelled_.fetch_add(1, std::memory_order_relaxed);
-    std::string out = head(true, "fault_sim", id, code_for(report.outcome));
-    out += ", \"design\": \"" + hex_u64(r.entry.digest) + "\"";
-    out += ", \"total\": " + std::to_string(report.total);
-    out += ", \"detected\": " + std::to_string(report.detected);
-    out += ", \"sequences\": " + std::to_string(report.sequences);
-    out += ", \"fault_coverage\": " + fmt_double(report.fault_coverage);
-    out += ", \"outcome\": " + outcome_json(report.outcome);
-    out += "}";
-    return out;
+    JsonWriter w = head(true, "fault_sim", id, code_for(report.outcome));
+    w.field("design", hex_u64(r.entry.digest)).field("total", report.total);
+    w.field("detected", report.detected).field("sequences", report.sequences);
+    w.field("fault_coverage", report.fault_coverage, 4);
+    write_outcome(w.key("outcome"), report.outcome);
+    return w.end_object().take();
 }
 
 std::string Service::cmd_stats(const JsonValue& req, const std::string& id) {
-    std::string out = head(true, "stats", id, ProtoCode::Ok);
+    JsonWriter w = head(true, "stats", id, ProtoCode::Ok);
 
     const DesignCache::Stats cs = cache_.stats();
     std::size_t slots;
@@ -672,47 +536,39 @@ std::string Service::cmd_stats(const JsonValue& req, const std::string& id) {
         std::lock_guard<std::mutex> lock(slots_mu_);
         slots = slots_in_use_;
     }
-    out += ", \"server\": {";
-    out += "\"requests_served\": " + std::to_string(served_.load(std::memory_order_relaxed));
-    out += ", \"requests_active\": " + std::to_string(active_.load(std::memory_order_acquire));
-    out += ", \"errors\": " + std::to_string(errors_.load(std::memory_order_relaxed));
-    out += ", \"cancelled\": " + std::to_string(cancelled_.load(std::memory_order_relaxed));
-    out += draining() ? ", \"draining\": true" : ", \"draining\": false";
-    out += ", \"sessions\": {\"limit\": " + std::to_string(cfg_.max_sessions);
-    out += ", \"active\": " + std::to_string(slots) + "}";
-    out += ", \"cache\": {\"entries\": " + std::to_string(cs.entries);
-    out += ", \"bytes\": " + std::to_string(cs.bytes);
-    out += ", \"max_bytes\": " + std::to_string(cs.max_bytes);
-    out += ", \"hits\": " + std::to_string(cs.hits);
-    out += ", \"misses\": " + std::to_string(cs.misses);
-    out += ", \"evictions\": " + std::to_string(cs.evictions) + "}";
+    w.key("server").begin_object();
+    w.field("requests_served", served_.load(std::memory_order_relaxed));
+    w.field("requests_active", active_.load(std::memory_order_acquire));
+    w.field("errors", errors_.load(std::memory_order_relaxed));
+    w.field("cancelled", cancelled_.load(std::memory_order_relaxed));
+    w.field("draining", draining());
+    w.key("sessions").begin_object();
+    w.field("limit", cfg_.max_sessions).field("active", slots).end_object();
+    w.key("cache").begin_object();
+    w.field("entries", cs.entries).field("bytes", cs.bytes).field("max_bytes", cs.max_bytes);
+    w.field("hits", cs.hits).field("misses", cs.misses).field("evictions", cs.evictions);
+    w.end_object();
     if (const SnapshotStore* st = cfg_.store.get()) {
         const SnapshotStoreStats ss = st->stats();
-        out += ", \"store\": {\"dir\": \"" + json_escape(st->dir()) + "\"";
-        out += ", \"entries\": " + std::to_string(ss.entries);
-        out += ", \"bytes\": " + std::to_string(ss.bytes);
-        out += ", \"max_bytes\": " + std::to_string(ss.max_bytes);
-        out += ", \"quarantined\": " + std::to_string(ss.quarantined);
-        out += ", \"puts\": " + std::to_string(ss.puts);
-        out += ", \"put_failures\": " + std::to_string(ss.put_failures);
-        out += ", \"fetch_hits\": " + std::to_string(ss.fetch_hits);
-        out += ", \"fetch_misses\": " + std::to_string(ss.fetch_misses);
-        out += ", \"evictions\": " + std::to_string(ss.evictions) + "}";
+        w.key("store").begin_object();
+        w.field("dir", st->dir()).field("entries", ss.entries).field("bytes", ss.bytes);
+        w.field("max_bytes", ss.max_bytes).field("quarantined", ss.quarantined);
+        w.field("puts", ss.puts).field("put_failures", ss.put_failures);
+        w.field("fetch_hits", ss.fetch_hits).field("fetch_misses", ss.fetch_misses);
+        w.field("evictions", ss.evictions);
+        w.end_object();
     }
     if (transport_ != nullptr) {
         const TransportCounters& t = *transport_;
-        out += ", \"connections\": {\"accepted\": " +
-               std::to_string(t.accepted.load(std::memory_order_relaxed));
-        out += ", \"active\": " +
-               std::to_string(t.active.load(std::memory_order_relaxed));
-        out += ", \"rejected_overloaded\": " +
-               std::to_string(t.rejected_overloaded.load(std::memory_order_relaxed));
-        out += ", \"idle_reaped\": " +
-               std::to_string(t.idle_reaped.load(std::memory_order_relaxed));
-        out += ", \"write_timeouts\": " +
-               std::to_string(t.write_timeouts.load(std::memory_order_relaxed)) + "}";
+        w.key("connections").begin_object();
+        w.field("accepted", t.accepted.load(std::memory_order_relaxed));
+        w.field("active", t.active.load(std::memory_order_relaxed));
+        w.field("rejected_overloaded", t.rejected_overloaded.load(std::memory_order_relaxed));
+        w.field("idle_reaped", t.idle_reaped.load(std::memory_order_relaxed));
+        w.field("write_timeouts", t.write_timeouts.load(std::memory_order_relaxed));
+        w.end_object();
     }
-    out += "}";
+    w.end_object();
 
     // Per-design section: the warm fast path — a cache lookup, an O(1)
     // Session, and counters; no simulation, no parse.
@@ -725,30 +581,25 @@ std::string Service::cmd_stats(const JsonValue& req, const std::string& id) {
         api::Session session(r.entry.design);
         if (r.entry.learned) session.use_learned(r.entry.learned);
         const api::SessionStats s = session.stats();
-        out += ", \"design\": \"" + hex_u64(r.entry.digest) + "\"";
-        out += ", \"circuit\": \"" + json_escape(r.entry.design->name()) + "\"";
-        out += ", \"gates\": " + std::to_string(s.gates);
-        out += ", \"stems\": " + std::to_string(s.stems);
-        out += ", \"levels\": " + std::to_string(s.levels);
-        out += ", \"clock_classes\": " + std::to_string(s.clock_classes);
-        out += ", \"collapsed_faults\": " + std::to_string(s.collapsed_faults);
-        out += ", \"memory\": {\"netlist_bytes\": " +
-               std::to_string(s.memory.design.netlist_bytes);
-        out += ", \"topology_bytes\": " + std::to_string(s.memory.design.topology_bytes);
-        out += ", \"faults_bytes\": " + std::to_string(s.memory.design.faults_bytes);
-        out += ", \"learned_bytes\": " +
-               std::to_string(s.memory.design.learned_bytes + s.memory.learned_bytes);
-        out += ", \"total_bytes\": " + std::to_string(s.memory.total()) + "}";
+        w.field("design", hex_u64(r.entry.digest)).field("circuit", r.entry.design->name());
+        w.field("gates", s.gates).field("stems", s.stems).field("levels", s.levels);
+        w.field("clock_classes", s.clock_classes).field("collapsed_faults", s.collapsed_faults);
+        w.key("memory").begin_object();
+        w.field("netlist_bytes", s.memory.design.netlist_bytes);
+        w.field("topology_bytes", s.memory.design.topology_bytes);
+        w.field("faults_bytes", s.memory.design.faults_bytes);
+        w.field("learned_bytes", s.memory.design.learned_bytes + s.memory.learned_bytes);
+        w.field("total_bytes", s.memory.total());
+        w.end_object();
         if (r.entry.learned) {
             const core::LearnResult& res = r.entry.learned->result();
-            out += ", \"learned\": {\"relations\": " + std::to_string(res.db.size());
-            out += ", \"ties\": " + std::to_string(res.ties.count());
-            out += ", \"relation_hash\": \"" +
-                   hex_u64(core::relation_hash(res.db)) + "\"}";
+            w.key("learned").begin_object();
+            w.field("relations", res.db.size()).field("ties", res.ties.count());
+            w.field("relation_hash", hex_u64(core::relation_hash(res.db)));
+            w.end_object();
         }
     }
-    out += "}";
-    return out;
+    return w.end_object().take();
 }
 
 std::string Service::cmd_cancel(const JsonValue& req, const std::string& id) {
@@ -765,19 +616,16 @@ std::string Service::cmd_cancel(const JsonValue& req, const std::string& id) {
             found = true;
         }
     }
-    std::string out = head(true, "cancel", id, ProtoCode::Ok);
-    out += ", \"target\": \"" + json_escape(target) + "\"";
-    out += found ? ", \"found\": true" : ", \"found\": false";
-    out += "}";
-    return out;
+    JsonWriter w = head(true, "cancel", id, ProtoCode::Ok);
+    w.field("target", target).field("found", found);
+    return w.end_object().take();
 }
 
 std::string Service::cmd_shutdown(const std::string& id) {
     shutdown_.store(true, std::memory_order_release);
     begin_drain();
-    std::string out = head(true, "shutdown", id, ProtoCode::Ok);
-    out += ", \"draining\": true}";
-    return out;
+    JsonWriter w = head(true, "shutdown", id, ProtoCode::Ok);
+    return w.field("draining", true).end_object().take();
 }
 
 }  // namespace seqlearn::server

@@ -36,6 +36,7 @@
 // Thread safety: handle() may be called from any number of transport
 // threads concurrently.
 
+#include "exec/outcome.hpp"
 #include "server/design_cache.hpp"
 #include "server/snapshot_store.hpp"
 
@@ -61,6 +62,18 @@ enum class ProtoCode : int {
     Internal = 6,
     Overloaded = 7,
 };
+
+/// A run outcome's code: also the CLI's exit code for the stage.
+ProtoCode code_for(const exec::RunOutcome& o);
+
+class JsonWriter;
+
+/// {"status": ..., "diagnostic": ...}: the structured outcome of every
+/// response and of the CLI's --json stages.
+void write_outcome(JsonWriter& w, const exec::RunOutcome& o);
+
+/// [{"severity": ..., "line": N, "message": ...}, ...]: parse diagnostics.
+void write_diagnostics(JsonWriter& w, const netlist::Diagnostics& diags);
 
 struct ServiceConfig {
     /// Heavy commands (load/learn/atpg/fault_sim) running at once.

@@ -21,6 +21,7 @@
 
 #include "server/server.hpp"
 
+#include "api/request.hpp"
 #include "api/session.hpp"
 #include "atpg/atpg_loop.hpp"
 #include "core/db_io.hpp"
@@ -38,7 +39,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -411,6 +415,27 @@ TEST(ServerRobustness, MalformedFramesGetStructuredErrors) {
     srv.stop();
 }
 
+/// Field values every front end refuses, as JSON literals: each is a
+/// usage error naming its key, in an atpg request and as a command-line
+/// flag alike (a quoted value is the flag's text without the quotes).
+/// Each number would be undefined behaviour to cast to its field's type (or
+/// would start 10^12 worker threads); each name is outside its enum.
+const std::pair<const char*, const char*> kRefusedAtpgFields[] = {
+    {"threads", "-1"},          {"threads", "1e12"},        {"backtracks", "2.5"},
+    {"backtracks", "\"abc\""},  {"rand_warmup", "1e30"},    {"sat_frames", "-5"},
+    {"mode", "\"knwon\""},      {"backend", "\"dpll\""},    {"order", "\"fastest\""},
+    {"guidance", "\"magic\""},  {"fill", "\"maybe\""},
+};
+
+void expect_usage_error_naming(const JsonValue& r, const std::string& key) {
+    EXPECT_FALSE(r.get_bool("ok"));
+    EXPECT_EQ(r.get_number("code"), 2);
+    EXPECT_EQ(r.get_string("id"), "bad");
+    ASSERT_NE(r.get("error"), nullptr);
+    EXPECT_EQ(r.get("error")->get_string("class"), "usage");
+    EXPECT_NE(r.get("error")->get_string("message").find(key), std::string::npos);
+}
+
 TEST(ServerRobustness, OutOfRangeNumericFieldsAreUsageErrors) {
     server::ServerConfig cfg;
     cfg.service.threads = 1;
@@ -422,34 +447,195 @@ TEST(ServerRobustness, OutOfRangeNumericFieldsAreUsageErrors) {
         netlist::write_bench_string(workload::suite_circuit("s27"));
     JsonValue loaded = c.rpc(load_frame(bench, "s27"));
     ASSERT_TRUE(loaded.get_bool("ok"));
-    const std::string atpg = "{\"cmd\": \"atpg\", \"mode\": \"none\", \"design\": \"" +
-                             loaded.get_string("design") + "\"";
+    const std::string design = ", \"design\": \"" + loaded.get_string("design") + "\"";
+    const std::string atpg = "{\"cmd\": \"atpg\", \"mode\": \"none\"" + design;
 
-    // Each value would be undefined behaviour to cast to its field's type
-    // (or would start 10^12 worker threads): a code-2 usage error naming
-    // the key, and the connection keeps serving.
-    const std::pair<const char*, const char*> bad[] = {
-        {"threads", "-1"},
-        {"threads", "1e12"},
-        {"backtracks", "2.5"},
-        {"rand_warmup", "1e30"},
-    };
-    for (const auto& [key, value] : bad) {
+    // A refused field is a code-2 usage error naming the key, and the
+    // connection keeps serving.
+    for (const auto& [key, value] : kRefusedAtpgFields) {
         SCOPED_TRACE(std::string(key) + "=" + value);
-        const JsonValue r =
-            c.rpc(atpg + ", \"" + key + "\": " + value + ", \"id\": \"bad\"}");
-        EXPECT_FALSE(r.get_bool("ok"));
-        EXPECT_EQ(r.get_number("code"), 2);
-        EXPECT_EQ(r.get_string("id"), "bad");
-        ASSERT_NE(r.get("error"), nullptr);
-        EXPECT_EQ(r.get("error")->get_string("class"), "usage");
-        EXPECT_NE(r.get("error")->get_string("message").find(key), std::string::npos);
+        // A later duplicate member wins, so this overrides the base mode.
+        expect_usage_error_naming(
+            c.rpc(atpg + ", \"" + key + "\": " + value + ", \"id\": \"bad\"}"), key);
 
         const JsonValue ok = c.rpc(atpg + ", \"threads\": 1, \"backtracks\": 4}");
         EXPECT_TRUE(ok.get_bool("ok"));
         EXPECT_EQ(ok.get_number("code"), 0);
     }
+    // fault_sim reads the same mode key.
+    expect_usage_error_naming(
+        c.rpc("{\"cmd\": \"fault_sim\", \"mode\": \"knwon\", \"id\": \"bad\"" + design +
+              "}"),
+        "mode");
     srv.stop();
+}
+
+// The command line reads the same keys through ArgvFields, so it refuses the
+// same values, naming the flag.
+TEST(RequestFields, CommandLineRefusesTheSameValues) {
+    for (const auto& [key, value] : kRefusedAtpgFields) {
+        std::string flag = "--" + std::string(key);
+        std::replace(flag.begin(), flag.end(), '_', '-');
+        std::string text = value;
+        if (text.front() == '"') text = text.substr(1, text.size() - 2);
+        SCOPED_TRACE(flag + " " + text);
+        const char* argv[] = {flag.c_str(), text.c_str()};
+        const api::ArgvFields fields(2, argv);
+        try {
+            (void)api::atpg_config_from(fields);
+            (void)api::threads_from(fields, 0);
+            ADD_FAILURE() << "accepted";
+        } catch (const api::FieldError& e) {
+            EXPECT_NE(std::string(e.what()).find(flag), std::string::npos) << e.what();
+        }
+    }
+
+    // Good values map as in a request; a flag no lookup asked about is
+    // reported, and a flag without its value is refused.
+    const char* argv[] = {"--mode", "known", "--fill", "zero", "--out", "x.db"};
+    const api::ArgvFields fields(6, argv);
+    const atpg::AtpgConfig cfg = api::atpg_config_from(fields);
+    EXPECT_EQ(cfg.mode, atpg::LearnMode::KnownValue);
+    EXPECT_TRUE(cfg.count_c_cycle_redundant);
+    EXPECT_TRUE(cfg.compact);
+    EXPECT_EQ(cfg.fill, guide::FillMode::Zero);
+    EXPECT_EQ(fields.unread(), "--out");
+    const char* dangling[] = {"--frames"};
+    EXPECT_THROW((void)api::learn_config_from(api::ArgvFields(1, dangling)), api::FieldError);
+}
+
+// --- wire format ------------------------------------------------------------
+
+/// `s` with every "cpu_seconds" value replaced by "*" (timings vary).
+std::string mask_cpu_seconds(std::string s) {
+    const std::string key = "\"cpu_seconds\": ";
+    for (std::size_t at = s.find(key); at != std::string::npos; at = s.find(key, at)) {
+        at += key.size();
+        s.replace(at, s.find_first_not_of("0123456789.", at) - at, "*");
+    }
+    return s;
+}
+
+// Exact response bytes on s27 (a null frame is the load of s27). Every other
+// test parses responses, so only this one sees a change in separators,
+// member order or number formatting that a client comparing raw lines would.
+TEST(ServerWireFormat, S27ResponsesAreByteStable) {
+    const std::pair<const char*, const char*> exchanges[] = {
+        {nullptr,
+         R"js({"ok": true, "cmd": "load", "id": "p1", "code": 0,)js"
+         R"js( "design": "d5e9060323beee1d", "cached": false, "circuit": "s27", "gates": 17,)js"
+         R"js( "stems": 4, "collapsed_faults": 32, "memory_bytes": 8468})js"},
+        {R"js({"cmd": "learn", "id": "p2", "design": "d5e9060323beee1d"})js",
+         R"js({"ok": true, "cmd": "learn", "id": "p2", "code": 0,)js"
+         R"js( "design": "d5e9060323beee1d", "warm": false, "relations": 5, "ties": 0,)js"
+         R"js( "equiv_classes": 2, "stems_processed": 4, "cpu_seconds": *,)js"
+         R"js( "relation_hash": "97c257ee37f0d62b", "outcome": {"status": "completed"}})js"},
+        {R"js({"cmd": "learn", "id": "p3", "design": "d5e9060323beee1d"})js",
+         R"js({"ok": true, "cmd": "learn", "id": "p3", "code": 0,)js"
+         R"js( "design": "d5e9060323beee1d", "warm": true, "relations": 5, "ties": 0,)js"
+         R"js( "equiv_classes": 2, "stems_processed": 4, "cpu_seconds": *,)js"
+         R"js( "relation_hash": "97c257ee37f0d62b", "outcome": {"status": "completed"}})js"},
+        {R"js({"cmd": "learn", "id": "p4", "design": "d5e9060323beee1d", "sat_frames": 4})js",
+         R"js({"ok": true, "cmd": "learn", "id": "p4", "code": 0,)js"
+         R"js( "design": "d5e9060323beee1d", "warm": false, "relations": 22, "ties": 0,)js"
+         R"js( "equiv_classes": 2, "stems_processed": 4, "sat_probes": 8, "sat_ties": 0,)js"
+         R"js( "sat_relations": 21, "cpu_seconds": *, "relation_hash": "1ee44e076c0e065e",)js"
+         R"js( "outcome": {"status": "completed"}})js"},
+        {R"js({"cmd": "atpg", "id": "p5", "design": "d5e9060323beee1d", "mode": "known"})js",
+         R"js({"ok": true, "cmd": "atpg", "id": "p5", "code": 0,)js"
+         R"js( "design": "d5e9060323beee1d", "warm": true, "mode": "known",)js"
+         R"js( "backend": "framesim", "total": 32, "detected": 31, "untestable": 0,)js"
+         R"js( "aborted": 1, "undetected": 0, "test_coverage": 0.9688, "tests": 13,)js"
+         R"js( "order": "index", "guidance": "none", "patterns": {"count": 13,)js"
+         R"js( "total_frames": 33, "compaction_before": 0, "compaction_after": 0},)js"
+         R"js( "cpu_seconds": *, "campaign_digest": "78bc487e0d88b3c3",)js"
+         R"js( "outcome": {"status": "completed"}})js"},
+        {R"js({"cmd": "atpg", "id": "p6", "design": "d5e9060323beee1d", "backend": "sat",)js"
+          R"js( "sat_frames": 4, "fill": "random", "order": "level", "guidance": "scoap"})js",
+         R"js({"ok": true, "cmd": "atpg", "id": "p6", "code": 0,)js"
+         R"js( "design": "d5e9060323beee1d", "warm": true, "mode": "forbidden",)js"
+         R"js( "backend": "sat", "total": 32, "detected": 32, "untestable": 0, "aborted": 0,)js"
+         R"js( "undetected": 0, "test_coverage": 1.0000, "tests": 6, "order": "level",)js"
+         R"js( "guidance": "scoap", "patterns": {"count": 6, "total_frames": 24,)js"
+         R"js( "compaction_before": 13, "compaction_after": 6}, "sat_targeted": 13,)js"
+         R"js( "sat_witnesses": 13, "untestable_by_cnf": 0, "cpu_seconds": *,)js"
+         R"js( "campaign_digest": "b0a9bbe9ceea2754", "outcome": {"status": "completed"}})js"},
+        {R"js({"cmd": "atpg", "id": "p6b", "design": "d5e9060323beee1d", "mode": "none",)js"
+          R"js( "rand_warmup": 8})js",
+         R"js({"ok": true, "cmd": "atpg", "id": "p6b", "code": 0,)js"
+         R"js( "design": "d5e9060323beee1d", "warm": true, "mode": "none",)js"
+         R"js( "backend": "framesim", "total": 32, "detected": 32, "untestable": 0,)js"
+         R"js( "aborted": 0, "undetected": 0, "test_coverage": 1.0000, "tests": 3,)js"
+         R"js( "order": "index", "guidance": "none", "patterns": {"count": 3,)js"
+         R"js( "total_frames": 72, "compaction_before": 0, "compaction_after": 0},)js"
+         R"js( "warmup_detected": 32, "warmup_sequences": 3, "cpu_seconds": *,)js"
+         R"js( "campaign_digest": "4a543e061b9d0d94", "outcome": {"status": "completed"}})js"},
+        {R"js({"cmd": "fault_sim", "id": "p7", "design": "d5e9060323beee1d"})js",
+         R"js({"ok": true, "cmd": "fault_sim", "id": "p7", "code": 0,)js"
+         R"js( "design": "d5e9060323beee1d", "total": 32, "detected": 32, "sequences": 13,)js"
+         R"js( "fault_coverage": 1.0000, "outcome": {"status": "completed"}})js"},
+        {R"js({"cmd": "stats", "id": "p8", "design": "d5e9060323beee1d"})js",
+         R"js({"ok": true, "cmd": "stats", "id": "p8", "code": 0,)js"
+         R"js( "server": {"requests_served": 9, "requests_active": 0, "errors": 0,)js"
+         R"js( "cancelled": 0, "draining": false, "sessions": {"limit": 4, "active": 0},)js"
+         R"js( "cache": {"entries": 1, "bytes": 9565, "max_bytes": 536870912, "hits": 7,)js"
+         R"js( "misses": 1, "evictions": 0}}, "design": "d5e9060323beee1d", "circuit": "s27",)js"
+         R"js( "gates": 17, "stems": 4, "levels": 6, "clock_classes": 1,)js"
+         R"js( "collapsed_faults": 32, "memory": {"netlist_bytes": 4292,)js"
+         R"js( "topology_bytes": 835, "faults_bytes": 2776, "learned_bytes": 1097,)js"
+         R"js( "total_bytes": 9288}, "learned": {"relations": 5, "ties": 0,)js"
+         R"js( "relation_hash": "97c257ee37f0d62b"}})js"},
+        {R"js({"cmd": "atpg", "id": "p9", "design": "d5e9060323beee1d", "mode": "knwon"})js",
+         R"js({"ok": false, "cmd": "atpg", "id": "p9", "code": 2, "error": {"code": 2,)js"
+         R"js( "class": "usage", "message": "unknown mode \"knwon\" (want none, forbidden,)js"
+         R"js( or known)"}})js"},
+        {R"js({"cmd": "load", "id": "p10", "bench": "y = AND(a, b)\nnonsense line"})js",
+         R"js({"ok": false, "cmd": "load", "id": "p10", "code": 3, "error": {"code": 3,)js"
+         R"js( "class": "parse", "message": "bench text failed to parse (3 errors)",)js"
+         R"js( "diagnostics": [{"severity": "error", "line": 2,)js"
+         R"js( "message": "expected '(...)' in: nonsense line"}, {"severity": "error",)js"
+         R"js( "line": 1, "message": "undeclared fanin 'a' of 'y'"}, {"severity": "error",)js"
+         R"js( "line": 1, "message": "undeclared fanin 'b' of 'y'"}]}})js"},
+        {R"js({"cmd": "learn", "id": "p11", "design": "00000000deadbeef"})js",
+         R"js({"ok": false, "cmd": "learn", "id": "p11", "code": 2, "error": {"code": 2,)js"
+         R"js( "class": "unknown_design",)js"
+         R"js( "message": "design 00000000deadbeef is not cached (never loaded,)js"
+         R"js( or evicted); re-send the load request"}})js"},
+        {R"js({"cmd": "atpg", "id": "p12", "design": "d5e9060323beee1d", "backtracks": 2.5})js",
+         R"js({"ok": false, "cmd": "atpg", "id": "p12", "code": 2, "error": {"code": 2,)js"
+         R"js( "class": "usage", "message": "\"backtracks\" must be a whole number in [0,)js"
+         R"js( 4294967295]"}})js"},
+        {R"js({"cmd": "cancel", "id": "p13", "target": "nobody"})js",
+         R"js({"ok": true, "cmd": "cancel", "id": "p13", "code": 0, "target": "nobody",)js"
+         R"js( "found": false})js"},
+        {R"js({"cmd": "shutdown", "id": "p14"})js",
+         R"js({"ok": true, "cmd": "shutdown", "id": "p14", "code": 0, "draining": true})js"},
+    };
+    server::Service svc{server::ServiceConfig{}};
+    const std::string load =
+        "{\"cmd\": \"load\", \"id\": \"p1\", \"name\": \"s27\", \"bench\": \"" +
+        server::json_escape(netlist::write_bench_string(workload::suite_circuit("s27"))) +
+        "\"}";
+    for (const auto& [frame, expected] : exchanges)
+        EXPECT_EQ(mask_cpu_seconds(svc.handle(frame != nullptr ? frame : load)), expected);
+}
+
+TEST(JsonWriter, WrapsContainersShallowerThanTheWrapDepth) {
+    server::JsonWriter w(2);
+    w.begin_object().field("name", "a\"b\n\x01").key("rows").begin_array();
+    w.begin_object().field("n", -3).field("x", 0.125, 2).field("nan", std::nan(""), 1);
+    w.end_object().begin_array().end_array().end_array();
+    w.field("ok", true).end_object();
+    EXPECT_EQ(w.str(),
+              "{\n"
+              "  \"name\": \"a\\\"b\\n\\u0001\",\n"
+              "  \"rows\": [\n"
+              "    {\"n\": -3, \"x\": 0.12, \"nan\": null},\n"
+              "    []\n"
+              "  ],\n"
+              "  \"ok\": true\n"
+              "}");
+    EXPECT_TRUE(JsonValue::parse(w.str(), nullptr).has_value());
 }
 
 // --- graceful drain and cancellation ----------------------------------------
@@ -472,14 +658,17 @@ TEST(ServerShutdown, InFlightRequestGetsResponseNotDroppedConnection) {
 
     std::string status;
     bool got_response = false;
+    std::atomic<bool> answered{false};
     std::thread in_flight([&] {
         const JsonValue r = c.rpc("{\"cmd\": \"learn\", \"force\": true, "
                                   "\"design\": \"" + digest + "\", \"id\": \"slow\"}");
         got_response = r.is_object();
         status = outcome_status(r);
+        answered = true;
     });
-    // Wait until the request is actually inside the service, then stop.
-    while (srv.service().active_requests() == 0)
+    // Wait until the request is actually inside the service, then stop. The
+    // learn takes milliseconds, so a descheduled test thread can miss it.
+    while (srv.service().active_requests() == 0 && !answered)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     srv.stop();
     in_flight.join();
@@ -504,13 +693,15 @@ TEST(ServerShutdown, CancelRequestStopsARunById) {
     ASSERT_FALSE(digest.empty());
 
     std::string status;
+    std::atomic<bool> answered{false};
     std::thread in_flight([&] {
         const JsonValue r =
             worker.rpc("{\"cmd\": \"learn\", \"force\": true, \"design\": \"" +
                        digest + "\", \"id\": \"job-1\"}");
         status = outcome_status(r);
+        answered = true;
     });
-    while (srv.service().active_requests() == 0)
+    while (srv.service().active_requests() == 0 && !answered)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
     // Cross-connection cancel by request id.
