@@ -114,12 +114,15 @@ Row bench_frame_sim(const Netlist& nl) {
 
 Row bench_frame_sim_batch(const Netlist& nl, const netlist::Topology& topo) {
     // The same stem-injection workload as frame_sim_stem_injection, 64
-    // scenarios per event sweep: one batched run plus full per-lane
-    // extraction; items = scenarios, so the row is directly comparable.
-    sim::BatchFrameSimulator bsim(topo, sim::SeqGating::all_open(nl));
-    const auto stems = nl.stems();
+    // scenarios per event sweep against a background of the constants: one
+    // batched run plus the per-lane extraction the learning passes use
+    // (background values on constant gates left out); items = scenarios,
+    // so the row is directly comparable.
     sim::FrameSimOptions opt;
     opt.max_frames = 50;
+    const sim::TieClosure closure(topo, sim::SeqGating::all_open(nl), nullptr, opt.max_frames);
+    sim::BatchFrameSimulator bsim(closure);
+    const auto stems = nl.stems();
     std::vector<sim::Injection> inj(64);
     std::vector<sim::BatchLane> lanes(64);
     std::vector<sim::FrameSimResult> outs(64);
@@ -190,10 +193,14 @@ Row bench_fault_sim(const Netlist& nl, const netlist::Topology& topo, exec::Pool
 Row bench_budget_overhead(const Netlist& nl, const netlist::Topology& topo) {
     // Cost of the governance layer on the learning hot path: full serial
     // passes with an active (but never-tripping) Budget — deadline polling
-    // at every stem boundary — interleaved with identical ungoverned passes,
-    // so drift hits both sides equally. The row reports governed
-    // throughput; overhead_pct is the governed-vs-plain wall-time delta (CI
-    // pins it under 2%; polling is one steady_clock read per stem).
+    // at every stem boundary — paired with identical ungoverned passes. The
+    // row reports governed throughput; overhead_pct is the median of the
+    // per-pair governed/plain wall-time ratios (CI pins it under 2%; polling
+    // is one steady_clock read per stem). A pair's two passes run back to
+    // back in alternating order, so drift and warm-up favour neither side
+    // and a slow moment of the machine mostly cancels within its pair: a
+    // 1-thread gen5378 pass takes ~30 ms, short enough for best-of-N per
+    // side to pick up scheduler noise on a shared 4-CPU VM.
     core::LearnConfig governed;
     governed.threads = 1;
     governed.budget.deadline = std::chrono::hours(24);
@@ -204,37 +211,34 @@ Row bench_budget_overhead(const Netlist& nl, const netlist::Topology& topo) {
     Row row;
     row.name = "budget_overhead";
     double governed_s = 0;
-    double governed_min = 1e300;
-    double plain_min = 1e300;
-    unsigned pairs = 0;
+    std::vector<double> ratios;
     const util::Timer total;
-    // At least 25 pairs: the overhead estimate uses best-of-N pass times,
-    // which filters scheduler noise a single smoke-length pair would not. A
-    // 1-thread gen5378 pass takes ~0.13 s; on a shared 4-CPU VM two
-    // identical configs still differed by up to ±15% best-of-9.
-    while (pairs < 25 || total.seconds() < 2 * g_min_seconds) {
-        {
+    while (ratios.size() < 41 || total.seconds() < 2 * g_min_seconds) {
+        const bool governed_first = ratios.size() % 2 == 0;
+        double pass_s[2] = {0, 0};  // governed, plain
+        for (const bool governed_side : {governed_first, !governed_first}) {
+            // The result outlives the timer read, so no side pays for
+            // freeing the learned data inside its timed window.
             const util::Timer t;
-            const core::LearnResult r = core::learn(nl, topo, governed);
-            const double s = t.seconds();
-            governed_s += s;
-            governed_min = std::min(governed_min, s);
-            row.items += nl.stems().size();
-            if (!r.outcome.ok()) std::fprintf(stderr, "budget_overhead: tripped?\n");
+            const core::LearnResult r = core::learn(nl, topo, governed_side ? governed : plain);
+            pass_s[governed_side ? 0 : 1] = t.seconds();
+            if (governed_side && !r.outcome.ok())
+                std::fprintf(stderr, "budget_overhead: tripped?\n");
         }
-        {
-            // Both sides hold their result past the timer read, so neither
-            // pays for freeing the learned data inside its timed window.
-            const util::Timer t;
-            const core::LearnResult r = core::learn(nl, topo, plain);
-            plain_min = std::min(plain_min, t.seconds());
-        }
-        ++pairs;
+        governed_s += pass_s[0];
+        row.items += nl.stems().size();
+        ratios.push_back(pass_s[0] / pass_s[1]);
     }
     row.seconds = governed_s;
     row.items_per_sec = static_cast<double>(row.items) / governed_s;
-    const double overhead_pct = (governed_min / plain_min - 1.0) * 100.0;
-    row.extra = [=](server::JsonWriter& w) { w.field("overhead_pct", overhead_pct, 2); };
+    std::sort(ratios.begin(), ratios.end());
+    const std::size_t mid = ratios.size() / 2;
+    const double median =
+        ratios.size() % 2 == 1 ? ratios[mid] : (ratios[mid - 1] + ratios[mid]) / 2;
+    const double overhead_pct = (median - 1.0) * 100.0;
+    row.extra = [=](server::JsonWriter& w) {
+        w.field("overhead_pct", overhead_pct, 2).field("pairs", ratios.size());
+    };
     return row;
 }
 
@@ -668,6 +672,19 @@ Row bench_snapshot_load(const Netlist& nl, const netlist::Topology& topo) {
 
 }  // namespace
 
+// The checkout's commit, for the provenance header: "-dirty" when the
+// working tree differs from it, "unknown" outside git.
+std::string git_rev() {
+    std::string rev;
+    if (std::FILE* p = popen("git describe --always --dirty --abbrev=12 2>/dev/null", "r")) {
+        char buf[64];
+        while (std::fgets(buf, sizeof buf, p) != nullptr) rev += buf;
+        if (pclose(p) != 0) rev.clear();
+    }
+    while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) rev.pop_back();
+    return rev.empty() ? "unknown" : rev;
+}
+
 int main(int argc, char** argv) {
     std::string out_path = "BENCH_sim.json";
     for (int i = 1; i < argc; ++i) {
@@ -751,7 +768,11 @@ int main(int argc, char** argv) {
 
     // One row per line: the committed BENCH_sim.json diffs row by row.
     server::JsonWriter w(2);
-    w.begin_object().field("circuit", "gen5378").key("benchmarks").begin_array();
+    w.begin_object().field("circuit", "gen5378");
+    w.key("provenance").begin_object().field("nproc", hw);
+    w.field("build_type", SEQLEARN_BUILD_TYPE).field("compiler", SEQLEARN_COMPILER);
+    w.field("git_rev", git_rev()).end_object();
+    w.key("benchmarks").begin_array();
     for (const Row& row : rows) {
         w.begin_object().field("name", row.name).field("items_per_sec", row.items_per_sec, 1);
         w.field("seconds", row.seconds, 3).field("items", row.items);

@@ -26,7 +26,8 @@
 // src/api/request.hpp, and every command checks its flags the way the daemon
 // checks a request, before the circuit loads: a count must be a whole number
 // in its field's range (--frames 0 keeps the default depth; --threads 0 is
-// one worker per hardware thread, more than that is refused), a name must be
+// one worker per hardware thread, except for learning, which runs one, and
+// more than the hardware threads is refused), a name must be
 // one of those listed, and an unknown flag is refused. A refused flag is a
 // usage error (exit 2) naming it.
 //
@@ -194,7 +195,7 @@ void print_json(api::Session& session, const netlist::Diagnostics& diags,
             if (cfg->backend != cnf::Backend::FrameSim) {
                 w.field("sat_targeted", o.sat_targeted).field("sat_witnesses", o.sat_witnesses);
                 w.field("untestable_by_cnf", o.untestable_by_cnf);
-                w.key("untestable").begin_array();
+                w.key("untestable_proofs").begin_array();
                 for (const atpg::AtpgOutcome::UntestableRecord& rec : o.untestable_records) {
                     w.begin_object();
                     w.field("fault", fault::to_string(session.netlist(),

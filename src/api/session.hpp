@@ -84,10 +84,11 @@ struct SessionConfig {
     core::LearnConfig learn;
     atpg::AtpgConfig atpg;
     ProgressObserver progress;
-    /// Session-wide default worker count (0 = hardware_concurrency). A
-    /// stage config's own `threads` field, when nonzero, wins for that
-    /// stage. All stages share one exec::Pool sized to the largest request;
-    /// N-thread results are bit-identical to 1-thread results.
+    /// Session-wide default worker count (0 = hardware_concurrency, except
+    /// learning, which runs core::kDefaultLearnWorkers). A stage config's
+    /// own `threads` field, when nonzero, wins for that stage. All stages
+    /// share one exec::Pool sized to the largest request; N-thread results
+    /// are bit-identical to 1-thread results.
     unsigned threads = 0;
     /// Session-wide default run budget, inherited by any stage whose own
     /// config leaves `budget` empty. Each stage materializes its own clock

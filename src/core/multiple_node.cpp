@@ -43,12 +43,13 @@ struct TargetDelta {
 
 struct DirectCtx {
     TieSet& ties;
+    sim::TieClosure& closure;
     ImplicationDB& db;
     MultipleNodeOutcome& out;
 
     bool tied(GateId g) const { return ties.is_tied(g); }
     void set_tie(GateId g, Val3 v, std::uint32_t cycle) {
-        ties.set(g, v, cycle);
+        commit_tie(ties, closure, g, v, cycle);
         ++out.ties_found;
     }
     void mark_contradiction() { ++out.contradiction_ties; }
@@ -210,7 +211,8 @@ void simulate_target_batch(sim::BatchFrameSimulator& bsim, std::span<const Liter
 // scaffolding (slot sizing, version snapshot, re-batch-after-tie recompute
 // loop) in lockstep with that file.
 MultipleNodeOutcome run_batched(const Netlist& nl, std::span<sim::BatchFrameSimulator> sims,
-                                const StemRecords& records, const MultipleNodeConfig& cfg,
+                                sim::TieClosure& closure, const StemRecords& records,
+                                const MultipleNodeConfig& cfg,
                                 std::span<const Literal> targets, TieSet& ties,
                                 ImplicationDB& db, const LearnExecEnv& env,
                                 unsigned workers) {
@@ -218,7 +220,9 @@ MultipleNodeOutcome run_batched(const Netlist& nl, std::span<sim::BatchFrameSimu
     const std::size_t n = targets.size();
     const std::size_t bs = kMaxBatchTargets;
 
-    const exec::SpeculateOptions sopt;
+    // Ties land in about half the batches (gen38417: 200 ties over 383
+    // batches), so the window may shrink to one batch, computed inline.
+    const exec::SpeculateOptions sopt{.min_window = 1};
     std::vector<MultiBatchScratch> ws(workers);
 
     struct BatchDelta {
@@ -260,7 +264,7 @@ MultipleNodeOutcome run_batched(const Netlist& nl, std::span<sim::BatchFrameSimu
     // work and stays a Completed outcome).
     auto recompute_rest = [&](std::size_t i, std::size_t end) -> bool {
         if (env.failpoint != nullptr) env.failpoint->poll(exec::FailSite::BatchRecompute);
-        DirectCtx ctx{ties, db, out};
+        DirectCtx ctx{ties, closure, db, out};
         MultiBatchScratch& w = ws[0];
         std::array<BatchPlanEntry, kMaxBatchTargets> entries;
         while (i < end) {
@@ -338,7 +342,7 @@ MultipleNodeOutcome run_batched(const Netlist& nl, std::span<sim::BatchFrameSimu
         const TargetDelta& delta = d.deltas[pos];
         ++out.targets_processed;
         if (delta.tie) {
-            ties.set(delta.tie_gate, delta.tie_value, delta.tie_cycle);
+            commit_tie(ties, closure, delta.tie_gate, delta.tie_value, delta.tie_cycle);
             ++out.ties_found;
         }
         if (delta.contradiction) ++out.contradiction_ties;
@@ -355,6 +359,7 @@ MultipleNodeOutcome run_batched(const Netlist& nl, std::span<sim::BatchFrameSimu
 
 MultipleNodeOutcome multiple_node_learning(const Netlist& nl,
                                            std::span<sim::BatchFrameSimulator> sims,
+                                           sim::TieClosure& closure,
                                            const StemRecords& records,
                                            const MultipleNodeConfig& cfg, TieSet& ties,
                                            ImplicationDB& db, const LearnExecEnv& env,
@@ -370,8 +375,8 @@ MultipleNodeOutcome multiple_node_learning(const Netlist& nl,
 
     // The pass reports next_index relative to `targets`; shift back to the
     // global order.
-    MultipleNodeOutcome out = run_batched(nl, sims, records, cfg, targets, ties, db, env,
-                                          std::max(1u, workers));
+    MultipleNodeOutcome out = run_batched(nl, sims, closure, records, cfg, targets, ties, db,
+                                          env, std::max(1u, workers));
     out.next_index += skip;
     return out;
 }

@@ -12,11 +12,11 @@
 // simulation of target k+1), through the same batched ordered speculation:
 // 64 targets — one lane each, every lane carrying its own injection
 // schedule and exact frame window T+1 — run as one bit-parallel event
-// sweep, so the tie/constant seeding shared by all targets is paid once per
-// batch instead of once per target. A committed tie re-derives the
-// remaining targets of its batch against the fresh tie state, exactly as
-// the single-node pass does, so results equal the serial one-run-per-target
-// schedule's at any worker count.
+// sweep against the class's shared background (sim::TieClosure), which
+// the committing thread extends with each tie. A committed tie re-derives
+// the remaining targets of its batch against the fresh tie state, exactly
+// as the single-node pass does, so results equal the serial
+// one-run-per-target schedule's at any worker count.
 
 #include "core/impl_db.hpp"
 #include "core/single_node.hpp"
@@ -55,14 +55,15 @@ struct MultipleNodeOutcome {
 };
 
 /// Run multiple-node learning over every record key using the per-worker
-/// simulators `sims` (identically configured over one Topology, tie vectors
-/// aliasing `ties`; at most sims.size() workers run, and `sims` must not be
-/// empty). New relations land in `db`, ties in `ties` (visible to later
-/// targets through the simulator). `first_target` skips that many leading
+/// simulators `sims`, all running against `closure` (built from `ties`; at
+/// most sims.size() workers run, and `sims` must not be empty). New
+/// relations land in `db`, ties in `ties` and `closure` (visible to later
+/// targets through the simulators). `first_target` skips that many leading
 /// targets of the deterministic order — the resume entry point for a run
 /// whose predecessor stopped mid-pass (its outcome's next_index).
 MultipleNodeOutcome multiple_node_learning(const netlist::Netlist& nl,
                                            std::span<sim::BatchFrameSimulator> sims,
+                                           sim::TieClosure& closure,
                                            const StemRecords& records,
                                            const MultipleNodeConfig& cfg, TieSet& ties,
                                            ImplicationDB& db, const LearnExecEnv& env = {},

@@ -54,7 +54,8 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
     // caller (typically a Session) provides one, a private pool when more
     // than one thread is requested, pure serial otherwise. The serial path
     // never touches the pool machinery.
-    const exec::StageExec ex = exec::resolve_stage_exec(cfg.executor, cfg.threads);
+    const exec::StageExec ex = exec::resolve_stage_exec(
+        cfg.executor, cfg.threads != 0 ? cfg.threads : kDefaultLearnWorkers);
     const LearnExecEnv env{ex.pool, ex.workers, cfg.cancel, budget_ptr, cfg.failpoint};
 
     std::size_t start_class = 0;
@@ -105,24 +106,24 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
         }
 
         // Every per-class simulator — one per worker — shares the caller's
-        // CSR snapshot; only the cheap mutable scratch is cloned. All of
-        // them alias the result's tie vectors, so committed ties are
-        // simulation facts for every later stem regardless of which worker
-        // simulates it.
+        // CSR snapshot and the class's background (constants, ties so far,
+        // their forcings and carried state); only the cheap mutable scratch
+        // is per worker. The passes extend the background with every tie
+        // they commit, so committed ties are simulation facts for every
+        // later stem regardless of which worker simulates it.
         const unsigned num_sims = std::max(1u, ex.workers);
         const std::uint64_t digest = learn_config_digest(cfg);
         bool stopped = false;
         for (std::size_t ci = start_class; ci < classes.size() && !stopped; ++ci) {
             const netlist::ClockClass& cls = classes[ci];
             const sim::SeqGating gating = sim::SeqGating::for_class(nl, cls.members);
+            sim::TieClosure closure(topo, gating,
+                                    cfg.use_equivalences ? &result.equivalences.map : nullptr,
+                                    cfg.max_frames, &result.ties.dense(),
+                                    &result.ties.dense_cycles());
             std::vector<sim::BatchFrameSimulator> sims;
             sims.reserve(num_sims);
-            for (unsigned w = 0; w < num_sims; ++w) {
-                sims.emplace_back(topo, gating);
-                if (cfg.use_equivalences)
-                    sims.back().set_equivalences(&result.equivalences.map);
-                sims.back().set_ties(&result.ties.dense(), &result.ties.dense_cycles());
-            }
+            for (unsigned w = 0; w < num_sims; ++w) sims.emplace_back(closure);
 
             // Resuming mid-class restores that class's records and skips the
             // already-processed schedule prefix; the carried ties/db make the
@@ -135,7 +136,7 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
 
             if (!skip_single) {
                 const SingleNodeOutcome single = single_node_learning(
-                    nl, sims, std::span<const GateId>(stems).subspan(first_stem),
+                    nl, sims, closure, std::span<const GateId>(stems).subspan(first_stem),
                     cfg.max_frames, result.ties, result.db, records,
                     progress ? &progress : nullptr, env);
                 result.stats.stems_processed += single.stems_processed;
@@ -154,7 +155,8 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
                 mcfg.max_frames = cfg.max_frames;
                 const std::size_t first_target = skip_single ? start_unit : 0;
                 const MultipleNodeOutcome multi = multiple_node_learning(
-                    nl, sims, records, mcfg, result.ties, result.db, env, first_target);
+                    nl, sims, closure, records, mcfg, result.ties, result.db, env,
+                    first_target);
                 result.stats.multi_targets += multi.targets_processed;
                 result.stats.multi_relations += multi.relations_added;
                 result.stats.multi_ties += multi.ties_found;

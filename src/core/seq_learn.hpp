@@ -29,8 +29,16 @@ namespace seqlearn::core {
 /// running pass; partial results are kept and flagged cancelled.
 using ProgressFn = std::function<bool(std::size_t done, std::size_t total)>;
 
+/// Workers a learn runs when neither its LearnConfig nor its Session asks
+/// for a count. One, the measured best: ties come in runs — on gen38417,
+/// 436 stems of the single-node pass land ties, in nearly every one of its
+/// 445 batches, and a tie usually makes the next stem tie the gates its
+/// closure implies — so speculative batches are mostly re-derived after a
+/// tie, and 2-4 workers learned gen5378 and gen38417 slower than one.
+inline constexpr unsigned kDefaultLearnWorkers = 1;
+
 struct LearnConfig {
-    /// Worker threads for the pass (0 = hardware_concurrency). N-thread
+    /// Worker threads for the pass (0 = kDefaultLearnWorkers). N-thread
     /// results are bit-identical to 1-thread results: stems, multiple-node
     /// targets, and equivalence proofs run speculatively in parallel and
     /// commit in canonical order (see src/exec/).

@@ -86,13 +86,14 @@ struct StemDelta {
 // The recompute-side context: mutates the real structures directly.
 struct DirectCtx {
     TieSet& ties;
+    sim::TieClosure& closure;
     ImplicationDB& db;
     StemRecords& records;
     SingleNodeOutcome& out;
 
     bool tied(GateId g) const { return ties.is_tied(g); }
     void set_tie(GateId g, Val3 v, std::uint32_t cycle) {
-        ties.set(g, v, cycle);
+        commit_tie(ties, closure, g, v, cycle);
         ++out.ties_found;
     }
     void mark_stem_conflict() { ++out.stem_ties; }
@@ -292,15 +293,17 @@ void simulate_stem_batch(sim::BatchFrameSimulator& bsim, std::span<const GateId>
 // version snapshot, the re-batch-after-tie recompute loop with its
 // done = p + 1 boundary) must be kept in lockstep with that file.
 SingleNodeOutcome run_batched(const Netlist& nl, std::span<sim::BatchFrameSimulator> sims,
-                              std::span<const GateId> stems, std::uint32_t max_frames,
-                              TieSet& ties, ImplicationDB& db, StemRecords& records,
-                              ProgressFnPtr progress, const LearnExecEnv& env,
-                              unsigned workers) {
+                              sim::TieClosure& closure, std::span<const GateId> stems,
+                              std::uint32_t max_frames, TieSet& ties, ImplicationDB& db,
+                              StemRecords& records, ProgressFnPtr progress,
+                              const LearnExecEnv& env, unsigned workers) {
     SingleNodeOutcome out;
     const std::size_t n = stems.size();
     const std::size_t bs = kMaxBatchStems;
 
-    const exec::SpeculateOptions sopt;
+    // Ties come in runs (a tie's closure often ties more gates on the very
+    // next stem), so the window may shrink to one batch, computed inline.
+    const exec::SpeculateOptions sopt{.min_window = 1};
     std::vector<BatchScratch> ws(workers);
     for (BatchScratch& w : ws) w.overlay.assign(nl.size(), 0);
 
@@ -346,7 +349,7 @@ SingleNodeOutcome run_batched(const Netlist& nl, std::span<sim::BatchFrameSimula
     // cancelled.
     auto recompute_rest = [&](std::size_t i, std::size_t end) -> bool {
         if (env.failpoint != nullptr) env.failpoint->poll(exec::FailSite::BatchRecompute);
-        DirectCtx ctx{ties, db, records, out};
+        DirectCtx ctx{ties, closure, db, records, out};
         BatchScratch& w = ws[0];
         std::array<int, kMaxBatchStems> lane_of{};
         while (i < end) {
@@ -419,7 +422,7 @@ SingleNodeOutcome run_batched(const Netlist& nl, std::span<sim::BatchFrameSimula
         const StemDelta& delta = d.deltas[pos];
         ++out.stems_processed;
         for (const StemDelta::Tie& t : delta.ties) {
-            ties.set(t.gate, t.value, t.cycle);
+            commit_tie(ties, closure, t.gate, t.value, t.cycle);
             ++out.ties_found;
         }
         if (delta.stem_conflict) ++out.stem_ties;
@@ -437,6 +440,7 @@ SingleNodeOutcome run_batched(const Netlist& nl, std::span<sim::BatchFrameSimula
 
 SingleNodeOutcome single_node_learning(const Netlist& nl,
                                        std::span<sim::BatchFrameSimulator> sims,
+                                       sim::TieClosure& closure,
                                        std::span<const GateId> stems,
                                        std::uint32_t max_frames, TieSet& ties,
                                        ImplicationDB& db, StemRecords& records,
@@ -444,7 +448,7 @@ SingleNodeOutcome single_node_learning(const Netlist& nl,
     unsigned workers = env.pool != nullptr ? env.pool->size() : 1;
     if (env.max_workers != 0) workers = std::min(workers, env.max_workers);
     workers = std::min<unsigned>(workers, static_cast<unsigned>(sims.size()));
-    return run_batched(nl, sims, stems, max_frames, ties, db, records, progress, env,
+    return run_batched(nl, sims, closure, stems, max_frames, ties, db, records, progress, env,
                        std::max(1u, workers));
 }
 

@@ -11,19 +11,30 @@
 // Execution model: the pass is serially defined — ties learned at stem k
 // are simulation facts for every stem after k. Stems are packed 32 at a
 // time, each stem's {inject 0, inject 1} pair occupying two lanes, so a
-// batch is one 64-lane bit-parallel run (sim::BatchFrameSimulator):
-// constants, learned ties, and shared cone gates are evaluated once per
-// batch instead of once per injection. Each batch is one item of ordered
-// speculation (exec::speculate_batches): workers simulate and extract
-// batches against the tie state frozen at window dispatch, emitting
-// per-stem result deltas; the calling thread commits the deltas in stem
-// order. A commit that finds the tie set moved since dispatch re-derives the
-// rest of its batch against the fresh state, re-batching after every stem
-// that lands a tie. Tie discoveries are rare (a few percent of stems), so
-// almost all speculation commits. The extraction is order-insensitive within
-// a frame (per-frame ties are established before relations are emitted), so
-// the results are exactly the serial one-injection-per-run schedule's at any
-// worker count, even though the batch's event order differs.
+// batch is one 64-lane bit-parallel run (sim::BatchFrameSimulator) and a
+// cone gate shared by several stems is evaluated once per batch instead of
+// once per injection. Everything the stems share — constants, learned
+// ties, their equivalence forcings and tie-driven state — lives in the
+// clock class's sim::TieClosure: computed once per tie-set version, read
+// by every batch, and extended in place by the committing thread whenever
+// a tie is committed. Batches simulate and record only lane-divergent
+// values (and the background's values on untied gates, which the
+// extraction reads).
+//
+// Each batch is one item of ordered speculation (exec::speculate_batches):
+// workers simulate and extract batches against the tie state (and closure)
+// frozen at window dispatch, emitting per-stem result deltas; the calling
+// thread commits the deltas in stem order. A commit that finds the tie set
+// moved since dispatch re-derives the rest of its batch against the fresh
+// state, re-batching after every stem that lands a tie. Ties are not rare,
+// and they come in runs — a tie's closure usually makes the next stem tie
+// the gates it implies: on gen38417, 436 of the pass's stems land ties, so
+// on top of its 445 batches 419 batch remainders are re-simulated, and 4
+// workers simulate 1019 batches where 1 worker simulates 864. The
+// extraction is order-insensitive within a frame (per-frame ties are
+// established before relations are emitted), so the results are exactly
+// the serial one-injection-per-run schedule's at any worker count, even
+// though the batch's event order differs.
 
 #include "core/impl_db.hpp"
 #include "core/stem_records.hpp"
@@ -69,13 +80,21 @@ struct LearnExecEnv {
     exec::FailurePoint* failpoint = nullptr;
 };
 
+/// Commit a learned tie: record it in `ties` and extend the pass's
+/// background with it, so later batches simulate it as a fact.
+inline void commit_tie(TieSet& ties, sim::TieClosure& closure, GateId g, Val3 v,
+                       std::uint32_t cycle) {
+    ties.set(g, v, cycle);
+    closure.add_tie(g, v, cycle);
+}
+
 /// Run single-node learning over `stems` using the per-worker simulators
-/// `sims` (all sharing one Topology, identically configured: gating,
-/// equivalences, and tie vectors aliasing `ties`). sims[0] drives the
-/// calling thread's recomputes; at most sims.size() workers run, and `sims`
-/// must not be empty. New relations land in `db`, new ties in `ties` (and
-/// become simulation facts for later stems via the aliased tie vectors),
-/// and observations in `records`.
+/// `sims`, all running against `closure` (built from `ties` under the
+/// pass's gating and equivalences). sims[0] drives the calling thread's
+/// recomputes; at most sims.size() workers run, and `sims` must not be
+/// empty. New relations land in `db`, new ties in `ties` and `closure` (so
+/// they are simulation facts for later stems), and observations in
+/// `records`.
 ///
 /// Relations are stored when at least one side is a sequential element
 /// (gate-gate relations follow from these and are skipped, as in the
@@ -85,8 +104,8 @@ struct LearnExecEnv {
 /// the pass (partial results are kept and the outcome's stop status set).
 SingleNodeOutcome single_node_learning(
     const netlist::Netlist& nl, std::span<sim::BatchFrameSimulator> sims,
-    std::span<const netlist::GateId> stems, std::uint32_t max_frames, TieSet& ties,
-    ImplicationDB& db, StemRecords& records,
+    sim::TieClosure& closure, std::span<const netlist::GateId> stems,
+    std::uint32_t max_frames, TieSet& ties, ImplicationDB& db, StemRecords& records,
     const std::function<bool(std::size_t, std::size_t)>* progress = nullptr,
     const LearnExecEnv& env = {});
 

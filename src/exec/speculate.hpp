@@ -3,9 +3,9 @@
 //
 // The learning passes have a serial semantics: item k's computation may read
 // state (the tie set) mutated by items < k, and bit-identical parallel runs
-// must reproduce exactly the serial schedule. The saving grace is that the
-// mutations are *rare* (few stems discover new ties), so most items compute
-// the same answer whether or not their predecessors committed first.
+// must reproduce exactly the serial schedule. Speculation pays off where
+// mutations are rare, so that most items compute the same answer whether or
+// not their predecessors committed first.
 //
 // speculate_ordered exploits that: it dispatches a window of items to the
 // pool, computing each against the current shared state (frozen during the
@@ -15,8 +15,11 @@
 // window is abandoned from that item on and re-dispatched against the fresh
 // state. Every dispatch commits at least its first item (nothing mutates
 // between a dispatch and its first commit), so progress is guaranteed; the
-// window grows after clean dispatches and shrinks after retries, adapting
-// the speculation depth to the observed mutation rate.
+// window grows after dispatches that committed without moving the shared
+// state and shrinks after retries, adapting the speculation depth to the
+// observed mutation rate. A caller whose mutations can come in runs sets
+// min_window to 1: through such a run every dispatch holds one item and
+// runs inline on the calling thread, as the serial schedule would.
 //
 // The caller provides result slots indexed by position-in-window (so their
 // buffers are reused across windows); slot s of the current window holds
@@ -31,9 +34,10 @@ namespace seqlearn::exec {
 
 /// Verdict of an ordered commit.
 enum class Commit : std::uint8_t {
-    Done,   ///< applied; move to the next item
-    Retry,  ///< shared state changed under the speculation; recompute from here
-    Stop,   ///< stage cancelled or complete; abandon the rest
+    Done,     ///< applied; move to the next item
+    Changed,  ///< applied, and it moved the shared state: the window's later items are stale
+    Retry,    ///< shared state changed under the speculation; recompute from here
+    Stop,     ///< stage cancelled or complete; abandon the rest
 };
 
 struct SpeculateOptions {
@@ -75,7 +79,7 @@ void speculate_ordered(Pool* pool, std::size_t n, const SpeculateOptions& opt,
                 compute(0u, i, std::size_t{0});
                 const Commit verdict = commit(i, std::size_t{0});
                 if (verdict == Commit::Stop) return;
-                if (verdict == Commit::Done) break;
+                if (verdict != Commit::Retry) break;
                 // Retry directly after prepare means the commit can never
                 // observe fresher state; loop anyway — prepare re-snapshots
                 // and the next commit sees its own dispatch as clean.
@@ -99,6 +103,7 @@ void speculate_ordered(Pool* pool, std::size_t n, const SpeculateOptions& opt,
         pool->run(end - base, TaskView(task), workers);
 
         bool retried = false;
+        bool changed = false;
         for (std::size_t i = base; i < end; ++i) {
             const Commit verdict = commit(i, i - base);
             if (verdict == Commit::Stop) return;
@@ -108,10 +113,11 @@ void speculate_ordered(Pool* pool, std::size_t n, const SpeculateOptions& opt,
                 retried = true;
                 break;
             }
+            changed |= verdict == Commit::Changed;
         }
         if (!retried) {
             pos = end;
-            window = std::min(max_window, window * 2);
+            if (!changed) window = std::min(max_window, window * 2);
         }
     }
 }
@@ -129,6 +135,9 @@ void speculate_ordered(Pool* pool, std::size_t n, const SpeculateOptions& opt,
 ///    recompute(unit, end), which re-derives it against the fresh state on
 ///    the calling thread (returning false = cancelled);
 ///  - apply(unit, slot, pos) commits one computed unit.
+/// A batch whose commit moved the shared state (a recompute, or an applied
+/// unit that mutated it) reports Commit::Changed, so the window does not
+/// grow on it.
 /// Keeping this loop in one place is what guarantees the single-node and
 /// multiple-node passes share one staleness rule.
 template <typename PrepareFn, typename ComputeFn, typename ObserveFn, typename StaleFn,
@@ -145,11 +154,13 @@ void speculate_batches(Pool* pool, std::size_t n_units, std::size_t batch,
             if (!observe(base + p)) return Commit::Stop;
             if (stale(p, slot)) {
                 if (p == 0) return Commit::Retry;
-                return recompute(base + p, base + count) ? Commit::Done : Commit::Stop;
+                return recompute(base + p, base + count) ? Commit::Changed : Commit::Stop;
             }
             apply(base + p, slot, p);
         }
-        return Commit::Done;
+        // Every unit was computed and applied, so staleness at position 0 now
+        // can only mean the applied units moved the shared state.
+        return stale(0, slot) ? Commit::Changed : Commit::Done;
     };
     speculate_ordered(pool, n_items, sopt, prepare, compute, commit, workers);
 }

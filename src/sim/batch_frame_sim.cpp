@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 
 namespace seqlearn::sim {
 
@@ -33,9 +34,14 @@ FrameSimResult& BatchFrameResult::extract_lane(int lane, FrameSimResult& out) co
     out.implied.clear();
     const std::uint64_t bit = lane_bit(lane);
     if ((fallback & bit) == 0) {
-        for (const Event& e : events) {
-            if (e.ones & bit) out.implied.push_back({e.frame, e.gate, Val3::One});
-            else if (e.zeros & bit) out.implied.push_back({e.frame, e.gate, Val3::Zero});
+        std::size_t i = 0;
+        for (std::uint32_t t = 0; t < frames_run[static_cast<std::size_t>(lane)]; ++t) {
+            closure->append_fixed(t, out.implied);
+            for (; i < events.size() && events[i].frame == t; ++i) {
+                const Event& e = events[i];
+                if (e.ones & bit) out.implied.push_back({e.frame, e.gate, Val3::One});
+                else if (e.zeros & bit) out.implied.push_back({e.frame, e.gate, Val3::Zero});
+            }
         }
     }
     finish_lane(lane, out);
@@ -63,13 +69,16 @@ void BatchFrameResult::extract_all(std::span<FrameSimResult> outs) const {
     for (int l = 0; l < lanes; ++l) finish_lane(l, outs[static_cast<std::size_t>(l)]);
 }
 
-BatchFrameSimulator::BatchFrameSimulator(const Topology& topo, SeqGating gating)
-    : topo_(&topo),
-      gating_(std::move(gating)),
-      val_(topo.size(), logic::kPatAllX),
-      queued_(topo.size(), 0),
-      scalar_(topo, gating_) {
-    buckets_.resize(topo.max_level() + 1);
+BatchFrameSimulator::BatchFrameSimulator(const TieClosure& closure)
+    : closure_(&closure),
+      topo_(&closure.topology()),
+      bg_(closure.entries().data()),
+      val_(closure.topology().size(), logic::kPatAllX),
+      queued_(closure.topology().size(), 0),
+      scalar_(closure.topology(), closure.gating()) {
+    buckets_.resize(topo_->max_level() + 1);
+    scalar_.set_equivalences(closure.equivalences());
+    scalar_.set_ties(&closure.tie_values(), &closure.tie_cycles());
 }
 
 void BatchFrameSimulator::reset_frame_scratch() {
@@ -95,14 +104,22 @@ void BatchFrameSimulator::reset_frame_scratch() {
 // Give `g` the binary values of `p` in the lanes of `mask`: detect per-lane
 // contradictions (those lanes are flagged for scalar fallback and retired),
 // record the newly assigned lanes as one event, enqueue combinational
-// fanouts, and force equivalence partners in the same lanes.
-void BatchFrameSimulator::assign(GateId g, Pattern p, std::uint64_t mask, std::uint32_t frame,
+// fanouts, and force equivalence partners in the same lanes. A gate the
+// background fixes gains nothing in agreeing lanes and contradicts the rest.
+void BatchFrameSimulator::assign(GateId g, Pattern p, std::uint64_t mask,
                                  BatchFrameResult& res) {
     mask &= live_;
     if (mask == 0) return;
-    Pattern& v = val_[g];
     std::uint64_t want1 = p.ones & mask;
     std::uint64_t want0 = p.zeros & mask;
+    const TieClosure::Entry& b = bg_[g];
+    if (b.since <= frame_) {
+        const std::uint64_t conflict = b.value == Val3::One ? want0 : want1;
+        res.fallback |= conflict;
+        live_ &= ~conflict;
+        return;
+    }
+    Pattern& v = val_[g];
     const std::uint64_t conflict = (want1 & v.zeros) | (want0 & v.ones);
     if (conflict != 0) {
         res.fallback |= conflict;
@@ -117,7 +134,7 @@ void BatchFrameSimulator::assign(GateId g, Pattern p, std::uint64_t mask, std::u
     if (known == 0) touched_.push_back(g);
     v.ones |= new1;
     v.zeros |= new0;
-    res.events.push_back({frame, g, new1, new0});
+    res.events.push_back({frame_, g, new1, new0});
     for (const GateId fo : topo_->comb_fanouts(g)) {
         if (!queued_[fo]) {
             queued_[fo] = 1;
@@ -128,18 +145,20 @@ void BatchFrameSimulator::assign(GateId g, Pattern p, std::uint64_t mask, std::u
             ++pending_;
         }
     }
-    if (equiv_ && g < equiv_->size()) {
-        for (const EquivLink& link : (*equiv_)[g]) {
+    const EquivMap* equiv = closure_->equivalences();
+    if (equiv && g < equiv->size()) {
+        for (const EquivLink& link : (*equiv)[g]) {
             const Pattern forced = link.inverted ? Pattern{new0, new1} : Pattern{new1, new0};
-            assign(link.other, forced, new1 | new0, frame, res);
+            assign(link.other, forced, new1 | new0, res);
         }
     }
 }
 
-void BatchFrameSimulator::propagate(std::uint32_t frame, BatchFrameResult& res) {
+void BatchFrameSimulator::propagate(BatchFrameResult& res) {
     // Identical sweep structure to the scalar simulator; evaluation is
-    // lane-wise over the pattern planes, and an evaluated gate is assigned
-    // only in the lanes where the result is binary.
+    // lane-wise over the pattern planes (background values read through),
+    // and an evaluated gate is assigned only in the lanes where the result
+    // is binary.
     while (pending_ > 0) {
         if (live_ == 0) return;  // every lane retired; reset cleans the rest
         for (std::uint32_t level = evt_lo_; level <= evt_hi_; ++level) {
@@ -150,10 +169,10 @@ void BatchFrameSimulator::propagate(std::uint32_t frame, BatchFrameResult& res) 
                 if (!topo_->is_comb(g)) continue;
                 const auto fi = topo_->fanins(g);
                 const Pattern v = logic::eval_op_indirect(
-                    topo_->op(g), fi.size(), [&](std::size_t k) { return val_[fi[k]]; });
+                    topo_->op(g), fi.size(), [&](std::size_t k) { return lane_value(fi[k]); });
                 const std::uint64_t known = v.ones | v.zeros;
                 if (known == 0) continue;
-                assign(g, v, known, frame, res);
+                assign(g, v, known, res);
             }
             buckets_[level].clear();
         }
@@ -162,44 +181,57 @@ void BatchFrameSimulator::propagate(std::uint32_t frame, BatchFrameResult& res) 
     evt_hi_ = 0;
 }
 
+// Lanes whose full state entering frame_ + 1 differs from the one entering
+// frame_. A lane's state is the background's plus its own divergent
+// captures (never on the same element); the background's only grows, by
+// state_gain(frame_), so a merge over the two divergent lists and that gain
+// visits every element where the two can differ.
+std::uint64_t BatchFrameSimulator::state_diff() const {
+    const std::span<const TieClosure::FrameValue> gain = closure_->state_gain(frame_);
+    std::uint64_t diff = 0;
+    std::size_t i = 0, j = 0, k = 0;
+    while (i < state_.size() || j < next_state_.size() || k < gain.size()) {
+        GateId g = UINT32_MAX;
+        if (i < state_.size()) g = std::min(g, state_[i].gate);
+        if (j < next_state_.size()) g = std::min(g, next_state_[j].gate);
+        if (k < gain.size()) g = std::min(g, gain[k].gate);
+        Pattern before = logic::kPatAllX;
+        Pattern after = logic::kPatAllX;
+        if (i < state_.size() && state_[i].gate == g) before = state_[i++].pat;
+        if (j < next_state_.size() && next_state_[j].gate == g) after = next_state_[j++].pat;
+        if (k < gain.size() && gain[k].gate == g)
+            after = logic::pat_broadcast(gain[k++].value);
+        diff |= (before.ones ^ after.ones) | (before.zeros ^ after.zeros);
+    }
+    return diff;
+}
+
 BatchFrameResult& BatchFrameSimulator::run_batch(std::span<const BatchLane> lanes,
                                                  const FrameSimOptions& opt,
                                                  BatchFrameResult& out) {
     assert(lanes.size() <= 64 && "run_batch is 64 lanes wide; chunk larger spans (run_lanes does)");
+    if (opt.max_frames > closure_->frames())
+        throw std::invalid_argument("run_batch: more frames than the background holds");
     const int n = static_cast<int>(std::min<std::size_t>(lanes.size(), 64));
     out.events.clear();
     out.used = n == 64 ? ~0ULL : (lane_bit(n) - 1);
     out.fallback = 0;
     out.stopped_on_repeat = 0;
     out.frames_run.fill(0);
+    out.closure = closure_;
     live_ = out.used;
 
     // Flatten the per-lane schedules frame-major. The stable sort keeps each
     // lane's equal-frame injections in their given order — the same order a
-    // scalar run applies them in.
+    // scalar run applies them in. As in the scalar rule, a lane's seeding
+    // ends after its last injection and the last tie cycle below its own
+    // frame limit.
     inj_.clear();
-    // The scalar rule counts only tie cycles below the run's own frame
-    // limit into its last-seed frame, so lanes with different limits need
-    // different tie components: sort the distinct cycles once and take the
-    // largest below each lane's limit.
-    std::vector<std::uint32_t>& tie_cycles = tie_cycles_scratch_;
-    tie_cycles.clear();
-    if (ties_ && tie_cycles_) {
-        for (GateId g = 0; g < ties_->size(); ++g) {
-            if ((*ties_)[g] != Val3::X && (*tie_cycles_)[g] < opt.max_frames)
-                tie_cycles.push_back((*tie_cycles_)[g]);
-        }
-        std::sort(tie_cycles.begin(), tie_cycles.end());
-        tie_cycles.erase(std::unique(tie_cycles.begin(), tie_cycles.end()),
-                         tie_cycles.end());
-    }
     for (int l = 0; l < n; ++l) {
         const std::uint32_t lim = lanes[static_cast<std::size_t>(l)].max_frames;
         const std::uint32_t limit = lim == 0 ? opt.max_frames : std::min(lim, opt.max_frames);
         lane_limit_[static_cast<std::size_t>(l)] = limit;
-        std::uint32_t last = 0;
-        const auto it = std::lower_bound(tie_cycles.begin(), tie_cycles.end(), limit);
-        if (it != tie_cycles.begin()) last = *(it - 1);
+        std::uint32_t last = closure_->last_tie_cycle_below(limit);
         for (const Injection& x : lanes[static_cast<std::size_t>(l)].injections) {
             inj_.push_back({x.frame, x.gate, x.value, static_cast<std::uint8_t>(l)});
             last = std::max(last, x.frame);
@@ -214,6 +246,7 @@ BatchFrameResult& BatchFrameSimulator::run_batch(std::span<const BatchLane> lane
     state_.clear();
     next_state_.clear();
     std::size_t inj_cursor = 0;
+    const std::span<const TieClosure::FrameValue> free = closure_->free_values();
 
     for (std::uint32_t frame = 0; frame < opt.max_frames && live_ != 0; ++frame) {
         // Retire lanes whose own frame window is exhausted (their frames_run
@@ -225,46 +258,54 @@ BatchFrameResult& BatchFrameSimulator::run_batch(std::span<const BatchLane> lane
         if (live_ == 0) break;
 
         reset_frame_scratch();
+        frame_ = frame;
         for (std::uint64_t m = live_; m != 0; m &= m - 1)
             out.frames_run[static_cast<std::size_t>(std::countr_zero(m))] = frame + 1;
+        if (frame >= closure_->conflict_frame()) {
+            // The background itself is contradictory here, so is every
+            // lane still running.
+            out.fallback |= live_;
+            live_ = 0;
+            break;
+        }
 
-        // Seeds, in the scalar order: constants, tie facts, carried state,
-        // this frame's injections. Each assign masks itself by the live set,
-        // so retired lanes receive nothing.
-        for (const GateId g : topo_->const_gates()) {
-            const Val3 cv = topo_->op(g) == logic::GateOp::Const1 ? Val3::One : Val3::Zero;
-            assign(g, logic::pat_broadcast(cv), ~0ULL, frame, out);
+        // The background's untied values, in every live lane.
+        for (const TieClosure::FrameValue& f : free) {
+            if (f.frame > frame) break;
+            out.events.push_back({frame, f.gate, f.value == Val3::One ? live_ : 0,
+                                  f.value == Val3::Zero ? live_ : 0});
         }
-        if (ties_) {
-            for (GateId g = 0; g < ties_->size(); ++g) {
-                if ((*ties_)[g] == Val3::X) continue;
-                if (tie_cycles_ && (*tie_cycles_)[g] > frame) continue;
-                assign(g, logic::pat_broadcast((*ties_)[g]), ~0ULL, frame, out);
-            }
-        }
+        // Seeds beyond the background, in the scalar order: carried state,
+        // then this frame's injections. Each assign masks itself by the live
+        // set, so retired lanes receive nothing.
         for (const StateEntry& e : state_) {
-            assign(e.gate, e.pat, e.pat.ones | e.pat.zeros, frame, out);
+            assign(e.gate, e.pat, e.pat.ones | e.pat.zeros, out);
         }
         while (inj_cursor < inj_.size() && inj_[inj_cursor].frame == frame) {
             const LaneInjection& x = inj_[inj_cursor++];
             Pattern p = logic::kPatAllX;
             logic::pat_set(p, x.lane, x.value);
-            assign(x.gate, p, lane_bit(x.lane), frame, out);
+            assign(x.gate, p, lane_bit(x.lane), out);
         }
 
-        propagate(frame, out);
+        propagate(out);
         if (live_ == 0) break;
 
-        // Capture: sequential elements fed by a touched gate take their
-        // per-lane gated data value. A multi-fanin element appears once per
-        // driving pin; the captured pattern is identical each time, so the
-        // gate-keyed dedup below matches the scalar (gate, value) unique.
+        // Capture: sequential elements fed by a divergent gate take their
+        // per-lane gated data value; an element whose data value the
+        // background fixes is in the background's carried state instead. A
+        // multi-fanin element appears once per driving pin; the captured
+        // pattern is identical each time, so the gate-keyed dedup below
+        // matches the scalar (gate, value) unique.
         next_state_.clear();
+        const SeqGating& gating = closure_->gating();
         for (const GateId t : touched_) {
             for (const GateId fo : topo_->seq_fanouts(t)) {
-                const Pattern d = val_[topo_->fanins(fo)[0]];
-                const Pattern cap{gating_.allows(fo, Val3::One) ? d.ones & live_ : 0,
-                                  gating_.allows(fo, Val3::Zero) ? d.zeros & live_ : 0};
+                const GateId data = topo_->fanins(fo)[0];
+                if (bg_[data].since <= frame) continue;
+                const Pattern d = val_[data];
+                const Pattern cap{gating.allows(fo, Val3::One) ? d.ones & live_ : 0,
+                                  gating.allows(fo, Val3::Zero) ? d.zeros & live_ : 0};
                 if ((cap.ones | cap.zeros) == 0) continue;
                 next_state_.push_back({fo, cap});
             }
@@ -286,36 +327,12 @@ BatchFrameResult& BatchFrameSimulator::run_batch(std::span<const BatchLane> lane
         }
         if (seeding_done != 0) {
             if (opt.stop_on_state_repeat && frame > 0) {
-                // Merge-walk both sorted state lists; a lane's states are
-                // equal iff no gate differs in presence or value.
-                std::uint64_t diff = 0;
-                std::size_t i = 0, j = 0;
-                while (i < state_.size() || j < next_state_.size()) {
-                    const bool take_old =
-                        j >= next_state_.size() ||
-                        (i < state_.size() && state_[i].gate < next_state_[j].gate);
-                    const bool take_new =
-                        i >= state_.size() ||
-                        (j < next_state_.size() && next_state_[j].gate < state_[i].gate);
-                    if (take_old) {
-                        diff |= state_[i].pat.ones | state_[i].pat.zeros;
-                        ++i;
-                    } else if (take_new) {
-                        diff |= next_state_[j].pat.ones | next_state_[j].pat.zeros;
-                        ++j;
-                    } else {
-                        diff |= (state_[i].pat.ones ^ next_state_[j].pat.ones) |
-                                (state_[i].pat.zeros ^ next_state_[j].pat.zeros);
-                        ++i;
-                        ++j;
-                    }
-                }
-                const std::uint64_t repeat = seeding_done & ~diff;
+                const std::uint64_t repeat = seeding_done & ~state_diff();
                 out.stopped_on_repeat |= repeat;
                 live_ &= ~repeat;
                 seeding_done &= ~repeat;
             }
-            std::uint64_t nonempty = 0;
+            std::uint64_t nonempty = closure_->carries_state(frame) ? ~0ULL : 0;
             for (const StateEntry& e : next_state_) nonempty |= e.pat.ones | e.pat.zeros;
             live_ &= ~(seeding_done & ~nonempty);
         }
@@ -337,13 +354,14 @@ void BatchFrameSimulator::run_lanes(std::span<const BatchLane> lanes, const Fram
         const std::span<const BatchLane> chunk = lanes.subspan(base, n);
         const std::span<FrameSimResult> chunk_outs = outs.subspan(base, n);
         run_batch(chunk, opt, lanes_scratch_);
-        lanes_scratch_.extract_all(chunk_outs);
         for (std::size_t l = 0; l < n; ++l) {
             if ((lanes_scratch_.fallback >> l) & 1) {
                 FrameSimOptions lane_opt = opt;
                 if (chunk[l].max_frames != 0)
                     lane_opt.max_frames = std::min(chunk[l].max_frames, opt.max_frames);
                 scalar_.run_into(chunk[l].injections, lane_opt, chunk_outs[l]);
+            } else {
+                lanes_scratch_.extract_lane(static_cast<int>(l), chunk_outs[l]);
             }
             canonicalize(chunk_outs[l]);
         }

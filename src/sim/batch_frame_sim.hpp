@@ -1,32 +1,52 @@
 #pragma once
-// 64-lane bit-parallel multi-frame event-driven simulation.
+// 64-lane bit-parallel multi-frame event-driven simulation against a shared
+// background.
 //
 // The scalar FrameSimulator evaluates one injection scenario per run; the
 // learning passes need two runs per stem (inject 0, inject 1), and every run
-// re-seeds the same constants, learned ties, and equivalence forcings before
-// propagating a usually-small divergent cone. BatchFrameSimulator runs up to
-// 64 independent scenarios through ONE occupied-level-band event sweep per
-// frame: each gate holds a logic::Pattern (two 64-bit planes: ones, zeros;
-// both clear = X) instead of a Val3, every seed that is common to all lanes
-// (constants, ties, tie-driven state) is paid once per frame instead of once
-// per frame per scenario, and a gate shared by several lanes' cones is
-// evaluated once for all of them.
+// would re-seed the same constants, learned ties, equivalence forcings and
+// tie-driven state before propagating a usually-small divergent cone.
+// BatchFrameSimulator runs up to 64 independent scenarios through ONE
+// occupied-level-band event sweep per frame: each gate holds a
+// logic::Pattern (two 64-bit planes: ones, zeros; both clear = X) instead of
+// a Val3, and a gate shared by several lanes' cones is evaluated once for
+// all of them.
+//
+// What all scenarios share is not simulated at all: a sim::TieClosure (the
+// pass's background — per frame, the closure of constants, active ties,
+// their equivalence forcings and the tie-driven state) is computed once per
+// tie-set version and read, not re-seeded. A frame starts from the
+// background: a gate the background fixes reads as that value in every
+// lane, and only gates some lane assigns beyond it (lane-divergent values)
+// are stored, recorded as events and reset at the next frame. No pass over
+// the gates or the ties runs per batch or per frame.
 //
 // Lane semantics are exactly the scalar simulator's, lane-wise:
 //  - the event queue is driven by the lane-divergence mask — a gate is
-//    (re)queued when any live lane assigns one of its fanins, and an
-//    evaluation assigns only the lanes where the result is binary, new, and
-//    the lane is still live;
+//    (re)queued when any live lane assigns one of its fanins beyond the
+//    background, and an evaluation assigns only the lanes where the result
+//    is binary, new, and the lane is still live;
 //  - per-lane stop rules (state repeat, empty next state, max_frames) retire
-//    lanes individually; retired lanes stop seeding and stop recording;
+//    lanes individually, comparing each lane's full state (background plus
+//    its own); retired lanes stop seeding and stop recording;
 //  - a lane whose closure turns contradictory (a gate acquiring both binary
-//    values) is flagged in `fallback` and retired: its batched events are
-//    not usable because the scalar run aborts mid-propagation at a
-//    schedule-dependent point. run_lanes() re-runs such lanes on an internal
-//    scalar FrameSimulator, so callers always observe bit-identical
-//    per-lane semantics; callers that only need the conflict *verdict* (the
-//    single-node learner: an injection that conflicts proves a stem tie)
-//    can consume the flag directly and skip the re-run.
+//    values, its own or the background's) is flagged in `fallback` and
+//    retired: its batched events are not usable because the scalar run
+//    aborts mid-propagation at a schedule-dependent point. run_lanes()
+//    re-runs such lanes on an internal scalar FrameSimulator, so callers
+//    always observe bit-identical per-lane semantics; callers that only need
+//    the conflict *verdict* (the single-node learner: an injection that
+//    conflicts proves a stem tie) can consume the flag directly and skip the
+//    re-run.
+//
+// The event stream holds each lane's divergent values plus the background's
+// values on gates that are neither constant nor tied (emitted in every lane
+// every frame they hold). Those are the only values the learning passes
+// read — they skip constant and tied gates — and emitting the untied ones
+// keeps a gate that the background implies, but the tie set lacks, visible
+// in both lanes of the next stem, which ties it exactly as before.
+// extract_lane()/run_lanes() add the background's constant and tied values
+// back for callers that want a lane's complete value set.
 //
 // Within a frame the batch sweep interleaves all lanes' event schedules, so
 // per-lane discovery order differs from a scalar run's; the per-frame
@@ -38,6 +58,7 @@
 
 #include "logic/pattern.hpp"
 #include "sim/frame_sim.hpp"
+#include "sim/tie_closure.hpp"
 
 #include <array>
 #include <cstdint>
@@ -59,7 +80,8 @@ struct BatchLane {
 
 /// Raw result of a batched run: a flat event stream (frame-major; each event
 /// carries the planes of the lanes assigned at that point) plus per-lane
-/// outcome summaries.
+/// outcome summaries. Events hold lane-divergent values and the
+/// background's values on gates neither constant nor tied (see the header).
 struct BatchFrameResult {
     struct Event {
         std::uint32_t frame;
@@ -77,62 +99,54 @@ struct BatchFrameResult {
     /// Lanes that ended on the state-repeat rule.
     std::uint64_t stopped_on_repeat = 0;
     std::array<std::uint32_t, 64> frames_run{};
+    /// The background the batch ran against.
+    const TieClosure* closure = nullptr;
 
-    /// Extract one non-fallback lane into `out` (buffers reused). The
-    /// implied list is grouped by frame (frames simulate in order); within a
-    /// frame it carries the batch sweep's discovery order — the *set* per
-    /// frame equals a scalar run's (the fixpoint is schedule-independent),
-    /// the order does not; apply sim::canonicalize for a total order.
+    /// Extract one non-fallback lane's complete value set into `out`
+    /// (buffers reused): per frame, the background's constant and tied
+    /// values, then the lane's events. Needs the closure unchanged since
+    /// the run. The implied list is grouped by frame (frames simulate in
+    /// order); within a frame its order is not a scalar run's — the *set*
+    /// per frame equals a scalar run's (the fixpoint is
+    /// schedule-independent), so apply sim::canonicalize for a total order.
     /// Returns `out` for chaining.
     FrameSimResult& extract_lane(int lane, FrameSimResult& out) const;
 
-    /// Extract every used lane in one pass over the event stream (total cost
-    /// = the sum of per-lane implied sizes, not 64 * events); same ordering
-    /// contract as extract_lane. Fallback lanes get conflict=true and an
-    /// empty implied list — callers wanting their full scalar result must
-    /// re-run them (see run_lanes). `outs` must hold at least as many
-    /// results as lanes were simulated.
+    /// Extract the events of every used lane in one pass over the stream
+    /// (total cost = the sum of per-lane event counts, not 64 * events):
+    /// each lane's divergent values and the background's free values, but
+    /// not the background's values on constant and tied gates, which the
+    /// learning passes skip. Grouped by frame like extract_lane. Fallback
+    /// lanes get conflict=true and an empty implied list — callers wanting
+    /// their full scalar result must re-run them (see run_lanes). `outs`
+    /// must hold at least as many results as lanes were simulated.
     void extract_all(std::span<FrameSimResult> outs) const;
 
 private:
     void finish_lane(int lane, FrameSimResult& out) const;
 };
 
-/// Reusable 64-lane simulator; shares the caller's CSR topology and is
-/// configured exactly like a FrameSimulator (gating, equivalences, ties).
+/// Reusable 64-lane simulator over a shared background; configured entirely
+/// by its TieClosure (topology, gating, equivalences, ties).
 class BatchFrameSimulator {
 public:
-    /// Share an existing topology (must outlive the simulator).
-    BatchFrameSimulator(const Topology& topo, SeqGating gating);
-
-    /// Force known equivalence classes during simulation (may be null; must
-    /// outlive the simulator).
-    void set_equivalences(const EquivMap* equiv) noexcept {
-        equiv_ = equiv;
-        scalar_.set_equivalences(equiv);
-    }
-
-    /// Seed established tie facts in every frame at or after their proof
-    /// cycle — same contract as FrameSimulator::set_ties.
-    void set_ties(const std::vector<Val3>* ties,
-                  const std::vector<std::uint32_t>* cycles = nullptr) noexcept {
-        ties_ = ties;
-        tie_cycles_ = cycles;
-        scalar_.set_ties(ties, cycles);
-    }
+    /// Simulate against `closure`, which must outlive the simulator and must
+    /// not change while a batch runs (it may change between batches).
+    explicit BatchFrameSimulator(const TieClosure& closure);
 
     /// Run up to 64 scenarios through one batched event sweep into a
     /// caller-owned result whose buffers are reused across calls. Returns
-    /// `out` for chaining.
+    /// `out` for chaining. opt.max_frames must not exceed the closure's
+    /// frames() (std::invalid_argument).
     BatchFrameResult& run_batch(std::span<const BatchLane> lanes, const FrameSimOptions& opt,
                                 BatchFrameResult& out);
 
     /// Convenience: run the batch and materialize every lane as a
     /// FrameSimResult equal to canonicalize(scalar run of the same
-    /// scenario) — fallback lanes are re-run on the internal scalar
-    /// simulator, and every lane is canonicalized, so the output is a pure
-    /// function of the scenario. More than 64 lanes are processed in
-    /// 64-wide chunks. `outs.size()` must be >= `lanes.size()`.
+    /// scenario) — background values included, fallback lanes re-run on
+    /// the internal scalar simulator, and every lane canonicalized, so the
+    /// output is a pure function of the scenario. More than 64 lanes are
+    /// processed in 64-wide chunks. `outs.size()` must be >= `lanes.size()`.
     void run_lanes(std::span<const BatchLane> lanes, const FrameSimOptions& opt,
                    std::span<FrameSimResult> outs);
 
@@ -144,17 +158,27 @@ private:
         Pattern pat;
     };
 
-    void assign(netlist::GateId g, Pattern p, std::uint64_t mask, std::uint32_t frame,
-                BatchFrameResult& res);
-    void propagate(std::uint32_t frame, BatchFrameResult& res);
+    // Gate `g` in every lane at the current frame: the background's value
+    // when it has one, the lanes' own values otherwise.
+    Pattern lane_value(netlist::GateId g) const noexcept {
+        const TieClosure::Entry& b = bg_[g];
+        const std::uint64_t fixed = b.since <= frame_ ? ~0ULL : 0;
+        const std::uint64_t one = b.value == Val3::One ? ~0ULL : 0;
+        const Pattern& p = val_[g];
+        return {p.ones | (fixed & one), p.zeros | (fixed & ~one)};
+    }
+    void assign(netlist::GateId g, Pattern p, std::uint64_t mask, BatchFrameResult& res);
+    void propagate(BatchFrameResult& res);
+    std::uint64_t state_diff() const;
     void reset_frame_scratch();
 
+    const TieClosure* closure_;
     const Topology* topo_;
-    SeqGating gating_;
-    const EquivMap* equiv_ = nullptr;
-    const std::vector<Val3>* ties_ = nullptr;
-    const std::vector<std::uint32_t>* tie_cycles_ = nullptr;
+    const TieClosure::Entry* bg_;
+    std::uint32_t frame_ = 0;
 
+    // Lane-divergent values of the current frame (X where the background
+    // decides or no lane assigned), and the gates holding them.
     std::vector<Pattern> val_;
     std::vector<netlist::GateId> touched_;
     std::vector<std::vector<netlist::GateId>> buckets_;
@@ -175,12 +199,13 @@ private:
     std::vector<LaneInjection> inj_;
     std::array<std::uint32_t, 64> lane_seed_done_{};
     std::array<std::uint32_t, 64> lane_limit_{};
-    std::vector<std::uint32_t> tie_cycles_scratch_;
 
+    // Lane-divergent sequential state entering this frame and the next one,
+    // sorted by gate; the background's carried state is the closure's.
     std::vector<StateEntry> state_;
     std::vector<StateEntry> next_state_;
 
-    // Scalar twin for fallback lanes (kept configured in lockstep).
+    // Scalar twin for fallback lanes, configured from the same closure.
     FrameSimulator scalar_;
     BatchFrameResult lanes_scratch_;  // run_lanes() working storage
 };

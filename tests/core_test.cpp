@@ -10,7 +10,9 @@
 #include "core/stem_records.hpp"
 #include "core/tie.hpp"
 #include "fault/fault.hpp"
+#include "exec/pool.hpp"
 #include "netlist/builder.hpp"
+#include "netlist/topology.hpp"
 #include "test_helpers.hpp"
 
 #include <gtest/gtest.h>
@@ -241,6 +243,62 @@ TEST(Learning, CombinationalTieFromStem) {
     EXPECT_EQ(r.ties.cycle(nl.find("F")), 1u);
     EXPECT_GE(r.stats.ties_combinational, 1u);
     EXPECT_GE(r.stats.ties_sequential, 1u);
+}
+
+// A tie whose closure reaches further than its own stem's lanes: P =
+// AND(x, NOT x) is always 0 and Z = BUF(P) is already known tied to 0, so
+// injecting P=1 conflicts and ties P by the conflict verdict alone — its
+// lanes are never extracted. P=0 then implies U = NOT(P) = 1 at once and,
+// through F = DFF(U), F = 1 and G = OR(F, q) = 1 from frame 1: values the
+// background holds but the tie set lacks. The next stem, q, must see them
+// in both lanes and tie them (U at 0, F and G at 1), recording them like
+// any other value: 12 records, as with the per-frame seeding simulator.
+TEST(Learning, NextStemTiesWhatATieClosureImplies) {
+    NetlistBuilder b("closure");
+    b.input("x").input("b").input("q");
+    b.gate(GateType::Not, "xn", {"x"});
+    b.gate(GateType::And, "P", {"x", "xn"});
+    b.gate(GateType::Buf, "Z", {"P"});
+    b.gate(GateType::Not, "U", {"P"});
+    b.dff("F", "U");
+    b.gate(GateType::Or, "G", {"F", "q"});
+    b.gate(GateType::And, "H", {"q", "b"});
+    b.output("G").output("H").output("Z");
+    const Netlist nl = b.build();
+    const netlist::Topology topo(nl);
+    const std::vector<GateId> stems{nl.find("P"), nl.find("q")};
+    ASSERT_EQ(nl.fanouts(stems[0]).size(), 2u);
+    ASSERT_EQ(nl.fanouts(stems[1]).size(), 2u);
+
+    for (const unsigned threads : {1u, 2u}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        exec::Pool pool(threads);
+        TieSet ties(nl.size());
+        ties.set(nl.find("Z"), Val3::Zero, 0);
+        sim::TieClosure closure(topo, sim::SeqGating::all_open(nl), nullptr, 50, &ties.dense(),
+                                &ties.dense_cycles());
+        std::vector<sim::BatchFrameSimulator> sims;
+        for (unsigned w = 0; w < threads; ++w) sims.emplace_back(closure);
+        ImplicationDB db(nl.size());
+        StemRecords records(64);
+        const SingleNodeOutcome out =
+            single_node_learning(nl, sims, closure, stems, 50, ties, db, records, nullptr,
+                                 LearnExecEnv{threads > 1 ? &pool : nullptr});
+        EXPECT_EQ(out.stems_processed, 2u);
+        EXPECT_EQ(out.stem_ties, 1u);
+        EXPECT_EQ(ties.value(nl.find("P")), Val3::Zero);
+        EXPECT_EQ(ties.cycle(nl.find("P")), 0u);
+        EXPECT_EQ(ties.value(nl.find("U")), Val3::One);
+        EXPECT_EQ(ties.cycle(nl.find("U")), 0u);
+        EXPECT_EQ(ties.value(nl.find("F")), Val3::One);
+        EXPECT_EQ(ties.cycle(nl.find("F")), 1u);
+        EXPECT_EQ(ties.value(nl.find("G")), Val3::One);
+        EXPECT_EQ(ties.cycle(nl.find("G")), 1u);
+        EXPECT_EQ(out.ties_found, 4u);
+        EXPECT_EQ(records.total_records(), 12u);
+        // Once tied, the gates leave the background's free values.
+        EXPECT_TRUE(closure.free_values().empty());
+    }
 }
 
 // Paper Figure-2 reconstruction: the relation G9=0 => F2=0 requires both

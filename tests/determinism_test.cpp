@@ -269,20 +269,6 @@ TEST(FaultSimDeterminism, ValidationMatchesAcrossThreadCounts) {
     }
 }
 
-// FNV-1a over every gate's (tied value, proof cycle) in id order.
-std::uint64_t tie_digest(const TieSet& ties) {
-    std::uint64_t h = 1469598103934665603ULL;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ULL;
-    };
-    for (std::size_t g = 0; g < ties.dense().size(); ++g) {
-        mix(static_cast<std::uint64_t>(ties.dense()[g]));
-        mix(ties.dense_cycles()[g]);
-    }
-    return h;
-}
-
 // A circuit large enough to exercise batch re-forming after tie discoveries
 // (the goldens above pin small circuits; this pins every tie value, proof
 // cycle, and the whole relation set on a bigger one). Recorded from the
@@ -299,7 +285,7 @@ TEST(LearnDeterminism, BatchedPassesMatchOneRunPerInjectionGolden) {
         EXPECT_EQ(r.db.size(), 584u);
         EXPECT_EQ(relation_hash(r.db), 5307505795015843314ULL);
         EXPECT_EQ(r.ties.count(), 75u);
-        EXPECT_EQ(tie_digest(r.ties), 9548001425052896834ULL);
+        EXPECT_EQ(testing::tie_digest(r.ties), 9548001425052896834ULL);
         EXPECT_EQ(r.stats.multi_ties, 6u);
         EXPECT_EQ(r.stats.multi_relations, 0u);
         EXPECT_EQ(r.stats.stems_processed, 136u);

@@ -9,6 +9,7 @@
 #include "core/db_io.hpp"
 #include "core/seq_learn.hpp"
 #include "netlist/topology.hpp"
+#include "test_helpers.hpp"
 #include "workload/suite.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <sstream>
+#include <string>
 #include <vector>
 
 namespace seqlearn::core {
@@ -27,35 +29,48 @@ namespace {
 TEST(Governance, DeadlineStopsPromptlyWithUsablePartialResult) {
     const netlist::Netlist nl = workload::suite_circuit("gen5378");
     const netlist::Topology topo(nl);
+    using Clock = std::chrono::steady_clock;
+    using std::chrono::duration_cast;
+    using std::chrono::milliseconds;
 
-    // A full 1-thread pass takes ~0.1-0.25s in Release; 30ms cuts it off
-    // mid-stream. Debug/instrumented builds run ~20x slower (the
-    // equivalence phase before the first stem alone can outlast 100ms), so
-    // they get a longer deadline and a generous stop allowance. The stop
-    // bound: polling happens at stem boundaries (a batch's speculative
+    // The deadline comes from a full 1-thread pass measured here: the time
+    // to its first stem (the equivalence phase before it polls no deadline)
+    // plus a quarter of the rest, so it cuts the pass off mid-stream at any
+    // build type and machine speed (a Release pass takes ~25-35 ms). The
+    // stop bound: polling happens at stem boundaries (a batch's speculative
     // compute fast-aborts once the deadline passes), so the tolerance is one
-    // batch plus scheduling noise.
+    // batch plus scheduling noise; Debug/instrumented builds run ~20x slower
+    // and get a generous allowance.
 #ifdef NDEBUG
-    constexpr long kDeadlineMs = 30;
     constexpr long kToleranceMs = 50;
 #else
-    constexpr long kDeadlineMs = 500;
     constexpr long kToleranceMs = 1000;
 #endif
     LearnConfig cfg;
     cfg.threads = 1;
-    cfg.budget.deadline = std::chrono::milliseconds(kDeadlineMs);
+    LearnConfig timed = cfg;
+    Clock::time_point first_stem{};
+    timed.on_stem = [&first_stem](std::size_t done, std::size_t) {
+        if (done == 0) first_stem = Clock::now();
+        return true;
+    };
+    const Clock::time_point p0 = Clock::now();
+    ASSERT_TRUE(learn(nl, topo, timed).outcome.ok());
+    const Clock::time_point p1 = Clock::now();
+    const long deadline_ms =
+        duration_cast<milliseconds>(first_stem - p0).count() +
+        std::max<long>(1, duration_cast<milliseconds>(p1 - first_stem).count() / 4);
+    cfg.budget.deadline = milliseconds(deadline_ms);
 
-    const auto t0 = std::chrono::steady_clock::now();
+    const Clock::time_point t0 = Clock::now();
     const LearnResult r = learn(nl, topo, cfg);
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - t0);
+    const milliseconds elapsed = duration_cast<milliseconds>(Clock::now() - t0);
 
     ASSERT_EQ(r.outcome.status, exec::RunStatus::DeadlineExceeded)
-        << "elapsed " << elapsed.count() << "ms — full pass finished under the "
-        << "deadline? rebalance the test budget";
+        << "elapsed " << elapsed.count() << "ms, deadline " << deadline_ms
+        << "ms — full pass finished under the deadline? rebalance the test budget";
     EXPECT_EQ(r.outcome.diagnostic, "wall-clock deadline");
-    EXPECT_LE(elapsed.count(), kDeadlineMs + kToleranceMs);
+    EXPECT_LE(elapsed.count(), deadline_ms + kToleranceMs);
 
     // The partial result is usable: a sound prefix with a resume cursor,
     // flagged for report printers.
@@ -63,6 +78,30 @@ TEST(Governance, DeadlineStopsPromptlyWithUsablePartialResult) {
     EXPECT_TRUE(r.stats.cancelled);
     EXPECT_GT(r.stats.stems_processed, 0u);
     EXPECT_LT(r.stats.stems_processed, r.stats.stems);
+}
+
+// A tie-heavy golden: gen5378 learns 949 ties (the other goldens have at
+// most 75), so most batches run against a background many tie-set versions
+// old. Recorded from the per-frame-seeding batch simulator.
+TEST(Governance, TieHeavyLearnMatchesGoldenAcrossThreadCounts) {
+    const netlist::Netlist nl = workload::suite_circuit("gen5378");
+    const netlist::Topology topo(nl);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        LearnConfig cfg;
+        cfg.threads = threads;
+        const LearnResult r = learn(nl, topo, cfg);
+        const std::string ctx = "threads=" + std::to_string(threads);
+        ASSERT_TRUE(r.outcome.ok()) << ctx;
+        EXPECT_EQ(r.db.size(), 5342u) << ctx;
+        EXPECT_EQ(r.ties.count(), 949u) << ctx;
+        EXPECT_EQ(r.stats.ties_combinational, 486u) << ctx;
+        EXPECT_EQ(r.stats.ties_sequential, 463u) << ctx;
+        EXPECT_EQ(r.stats.multi_relations, 303u) << ctx;
+        EXPECT_EQ(r.stats.multi_ties, 49u) << ctx;
+        EXPECT_EQ(r.stats.stems_processed, 1298u) << ctx;
+        EXPECT_EQ(relation_hash(r.db), 0x8b380d1c4636e54aULL) << ctx;
+        EXPECT_EQ(testing::tie_digest(r.ties), 1073545694368701090ULL) << ctx;
+    }
 }
 
 TEST(Governance, BudgetedRunPlusResumeMatchesOneShotAcrossExecConfigs) {

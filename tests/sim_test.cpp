@@ -645,7 +645,8 @@ TEST(BatchFrameSim, LaneParityOnRandomCircuits) {
         const Netlist nl = workload::generate(p);
         const netlist::Topology topo(nl);
         const SeqGating gating = SeqGating::all_open(nl);
-        BatchFrameSimulator bsim(topo, gating);
+        const TieClosure closure(topo, gating, nullptr, 16);
+        BatchFrameSimulator bsim(closure);
         FrameSimulator scalar(topo, gating);
 
         util::Rng rng(seed * 1013 + 7);
@@ -693,7 +694,8 @@ TEST(BatchFrameSim, RawBatchFlagsConflictLanes) {
     const Netlist nl = workload::generate(workload::iscas_like("bpraw", 8, 80, 5));
     const netlist::Topology topo(nl);
     const SeqGating gating = SeqGating::all_open(nl);
-    BatchFrameSimulator bsim(topo, gating);
+    const TieClosure closure(topo, gating, nullptr, 10);
+    BatchFrameSimulator bsim(closure);
     FrameSimulator scalar(topo, gating);
 
     const GateId g0 = topo.schedule().back();
@@ -756,11 +758,10 @@ TEST(BatchFrameSim, LaneParityWithTiesEquivalencesAndGating) {
     equiv[e1].push_back({e2, true});
     equiv[e2].push_back({e1, true});
 
-    BatchFrameSimulator bsim(topo, gating);
+    const TieClosure closure(topo, gating, &equiv, 12, &ties, &cycles);
+    BatchFrameSimulator bsim(closure);
     FrameSimulator scalar(topo, gating);
-    bsim.set_ties(&ties, &cycles);
     scalar.set_ties(&ties, &cycles);
-    bsim.set_equivalences(&equiv);
     scalar.set_equivalences(&equiv);
 
     std::vector<std::vector<Injection>> schedules(40);
@@ -782,6 +783,176 @@ TEST(BatchFrameSim, LaneParityWithTiesEquivalencesAndGating) {
         expect_lane_matches_scalar(scalar, outs[l], schedules[l], opt.max_frames,
                                    opt.stop_on_state_repeat, l);
     }
+}
+
+// The learning passes build the background once and extend it tie by tie
+// as they commit ties; the extended closure must equal one built from the
+// final tie set, frame by frame, and both must equal a scalar run with no
+// injections (which seeds constants, ties and carried state every frame).
+// Random ties with proof cycles — in shuffled order, one first recorded
+// with a later cycle — an inverse-equivalence link and clock-class gating,
+// as in LaneParityWithTiesEquivalencesAndGating. Random ties need not hold
+// in the circuit, so some backgrounds turn contradictory: only the frames
+// before the conflict carry values.
+std::vector<std::pair<GateId, Val3>> free_at(const TieClosure& c, std::uint32_t t) {
+    std::vector<std::pair<GateId, Val3>> out;
+    for (const TieClosure::FrameValue& f : c.free_values())
+        if (f.frame <= t) out.push_back({f.gate, f.value});
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+std::vector<std::pair<GateId, Val3>> gain_at(const TieClosure& c, std::uint32_t t) {
+    std::vector<std::pair<GateId, Val3>> out;
+    for (const TieClosure::FrameValue& f : c.state_gain(t)) out.push_back({f.gate, f.value});
+    return out;
+}
+
+void expect_same_closure(const TieClosure& a, const TieClosure& b, std::size_t gates) {
+    ASSERT_EQ(a.conflict_frame(), b.conflict_frame());
+    EXPECT_EQ(a.tie_values(), b.tie_values());
+    EXPECT_EQ(a.tie_cycles(), b.tie_cycles());
+    for (std::uint32_t limit = 0; limit <= a.frames(); ++limit)
+        EXPECT_EQ(a.last_tie_cycle_below(limit), b.last_tie_cycle_below(limit)) << limit;
+    for (std::uint32_t t = 0; t < a.conflict_frame(); ++t) {
+        for (GateId g = 0; g < gates; ++g)
+            ASSERT_EQ(a.value(g, t), b.value(g, t)) << "frame " << t << " gate " << g;
+        EXPECT_EQ(free_at(a, t), free_at(b, t)) << "frame " << t;
+        EXPECT_EQ(gain_at(a, t), gain_at(b, t)) << "frame " << t;
+        EXPECT_EQ(a.carries_state(t), b.carries_state(t)) << "frame " << t;
+    }
+}
+
+TEST(TieClosure, ExtendedTieByTieEqualsBuiltFromFinalTieSet) {
+    workload::GenParams p;
+    p.name = "bgext";
+    p.n_inputs = 5;
+    p.n_ffs = 10;
+    p.n_gates = 90;
+    p.clock_domains = 2;
+    p.sr_fraction = 0.3;
+    int clean = 0;
+    int contradictory = 0;
+    for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u, 17u, 18u}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        p.seed = seed;
+        const Netlist nl = workload::generate(p);
+        const netlist::Topology topo(nl);
+        const auto classes = netlist::clock_classes(nl);
+        ASSERT_FALSE(classes.empty());
+        const SeqGating gating = SeqGating::for_class(nl, classes[0].members);
+        EquivMap equiv(nl.size());
+        equiv[1].push_back({2, true});
+        equiv[2].push_back({1, true});
+
+        util::Rng rng(seed * 7 + 1);
+        struct Tie {
+            GateId gate;
+            Val3 value;
+            std::uint32_t cycle;
+        };
+        std::vector<Tie> order;
+        std::vector<Val3> ties(nl.size(), Val3::X);
+        std::vector<std::uint32_t> cycles(nl.size(), 0);
+        for (int i = 0; i < 5; ++i) {
+            const GateId g = static_cast<GateId>(rng.below(nl.size()));
+            if (ties[g] != Val3::X) continue;
+            ties[g] = rng.chance(0.5) ? Val3::One : Val3::Zero;
+            cycles[g] = static_cast<std::uint32_t>(rng.below(4));
+            order.push_back({g, ties[g], cycles[g]});
+        }
+        // The first tie also arrives earlier with a later proof cycle, and
+        // again later with an even later one (a no-op).
+        order.insert(order.begin(), {order[0].gate, order[0].value, order[0].cycle + 3});
+        order.push_back({order[1].gate, order[1].value, order[1].cycle + 1});
+
+        const std::uint32_t frames = 12;
+        const TieClosure built(topo, gating, &equiv, frames, &ties, &cycles);
+        TieClosure extended(topo, gating, &equiv, frames);
+        for (const Tie& t : order) extended.add_tie(t.gate, t.value, t.cycle);
+        expect_same_closure(built, extended, nl.size());
+
+        FrameSimulator scalar(topo, gating);
+        scalar.set_ties(&ties, &cycles);
+        scalar.set_equivalences(&equiv);
+        FrameSimOptions opt;
+        opt.max_frames = frames;
+        opt.stop_on_state_repeat = false;
+        const FrameSimResult want = scalar.run({}, opt);
+        if (want.conflict) {
+            EXPECT_EQ(built.conflict_frame(), want.conflict_frame);
+            ++contradictory;
+        } else {
+            EXPECT_EQ(built.conflict_frame(), frames);
+            ++clean;
+        }
+        std::vector<std::vector<std::pair<GateId, Val3>>> by_frame(frames);
+        for (const ImpliedValue& iv : want.implied) {
+            if (iv.frame < built.conflict_frame())
+                by_frame[iv.frame].push_back({iv.gate, iv.value});
+        }
+        for (std::uint32_t t = 0; t < std::min(want.frames_run, built.conflict_frame()); ++t) {
+            std::sort(by_frame[t].begin(), by_frame[t].end());
+            std::vector<std::pair<GateId, Val3>> got;
+            for (GateId g = 0; g < nl.size(); ++g) {
+                if (built.value(g, t) != Val3::X) got.push_back({g, built.value(g, t)});
+            }
+            EXPECT_EQ(got, by_frame[t]) << "frame " << t;
+        }
+
+        // Lanes simulated against the extended background match their
+        // scalar runs.
+        BatchFrameSimulator bsim(extended);
+        std::vector<std::vector<Injection>> schedules(24);
+        std::vector<BatchLane> lanes(24);
+        for (int l = 0; l < 24; ++l) {
+            schedules[l].push_back({static_cast<std::uint32_t>(rng.below(3)),
+                                    static_cast<GateId>(rng.below(nl.size())),
+                                    rng.chance(0.5) ? Val3::One : Val3::Zero});
+            lanes[l].injections = schedules[l];
+        }
+        opt.stop_on_state_repeat = true;
+        std::vector<FrameSimResult> outs(24);
+        bsim.run_lanes(lanes, opt, outs);
+        for (int l = 0; l < 24; ++l) {
+            expect_lane_matches_scalar(scalar, outs[l], schedules[l], opt.max_frames,
+                                       opt.stop_on_state_repeat, l);
+        }
+    }
+    EXPECT_GT(clean, 0);
+    EXPECT_GT(contradictory, 0);
+}
+
+// A tie that enters a gate earlier than the background already had it, but
+// with the other value: n = NOT(a) holds 0 from frame 3 once a is tied to 1
+// there, and tying n to 1 from frame 1 must make frame 3 contradictory —
+// the old value still follows from a — exactly as a closure built from both
+// ties at once finds.
+TEST(TieClosure, EarlierTieAgainstAnOlderValueContradicts) {
+    NetlistBuilder b("older");
+    b.input("a").input("c");
+    b.gate(GateType::Not, "n", {"a"});
+    b.gate(GateType::And, "g", {"n", "c"});
+    b.dff("F", "g");
+    b.output("F");
+    const Netlist nl = b.build();
+    const netlist::Topology topo(nl);
+    const SeqGating gating = SeqGating::all_open(nl);
+    std::vector<Val3> ties(nl.size(), Val3::X);
+    std::vector<std::uint32_t> cycles(nl.size(), 0);
+    ties[nl.find("a")] = Val3::One;
+    cycles[nl.find("a")] = 3;
+    ties[nl.find("n")] = Val3::One;
+    cycles[nl.find("n")] = 1;
+
+    const TieClosure built(topo, gating, nullptr, 8, &ties, &cycles);
+    TieClosure extended(topo, gating, nullptr, 8);
+    extended.add_tie(nl.find("a"), Val3::One, 3);
+    EXPECT_EQ(extended.value(nl.find("n"), 3), Val3::Zero);
+    EXPECT_EQ(extended.conflict_frame(), 8u);
+    extended.add_tie(nl.find("n"), Val3::One, 1);
+    EXPECT_EQ(built.conflict_frame(), 3u);
+    expect_same_closure(built, extended, nl.size());
 }
 
 }  // namespace

@@ -28,6 +28,21 @@ inline core::LearnResult learn(const Netlist& nl, const core::LearnConfig& cfg =
     return api::Session(Netlist(nl)).learn(cfg);
 }
 
+/// Order-sensitive FNV-1a digest of every gate's tie value and proof cycle
+/// — pins a whole tie set in one golden.
+inline std::uint64_t tie_digest(const core::TieSet& ties) {
+    std::uint64_t h = 1469598103934665603ULL;
+    auto mix = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ULL;
+    };
+    for (std::size_t g = 0; g < ties.dense().size(); ++g) {
+        mix(static_cast<std::uint64_t>(ties.dense()[g]));
+        mix(ties.dense_cycles()[g]);
+    }
+    return h;
+}
+
 /// Build a random sequential circuit: `n_in` inputs, `n_ff` flip-flops,
 /// `n_gate` combinational gates wired to random earlier signals; every FF's
 /// D input is a random signal; a few random signals become outputs.
