@@ -1,8 +1,7 @@
-// Ablations over the design choices DESIGN.md calls out:
+// Ablations over the learner's design choices:
 //   1. frame depth (max_frames): what sequential depth buys over
 //      combinational-only learning;
-//   2. learning stages: single-node / + multiple-node / + gate equivalence;
-//   3. the state-repeat early stop: learning cost with and without it.
+//   2. learning stages: single-node / + multiple-node / + gate equivalence.
 
 #include "api/session.hpp"
 #include "core/seq_learn.hpp"
@@ -58,21 +57,6 @@ void stage_sweep(const char* name) {
     }
 }
 
-void repeat_stop_sweep(const char* name) {
-    const api::DesignPtr design =
-        api::DesignBuilder(workload::suite_circuit(name)).build();
-    std::printf("\n== Ablation: state-repeat early stop (%s) ==\n", name);
-    for (const bool stop : {true, false}) {
-        core::LearnConfig cfg;
-        cfg.max_frames = 50;
-        cfg.stop_on_state_repeat = stop;
-        const core::LearnResult r = api::Session(design).learn(cfg);
-        std::printf("stop=%-5s -> FF-FF %zu, Gate-FF %zu, CPU %.3f s\n",
-                    stop ? "on" : "off", r.stats.ff_ff_relations,
-                    r.stats.gate_ff_relations, r.stats.cpu_seconds);
-    }
-}
-
 void BM_LearnDepth(benchmark::State& state) {
     // Compile the Design once: the timed loop measures learn() only, not
     // fault collapsing / clock classes / the netlist copy.
@@ -94,7 +78,6 @@ int main(int argc, char** argv) {
     frame_depth_sweep("rt510a");
     stage_sweep("gen5378");
     stage_sweep("fig1x");
-    repeat_stop_sweep("gen5378");
 
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();

@@ -3,7 +3,7 @@
 // per the paper's reference [13] semantics) versus a FIRE-style
 // fault-independent identifier. Our FIRE variant implements the excitation
 // half only (the propagation half needs per-fault reconvergence analysis to
-// stay sound), so it is a conservative baseline — see EXPERIMENTS.md.
+// stay sound), so it is a conservative baseline.
 
 #include "api/session.hpp"
 #include "core/seq_learn.hpp"

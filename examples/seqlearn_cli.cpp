@@ -52,8 +52,8 @@
 //   0  success (stage ran to completion)
 //   2  usage error (bad command line)
 //   3  input parse errors (all reported, line-numbered, before exiting)
-//   4  budget exhausted (deadline / item limit / memory cap; partial
-//      results were produced and saved where requested)
+//   4  budget exhausted (deadline / item limit; partial results were
+//      produced and saved where requested)
 //   5  stage cancelled
 //   6  internal failure (captured exception; state was not corrupted)
 //

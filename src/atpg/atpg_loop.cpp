@@ -15,10 +15,15 @@ using fault::FaultStatus;
 
 namespace {
 
+/// Frames per random warmup sequence.
+constexpr std::size_t kWarmupLength = 24;
+
 // Seed of the warmup (and random-fill) stream: an FNV-1a digest of every
 // result-affecting knob, so the same campaign configuration always replays
 // the same random patterns — on any machine, at any thread count — while
-// distinct configurations draw distinct streams.
+// distinct configurations draw distinct streams. The two constants stand
+// where settings of earlier releases were mixed, keeping every stream as it
+// was.
 std::uint64_t config_seed(const AtpgConfig& cfg) {
     std::uint64_t h = 1469598103934665603ULL;
     auto mix = [&](std::uint64_t v) {
@@ -26,9 +31,9 @@ std::uint64_t config_seed(const AtpgConfig& cfg) {
         h *= 1099511628211ULL;
     };
     mix(static_cast<std::uint64_t>(cfg.rand_warmup));
-    mix(static_cast<std::uint64_t>(cfg.rand_warmup_length));
+    mix(kWarmupLength);
     mix(static_cast<std::uint64_t>(cfg.backtrack_limit));
-    mix(static_cast<std::uint64_t>(cfg.max_decisions));
+    mix(kMaxDecisions);
     mix(static_cast<std::uint64_t>(cfg.sat_frames));
     mix(static_cast<std::uint64_t>(cfg.backend));
     mix(static_cast<std::uint64_t>(cfg.mode));
@@ -155,7 +160,6 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
     EngineConfig ecfg;
     ecfg.mode = cfg.mode;
     ecfg.backtrack_limit = cfg.backtrack_limit;
-    ecfg.max_decisions = cfg.max_decisions;
     if (cfg.learned != nullptr) {
         ecfg.db = &cfg.learned->db;
         ecfg.ties = &cfg.learned->ties;
@@ -204,7 +208,7 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
         }
         const guide::WarmupStats ws =
             guide::random_warmup(fsim, list, topo.inputs().size(), cfg.rand_warmup,
-                                 cfg.rand_warmup_length, config_seed(cfg), out.tests);
+                                 kWarmupLength, config_seed(cfg), out.tests);
         out.detected_by_warmup = ws.dropped;
         out.warmup_sequences = ws.sequences_kept;
     }
@@ -294,36 +298,17 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
     };
 
     // Resolve the execution environment (shared executor, private pool, or
-    // serial) with the rule every stage shares.
+    // serial) with the rule every stage shares; no more workers, and so no
+    // more clones, than targets.
     const exec::StageExec ex = exec::resolve_stage_exec(cfg.executor, cfg.threads);
-    const unsigned workers = ex.workers;
-    if (workers <= 1 || targets.size() < 2) {
-        // Serial campaign: target, apply, move on.
-        for (const std::size_t i : targets) {
-            if (list.status(i) != FaultStatus::Undetected) continue;
-            const exec::RunStatus st = exec::poll_point(cfg.cancel, budget);
-            if (st != exec::RunStatus::Completed) {
-                out.run = outcome_from(st, budget);
-                return;
-            }
-            if (cfg.on_fault && !cfg.on_fault(out.targeted_faults, total_targets)) {
-                out.run.status = exec::RunStatus::Cancelled;
-                return;
-            }
-            if (cfg.failpoint != nullptr) cfg.failpoint->poll(exec::FailSite::WorkItem);
-            ++out.targeted_faults;
-            apply_verdict(solve_target(engine, fsim, list.fault(i), ecfg, cfg, windows), i,
-                          list, fsim, out);
-            if (budget != nullptr) budget->note_item();
-        }
-        run_sat_phase();
-        return;
-    }
+    const unsigned workers =
+        static_cast<unsigned>(std::clamp<std::size_t>(targets.size(), 1, ex.workers));
 
-    // Parallel campaign: speculative target solves on per-worker clones,
-    // committed in fault-index order. A solve depends only on the fault —
-    // never on the list — so speculation is never stale; the only wasted
-    // work is solving a target that a test committed just before it drops.
+    // Speculative target solves on per-worker clones, committed in schedule
+    // order; one worker solves and commits each target in turn on the
+    // calling thread. A solve depends only on the fault — never on the list
+    // — so speculation is never stale; the only wasted work is solving a
+    // target that a test committed just before it drops.
     struct WorkerCtx {
         Engine engine;
         fault::FaultSimulator fsim;
@@ -352,10 +337,10 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
             v = TargetVerdict{};
             return;
         }
-        // Fast abort: a pending sticky stop means the next in-order commit
-        // Stops, so this solve is wasted work.
-        if ((cfg.cancel != nullptr && cfg.cancel->requested()) ||
-            (budget != nullptr && budget->deadline_exceeded())) {
+        // Fast abort: a pending stop means the next in-order commit Stops, so
+        // this solve is wasted work. Commits alone count items and none runs
+        // while a window computes, so a reached item limit is final here.
+        if (exec::poll_point(cfg.cancel, budget) != exec::RunStatus::Completed) {
             v = TargetVerdict{};
             return;
         }

@@ -33,7 +33,8 @@ struct AtpgConfig {
     /// fan out over per-worker Engine/FaultSimulator clones; solves are
     /// stateless per (fault, window), and results commit in fault-index
     /// order with first-detection credit, so N-thread campaigns are
-    /// bit-identical to 1-thread ones.
+    /// bit-identical to 1-thread ones, which solve and commit each target
+    /// in turn on the calling thread.
     unsigned threads = 0;
     /// Run on this pool instead of a private one (a Session shares its pool
     /// across stages); effective workers = min(pool size, threads).
@@ -41,10 +42,10 @@ struct AtpgConfig {
     /// Optional cooperative stop switch, polled at target boundaries on the
     /// calling thread; request() is safe from any thread.
     exec::CancelFlag* cancel = nullptr;
-    /// Run budget (deadline / item limit / memory cap), polled at the same
-    /// target boundaries as `cancel` and at fault-sim pass boundaries. An
-    /// exhausted budget stops the campaign; generated tests and fault
-    /// statuses committed so far are kept.
+    /// Run budget (deadline / item limit), polled at the same target
+    /// boundaries as `cancel` and at fault-sim pass boundaries. An exhausted
+    /// budget stops the campaign; generated tests and fault statuses
+    /// committed so far are kept.
     exec::BudgetSpec budget;
     /// Fault-injection harness for the robustness suite (null in
     /// production); polled inside solves, commits, and fault-sim passes.
@@ -81,8 +82,6 @@ struct AtpgConfig {
     bool count_c_cycle_redundant = false;
     /// Backtrack budget of the redundancy prover.
     std::uint32_t redundancy_effort = 2000;
-    /// Engine decision cap per solve (safety valve).
-    std::uint32_t max_decisions = 200000;
     /// Fault-ordering strategy applied to the canonical serial target
     /// schedule (the deterministic fault-index queue). Parallel runs commit
     /// in schedule order, so every strategy is bit-identical at any thread
@@ -94,16 +93,14 @@ struct AtpgConfig {
     /// goldens; Scoap turns on testability-guided backtrace and D-frontier
     /// selection and feeds SCOAP features to the Auto backend router.
     guide::Guidance guidance = guide::Guidance::None;
-    /// Random-pattern warmup: this many deterministic random sequences
-    /// (xoshiro seeded from a digest of the result-affecting config) are
-    /// fault-simulated before deterministic ATPG, bulk-dropping easy faults
-    /// (0 = off). The warmup stream is a pure function of the campaign
-    /// configuration, so a run is reproducible without choosing a seed.
-    /// Real ATPG flows run with this on; the paper-table benches keep it
-    /// off so the deterministic-engine deltas stay visible.
+    /// Random-pattern warmup: this many deterministic random 24-frame
+    /// sequences (xoshiro seeded from a digest of the result-affecting
+    /// config) are fault-simulated before deterministic ATPG, bulk-dropping
+    /// easy faults (0 = off). The warmup stream is a pure function of the
+    /// campaign configuration, so a run is reproducible without choosing a
+    /// seed. Real ATPG flows run with this on; the paper-table benches keep
+    /// it off so the deterministic-engine deltas stay visible.
     std::size_t rand_warmup = 0;
-    /// Frames per warmup sequence.
-    std::size_t rand_warmup_length = 24;
     /// Static compaction: greedily merge X-compatible test sequences,
     /// re-verify every merge by fault simulation, drop tests that detect
     /// nothing first, then fill remaining X positions per `fill`.
@@ -113,10 +110,12 @@ struct AtpgConfig {
     /// null: the campaign computes its own when a SCOAP consumer
     /// (guidance/ordering) needs it.
     const guide::Testability* testability = nullptr;
-    /// Per-fault progress observer: called before each deterministic target
-    /// with (faults fully processed so far, targets when the loop entered).
-    /// Return false to cancel the campaign; partial results are kept and the
-    /// outcome is flagged cancelled. Null = no observation.
+    /// Per-fault progress observer: called for each deterministic target
+    /// after its solve and before its commit, at every worker count, with
+    /// (faults fully processed so far, targets when the loop entered).
+    /// Return false to cancel the campaign before that commit; partial
+    /// results are kept and the outcome is flagged cancelled. Null = no
+    /// observation.
     std::function<bool(std::size_t done, std::size_t total)> on_fault;
 };
 

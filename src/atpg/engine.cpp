@@ -124,7 +124,7 @@ struct Engine::Search {
         const std::uint32_t frame = ila.frame_of(c);
         // Unknown initial state: frame-0 sequential outputs stay X.
         const bool is_ppi = frame == 0 && topo.is_seq(g);
-        if (is_ppi && !cfg.ppi_free) {
+        if (is_ppi && !cfg.redundancy_proof) {
             conflict = true;
             return false;
         }
@@ -140,7 +140,7 @@ struct Engine::Search {
         // PPIs are shared power-up state, equal in both machines even inside
         // the cone — except a fault-pinned site output, which stays pinned.
         const bool share_ppi =
-            is_ppi && cfg.ppi_free && !(g == fault.gate && site_output_pinned);
+            is_ppi && cfg.redundancy_proof && !(g == fault.gate && site_output_pinned);
         if (!cone[g] || share_ppi) {
             const int q = 1 - p;
             if (plane[q][c] == Val3::X) {
@@ -455,7 +455,7 @@ struct Engine::Search {
                 if (effect_at(ila.cell(k, o))) return true;
             }
         }
-        if (cfg.observe_ppo) {
+        if (cfg.redundancy_proof) {
             const std::uint32_t k = ila.frames - 1;
             for (const GateId ff : topo.seq_elements()) {
                 if (effect_at(ila.cell(k, topo.fanins(ff)[0]))) return true;
@@ -477,7 +477,7 @@ struct Engine::Search {
         const std::uint32_t frame = ila.frame_of(c);
         if (topo.is_input(g) || is_const(g)) return true;
         if (topo.is_seq(g)) {
-            if (frame == 0) return true;  // ppi_free or unreachable
+            if (frame == 0) return true;  // free in a redundancy proof, else unreachable
             return plane[p][ila.cell(frame - 1, topo.fanins(g)[0])] == plane[p][c];
         }
         return eval_plane(frame, g, p) == plane[p][c];
@@ -667,7 +667,7 @@ struct Engine::Search {
             d.trail_mark = trail.size();
             for (std::uint32_t k = 0; k < ila.frames; ++k) {
                 // Activating on a frame-0 sequential output is impossible.
-                if (k == 0 && topo.is_seq(fault_line) && !cfg.ppi_free)
+                if (k == 0 && topo.is_seq(fault_line) && !cfg.redundancy_proof)
                     continue;
                 d.alts.push_back({Alternative::Kind::Activate, 0, 0, Val3::X, k});
             }
@@ -678,7 +678,7 @@ struct Engine::Search {
         bool need_apply = true;
 
         while (true) {
-            if (decisions > cfg.max_decisions) {
+            if (decisions > kMaxDecisions) {
                 result.status = EngineResult::Status::Aborted;
                 result.backtracks = backtracks;
                 result.decisions = decisions;
@@ -756,9 +756,9 @@ struct Engine::Search {
                 return result;
             }
 
-            if (cfg.complete_search) {
+            if (cfg.redundancy_proof) {
                 // Exhaustive fallback: branch on the first unassigned free
-                // input (PI anywhere; PPI when ppi_free). With all of them
+                // input (PI anywhere; PPI at frame 0). With all of them
                 // assigned and nothing observed, this branch is dead.
                 Cell pick = 0;
                 bool found = false;
@@ -771,7 +771,7 @@ struct Engine::Search {
                             break;
                         }
                     }
-                    if (found || !cfg.ppi_free || k != 0) continue;
+                    if (found || k != 0) continue;
                     for (const GateId ff : topo.seq_elements()) {
                         const Cell c = ila.cell(0, ff);
                         if (plane[kGood][c] == Val3::X) {

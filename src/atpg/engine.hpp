@@ -42,6 +42,9 @@ enum class LearnMode : std::uint8_t {
 /// The CLI and protocol spelling: "none", "known" or "forbidden".
 std::string_view mode_name(LearnMode m);
 
+/// Decision nodes one solve may open before it aborts (a safety valve).
+inline constexpr std::uint32_t kMaxDecisions = 200000;
+
 struct EngineConfig {
     LearnMode mode = LearnMode::None;
     /// Learned relations (may be null; required for modes != None).
@@ -50,19 +53,14 @@ struct EngineConfig {
     const core::TieSet* ties = nullptr;
     /// Backtracks allowed before giving up on this (fault, window).
     std::uint32_t backtrack_limit = 30;
-    /// Decision-node hard cap (safety valve).
-    std::uint32_t max_decisions = 200000;
-    /// Frame-0 sequential outputs are free variables (used by the
-    /// combinational redundancy prover, never for real test generation).
-    bool ppi_free = false;
-    /// Fault effects reaching a sequential data input in the last frame
-    /// count as observed (pseudo primary outputs; redundancy prover only).
-    bool observe_ppo = false;
-    /// Complete search: instead of heuristic D-frontier branching, fall back
-    /// to full enumeration of unassigned primary inputs (and free PPIs),
-    /// so an Exhausted verdict is a proof of untestability. Used by the
-    /// redundancy prover; too slow for routine generation.
-    bool complete_search = false;
+    /// The combinational redundancy prover's search (set by
+    /// prove_redundancy, never for real test generation): frame-0
+    /// sequential outputs are free variables, fault effects reaching a
+    /// sequential data input in the last frame count as observed (pseudo
+    /// primary outputs), and instead of heuristic D-frontier branching the
+    /// search falls back to full enumeration of unassigned primary and free
+    /// pseudo-primary inputs, so an Exhausted verdict proves untestability.
+    bool redundancy_proof = false;
     /// SCOAP guidance (may be null = unguided, bit-identical to the
     /// historical search order). When set, justification tries the
     /// cheapest-to-control fanin first and propagation tries the

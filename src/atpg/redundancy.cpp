@@ -4,9 +4,7 @@ namespace seqlearn::atpg {
 
 RedundancyResult prove_redundancy(Engine& engine, const fault::Fault& f, EngineConfig cfg,
                                   std::uint32_t effort_backtracks) {
-    cfg.ppi_free = true;
-    cfg.observe_ppo = true;
-    cfg.complete_search = true;
+    cfg.redundancy_proof = true;
     cfg.backtrack_limit = effort_backtracks;
     const EngineResult r = engine.solve(f, /*frames=*/1, cfg);
     RedundancyResult out;

@@ -27,8 +27,8 @@ struct RedundancyResult {
 };
 
 /// Run the combinational redundancy proof for `f`. `cfg` supplies the
-/// learning mode and data (ties make more proofs succeed); the window,
-/// observation, and free-state flags are overridden internally.
+/// learning mode and data (ties make more proofs succeed); the window, the
+/// backtrack limit and `redundancy_proof` are overridden internally.
 RedundancyResult prove_redundancy(Engine& engine, const fault::Fault& f,
                                   EngineConfig cfg, std::uint32_t effort_backtracks);
 

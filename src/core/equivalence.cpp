@@ -49,7 +49,6 @@ struct ProofJob {
 struct ConeCache {
     const Netlist& nl;
     const std::vector<std::uint32_t>& pos;  // gate -> topological position
-    std::size_t cap;
     std::vector<std::uint8_t> ready;
     std::vector<std::uint8_t> overflow;  // own support > cap: pairs oversized
     std::vector<std::vector<GateId>> cone;     // sorted by pos, includes gate
@@ -57,10 +56,9 @@ struct ConeCache {
     std::vector<std::uint8_t> visited;         // traversal scratch
     std::vector<GateId> stack;
 
-    ConeCache(const Netlist& n, const std::vector<std::uint32_t>& p, std::size_t support_cap)
+    ConeCache(const Netlist& n, const std::vector<std::uint32_t>& p)
         : nl(n),
           pos(p),
-          cap(support_cap),
           ready(n.size(), 0),
           overflow(n.size(), 0),
           cone(n.size()),
@@ -81,7 +79,7 @@ struct ConeCache {
             c.push_back(x);
             if (is_source(nl, x)) {
                 s.push_back(x);  // constants are not free variables
-                if (s.size() > cap) {
+                if (s.size() > kSupportCap) {
                     overflow[g] = 1;
                     break;
                 }
@@ -211,14 +209,13 @@ void prove_packed(const Netlist& nl, std::span<const ProofJob* const> jobs,
 
 }  // namespace
 
-EquivResult find_equivalences(const Netlist& nl, const EquivOptions& opt, exec::Pool* pool,
-                              unsigned max_workers) {
+EquivResult find_equivalences(const Netlist& nl, exec::Pool* pool, unsigned max_workers) {
     EquivResult out;
     out.map.assign(nl.size(), {});
     out.rep.assign(nl.size(), netlist::kNoGate);
     out.inverted.assign(nl.size(), false);
 
-    const sim::SignatureSet sigs = sim::collect_signatures(nl, opt.sig_rounds, opt.seed);
+    const sim::SignatureSet sigs = sim::collect_signatures(nl, kSignatureRounds, kSignatureSeed);
     const netlist::Levelization lv = netlist::levelize(nl);
     std::vector<std::uint32_t> pos(nl.size(), 0);
     for (std::uint32_t i = 0; i < lv.topo_order.size(); ++i) pos[lv.topo_order[i]] = i;
@@ -245,10 +242,10 @@ EquivResult find_equivalences(const Netlist& nl, const EquivOptions& opt, exec::
     // via the cone cache, not once per pair. Verdicts are merged in bucket
     // order below, making the result identical at any thread count and any
     // batch packing.
-    ConeCache cache(nl, pos, opt.support_cap);
+    ConeCache cache(nl, pos);
     std::vector<ProofJob> proofs;
     for (const auto& [key, entries] : buckets) {
-        if (entries.size() < 2 || entries.size() > opt.max_bucket) continue;
+        if (entries.size() < 2 || entries.size() > kMaxBucket) continue;
         const Entry rep = entries[0];
         for (std::size_t i = 1; i < entries.size(); ++i) {
             ProofJob job;
@@ -268,7 +265,7 @@ EquivResult find_equivalences(const Netlist& nl, const EquivOptions& opt, exec::
             job.support.erase(std::set_union(s1.begin(), s1.end(), s2.begin(), s2.end(),
                                              job.support.begin()),
                               job.support.end());
-            if (job.support.size() > opt.support_cap) {
+            if (job.support.size() > kSupportCap) {
                 job.oversized = true;
             } else {
                 const auto& c1 = cache.cone[job.rep];
@@ -345,7 +342,7 @@ EquivResult find_equivalences(const Netlist& nl, const EquivOptions& opt, exec::
     std::size_t next_proof = 0;
     for (const auto& [key, entries] : buckets) {
         if (entries.size() < 2) continue;
-        if (entries.size() > opt.max_bucket) {
+        if (entries.size() > kMaxBucket) {
             out.dropped += entries.size() - 1;
             continue;
         }

@@ -19,16 +19,15 @@
 
 namespace seqlearn::core {
 
-struct EquivOptions {
-    /// Random 64-lane rounds for signatures (total patterns = 64 * rounds).
-    std::size_t sig_rounds = 8;
-    /// Maximum union-support size for the exhaustive proof; larger
-    /// candidates are dropped (soundness is never at risk, only yield).
-    std::size_t support_cap = 14;
-    /// Buckets larger than this are skipped entirely (pathological hashes).
-    std::size_t max_bucket = 64;
-    std::uint64_t seed = 0x5eed5eed;
-};
+/// Random 64-lane signature rounds (64 * 8 = 512 patterns) and their seed.
+inline constexpr std::size_t kSignatureRounds = 8;
+inline constexpr std::uint64_t kSignatureSeed = 0x5eed5eed;
+/// Largest union support the exhaustive proof takes on; larger candidates
+/// are dropped (soundness is never at risk, only yield).
+inline constexpr std::size_t kSupportCap = 14;
+/// Signature buckets larger than this are skipped entirely (pathological
+/// hashes).
+inline constexpr std::size_t kMaxBucket = 64;
 
 struct EquivResult {
     /// Forcing links in star topology (member <-> class representative),
@@ -51,7 +50,7 @@ struct EquivResult {
 /// independent of each other, so with a pool they run in parallel (capped at
 /// `max_workers` slots; 0 = all); class construction merges the verdicts in
 /// canonical bucket order, so the result is identical at any thread count.
-EquivResult find_equivalences(const netlist::Netlist& nl, const EquivOptions& opt = {},
-                              exec::Pool* pool = nullptr, unsigned max_workers = 0);
+EquivResult find_equivalences(const netlist::Netlist& nl, exec::Pool* pool = nullptr,
+                              unsigned max_workers = 0);
 
 }  // namespace seqlearn::core

@@ -90,13 +90,13 @@ struct TargetPlan {
 };
 
 // Append the injections of `target` to `inj` and return the plan.
-TargetPlan plan_target(const StemRecords& records, const MultipleNodeConfig& cfg,
-                       Literal target, std::vector<sim::Injection>& inj) {
+TargetPlan plan_target(const StemRecords& records, std::uint32_t max_frames, Literal target,
+                       std::vector<sim::Injection>& inj) {
     TargetPlan plan;
     const std::vector<StemRecord>& recs = records.records_for(target);
     std::uint32_t max_offset = 0;
     for (const StemRecord& r : recs)
-        if (r.offset < cfg.max_frames) max_offset = std::max(max_offset, r.offset);
+        if (r.offset < max_frames) max_offset = std::max(max_offset, r.offset);
     plan.T = max_offset;
 
     // Contrapositive injections: target=!v at T, stems=!sv at T-offset.
@@ -166,7 +166,7 @@ struct BatchPlanEntry {
 template <typename TiedFn>
 void simulate_target_batch(sim::BatchFrameSimulator& bsim, std::span<const Literal> targets,
                            std::size_t base, std::size_t count, const StemRecords& records,
-                           const MultipleNodeConfig& cfg, const Netlist& nl, TiedFn&& tied,
+                           std::uint32_t max_frames, const Netlist& nl, TiedFn&& tied,
                            MultiBatchScratch& w,
                            std::array<BatchPlanEntry, kMaxBatchTargets>& entries) {
     w.inj.clear();
@@ -180,7 +180,7 @@ void simulate_target_batch(sim::BatchFrameSimulator& bsim, std::span<const Liter
         if (tied(target.gate) || is_constant(nl, target.gate)) continue;
         e.skipped = false;
         const std::size_t first = w.inj.size();
-        e.plan = plan_target(records, cfg, target, w.inj);
+        e.plan = plan_target(records, max_frames, target, w.inj);
         if (e.plan.contradictory) {
             w.inj.resize(first);  // no simulation needed
             continue;
@@ -212,8 +212,8 @@ void simulate_target_batch(sim::BatchFrameSimulator& bsim, std::span<const Liter
 // loop) in lockstep with that file.
 MultipleNodeOutcome run_batched(const Netlist& nl, std::span<sim::BatchFrameSimulator> sims,
                                 sim::TieClosure& closure, const StemRecords& records,
-                                const MultipleNodeConfig& cfg,
-                                std::span<const Literal> targets, TieSet& ties,
+                                std::uint32_t max_frames, std::span<const Literal> targets,
+                                TieSet& ties,
                                 ImplicationDB& db, const LearnExecEnv& env,
                                 unsigned workers) {
     MultipleNodeOutcome out;
@@ -235,18 +235,14 @@ MultipleNodeOutcome run_batched(const Netlist& nl, std::span<sim::BatchFrameSimu
     std::uint64_t dispatch_version = 0;
     std::size_t next_progress = 0;
 
-    // The serial observation point of a target: cancel/budget and the
-    // max-targets cap, polled before every target in commit order. The poll
-    // runs before the once-per-target dedup so sticky stop conditions Stop a
-    // retried batch whose compute fast-aborted (see single_node.cpp).
+    // The serial observation point of a target: cancel/budget, polled
+    // before every target in commit order. The poll runs before the
+    // once-per-target dedup so sticky stop conditions Stop a retried batch
+    // whose compute fast-aborted (see single_node.cpp).
     auto observe_target = [&](std::size_t idx) -> bool {
         const exec::RunStatus st = exec::poll_point(env.cancel, env.budget);
         if (st != exec::RunStatus::Completed) {
             out.stop = st;
-            out.next_index = idx;
-            return false;
-        }
-        if (cfg.max_targets != 0 && out.targets_processed >= cfg.max_targets) {
             out.next_index = idx;
             return false;
         }
@@ -260,8 +256,7 @@ MultipleNodeOutcome run_batched(const Netlist& nl, std::span<sim::BatchFrameSimu
 
     // Re-derive targets [i, end) on the calling thread against the live tie
     // set, re-batching after every target that lands a tie. Returns false
-    // when stopped by cancel/budget (hitting the target cap just ends the
-    // work and stays a Completed outcome).
+    // when stopped by cancel/budget.
     auto recompute_rest = [&](std::size_t i, std::size_t end) -> bool {
         if (env.failpoint != nullptr) env.failpoint->poll(exec::FailSite::BatchRecompute);
         DirectCtx ctx{ties, closure, db, out};
@@ -269,11 +264,11 @@ MultipleNodeOutcome run_batched(const Netlist& nl, std::span<sim::BatchFrameSimu
         std::array<BatchPlanEntry, kMaxBatchTargets> entries;
         while (i < end) {
             const std::size_t count = std::min(bs, end - i);
-            simulate_target_batch(sims[0], targets, i, count, records, cfg, nl,
+            simulate_target_batch(sims[0], targets, i, count, records, max_frames, nl,
                                   [&](GateId g) { return ties.is_tied(g); }, w, entries);
             std::size_t done = count;
             for (std::size_t p = 0; p < count; ++p) {
-                if (!observe_target(i + p)) return out.stop == exec::RunStatus::Completed;
+                if (!observe_target(i + p)) return false;
                 const BatchPlanEntry& e = entries[p];
                 if (e.skipped) continue;
                 ++out.targets_processed;
@@ -310,7 +305,7 @@ MultipleNodeOutcome run_batched(const Netlist& nl, std::span<sim::BatchFrameSimu
         if (env.failpoint != nullptr) env.failpoint->poll(exec::FailSite::WorkItem);
         MultiBatchScratch& w = ws[worker];
         std::array<BatchPlanEntry, kMaxBatchTargets> entries;
-        simulate_target_batch(sims[worker], targets, base, count, records, cfg, nl,
+        simulate_target_batch(sims[worker], targets, base, count, records, max_frames, nl,
                               [&](GateId g) { return ties.is_tied(g); }, w, entries);
         for (std::size_t p = 0; p < count; ++p) {
             TargetDelta& delta = d.deltas[p];
@@ -361,10 +356,10 @@ MultipleNodeOutcome multiple_node_learning(const Netlist& nl,
                                            std::span<sim::BatchFrameSimulator> sims,
                                            sim::TieClosure& closure,
                                            const StemRecords& records,
-                                           const MultipleNodeConfig& cfg, TieSet& ties,
+                                           std::uint32_t max_frames, TieSet& ties,
                                            ImplicationDB& db, const LearnExecEnv& env,
                                            std::size_t first_target) {
-    const std::vector<Literal> all_targets = records.targets(cfg.min_records);
+    const std::vector<Literal> all_targets = records.targets(kMinTargetRecords);
     const std::size_t skip = std::min(first_target, all_targets.size());
     const std::span<const Literal> targets{all_targets.data() + skip,
                                            all_targets.size() - skip};
@@ -375,8 +370,8 @@ MultipleNodeOutcome multiple_node_learning(const Netlist& nl,
 
     // The pass reports next_index relative to `targets`; shift back to the
     // global order.
-    MultipleNodeOutcome out = run_batched(nl, sims, closure, records, cfg, targets, ties, db,
-                                          env, std::max(1u, workers));
+    MultipleNodeOutcome out = run_batched(nl, sims, closure, records, max_frames, targets,
+                                          ties, db, env, std::max(1u, workers));
     out.next_index += skip;
     return out;
 }

@@ -27,17 +27,9 @@
 
 namespace seqlearn::core {
 
-struct MultipleNodeConfig {
-    /// Only process targets with at least this many records (2 = the
-    /// paper's "two or more stems / occurrences" criterion).
-    std::size_t min_records = 2;
-    /// Upper bound on the target frame T (records with larger offsets are
-    /// dropped from the injection set).
-    std::uint32_t max_frames = 50;
-    /// Stop after this many targets (0 = unlimited); a safety valve for
-    /// enormous circuits.
-    std::size_t max_targets = 0;
-};
+/// Records a (node, value) key needs to become a target: the paper's "two
+/// or more stems / occurrences" criterion.
+inline constexpr std::size_t kMinTargetRecords = 2;
 
 struct MultipleNodeOutcome {
     std::size_t targets_processed = 0;
@@ -45,9 +37,8 @@ struct MultipleNodeOutcome {
     std::size_t ties_found = 0;
     /// Ties proven by an outright contradiction among the injections.
     std::size_t contradiction_ties = 0;
-    /// Why the pass stopped: Completed after the full target list (or at the
-    /// max_targets cap, which is a config bound rather than a budget),
-    /// otherwise the cancel/budget status observed at a target boundary.
+    /// Why the pass stopped: Completed after the full target list, otherwise
+    /// the cancel/budget status observed at a target boundary.
     exec::RunStatus stop = exec::RunStatus::Completed;
     /// Resume cursor: index into the deterministic target order (including
     /// any `first_target` offset) of the first target not processed.
@@ -56,16 +47,18 @@ struct MultipleNodeOutcome {
 
 /// Run multiple-node learning over every record key using the per-worker
 /// simulators `sims`, all running against `closure` (built from `ties`; at
-/// most sims.size() workers run, and `sims` must not be empty). New
-/// relations land in `db`, ties in `ties` and `closure` (visible to later
-/// targets through the simulators). `first_target` skips that many leading
-/// targets of the deterministic order — the resume entry point for a run
-/// whose predecessor stopped mid-pass (its outcome's next_index).
+/// most sims.size() workers run, and `sims` must not be empty). Records
+/// whose offset reaches `max_frames` are left out of a target's injections,
+/// so its frame T stays below the simulation depth. New relations land in
+/// `db`, ties in `ties` and `closure` (visible to later targets through the
+/// simulators). `first_target` skips that many leading targets of the
+/// deterministic order — the resume entry point for a run whose predecessor
+/// stopped mid-pass (its outcome's next_index).
 MultipleNodeOutcome multiple_node_learning(const netlist::Netlist& nl,
                                            std::span<sim::BatchFrameSimulator> sims,
                                            sim::TieClosure& closure,
                                            const StemRecords& records,
-                                           const MultipleNodeConfig& cfg, TieSet& ties,
+                                           std::uint32_t max_frames, TieSet& ties,
                                            ImplicationDB& db, const LearnExecEnv& env = {},
                                            std::size_t first_target = 0);
 

@@ -14,6 +14,10 @@ using netlist::Netlist;
 
 namespace {
 
+/// Stem records kept per (node, value) key; dropping the rest is sound (see
+/// StemRecords).
+constexpr std::size_t kRecordCap = 64;
+
 // Derived statistics shared by every exit path (clean, stopped, failed):
 // they are pure functions of the accumulated db/ties, so they stay correct
 // on any prefix.
@@ -75,7 +79,7 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
 
     try {
         if (cfg.use_equivalences) {
-            result.equivalences = find_equivalences(nl, cfg.equiv, ex.pool, ex.workers);
+            result.equivalences = find_equivalences(nl, ex.pool, ex.workers);
             result.stats.equiv_classes = result.equivalences.num_classes;
         }
 
@@ -84,10 +88,7 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
 
         // One learning pass per clock class; a single-domain circuit gets one
         // pass with everything open.
-        std::vector<netlist::ClockClass> classes;
-        if (cfg.respect_clock_classes) {
-            classes = netlist::clock_classes(nl);
-        }
+        std::vector<netlist::ClockClass> classes = netlist::clock_classes(nl);
         if (classes.empty()) {
             netlist::ClockClass all;
             all.members.assign(nl.seq_elements().begin(), nl.seq_elements().end());
@@ -129,7 +130,7 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
             // already-processed schedule prefix; the carried ties/db make the
             // remaining stems see exactly the state the interrupted run left.
             const bool resuming_here = ckpt != nullptr && ci == start_class;
-            StemRecords records(cfg.record_cap);
+            StemRecords records(kRecordCap);
             if (resuming_here) records = ckpt->records;
             const bool skip_single = resuming_here && start_in_multi;
             const std::size_t first_stem = (resuming_here && !start_in_multi) ? start_unit : 0;
@@ -151,11 +152,9 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
             stems_done_base += stems.size();
 
             if (cfg.multiple_node) {
-                MultipleNodeConfig mcfg = cfg.multi;
-                mcfg.max_frames = cfg.max_frames;
                 const std::size_t first_target = skip_single ? start_unit : 0;
                 const MultipleNodeOutcome multi = multiple_node_learning(
-                    nl, sims, closure, records, mcfg, result.ties, result.db, env,
+                    nl, sims, closure, records, cfg.max_frames, result.ties, result.db, env,
                     first_target);
                 result.stats.multi_targets += multi.targets_processed;
                 result.stats.multi_relations += multi.relations_added;
@@ -213,19 +212,22 @@ std::uint64_t learn_config_digest(const LearnConfig& cfg) {
         h ^= v;
         h *= 1099511628211ULL;
     };
+    // Fixed values stand where earlier releases mixed settings callers could
+    // change, in their old order, so checkpoints those releases wrote still
+    // resume.
     mix(cfg.max_frames);
-    mix(cfg.stop_on_state_repeat ? 1 : 0);
+    mix(1);  // stop a stem's run on a repeated state
     mix(cfg.multiple_node ? 1 : 0);
     mix(cfg.use_equivalences ? 1 : 0);
-    mix(cfg.respect_clock_classes ? 1 : 0);
+    mix(1);  // one pass per clock class
     mix(cfg.sat_frames);
-    mix(cfg.record_cap);
-    mix(cfg.multi.min_records);
-    mix(cfg.multi.max_targets);
-    mix(cfg.equiv.sig_rounds);
-    mix(cfg.equiv.support_cap);
-    mix(cfg.equiv.max_bucket);
-    mix(cfg.equiv.seed);
+    mix(kRecordCap);
+    mix(kMinTargetRecords);
+    mix(0);  // no cap on multiple-node targets
+    mix(kSignatureRounds);
+    mix(kSupportCap);
+    mix(kMaxBucket);
+    mix(kSignatureSeed);
     return h;
 }
 

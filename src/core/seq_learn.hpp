@@ -49,7 +49,7 @@ struct LearnConfig {
     /// Optional cooperative stop switch, polled at work-item boundaries from
     /// the calling thread; request() is safe from any thread.
     exec::CancelFlag* cancel = nullptr;
-    /// Run budget (wall-clock deadline / item limit / memory cap), polled at
+    /// Run budget (wall-clock deadline / item limit), polled at
     /// the same work-item boundaries as `cancel`. An exceeded budget stops
     /// the pass at a stem/target boundary; the partial result is an exact
     /// prefix of the serial schedule and carries a resume cursor.
@@ -58,18 +58,13 @@ struct LearnConfig {
     /// production). Polled inside work items, speculation commits, and batch
     /// recomputes.
     exec::FailurePoint* failpoint = nullptr;
-    /// Forward-simulation depth (the paper's experiments use 50).
+    /// Forward-simulation depth of both passes (the paper's experiments use
+    /// 50).
     std::uint32_t max_frames = 50;
-    /// Stop a stem simulation when the sequential state repeats.
-    bool stop_on_state_repeat = true;
     /// Run the multiple-node pass.
     bool multiple_node = true;
     /// Identify and exploit combinational gate equivalences.
     bool use_equivalences = true;
-    /// Partition sequential elements into clock classes and learn per class
-    /// (required for multi-domain circuits; a no-op cost-wise for single-
-    /// domain ones).
-    bool respect_clock_classes = true;
     /// SAT learn mode: after the frame-simulation passes, mine ties and
     /// implications beyond the simulated window with failed-literal probes
     /// over a K-frame CNF unrolling (K = sat_frames; 0 = off). Facts land
@@ -77,12 +72,6 @@ struct LearnConfig {
     /// something new. Result-affecting (part of the config digest); a run
     /// stopped inside this phase keeps its facts but is not resumable.
     std::uint32_t sat_frames = 0;
-    /// Per-(node,value) cap on stored stem records (0 = unlimited).
-    std::size_t record_cap = 64;
-    /// Multiple-node pass tuning.
-    MultipleNodeConfig multi;
-    /// Equivalence-finder tuning.
-    EquivOptions equiv;
     /// Per-stem progress observer for the single-node pass (stem
     /// granularity; cancellation supported). Null = no observation.
     ProgressFn on_stem;
@@ -173,7 +162,7 @@ struct LearnCheckpoint {
 };
 
 /// Digest of the LearnConfig fields that affect learning *results* (depth,
-/// passes, caps, equivalence tuning). Execution-only fields — threads,
+/// passes, SAT frames). Execution-only fields — threads,
 /// executor, budget, callbacks — are excluded: results are bit-identical
 /// across them, so a checkpoint taken under one is resumable under another.
 std::uint64_t learn_config_digest(const LearnConfig& cfg);

@@ -1,31 +1,8 @@
 #include "exec/budget.hpp"
 
-#include <cstdio>
-
 namespace seqlearn::exec {
-namespace {
 
-// Current process resident set size in bytes, or 0 when unavailable
-// (non-Linux or /proc unreadable) — a budget must never fail a run by
-// itself, so "unknown" reads as "within cap".
-std::size_t current_rss_bytes() noexcept {
-#if defined(__linux__)
-    std::FILE* f = std::fopen("/proc/self/statm", "r");
-    if (!f) return 0;
-    unsigned long long total = 0, resident = 0;
-    const int got = std::fscanf(f, "%llu %llu", &total, &resident);
-    std::fclose(f);
-    if (got != 2) return 0;
-    return static_cast<std::size_t>(resident) * 4096u;
-#else
-    return 0;
-#endif
-}
-
-}  // namespace
-
-Budget::Budget(const BudgetSpec& spec) noexcept
-    : max_items_(spec.max_items), max_memory_bytes_(spec.max_memory_bytes) {
+Budget::Budget(const BudgetSpec& spec) noexcept : max_items_(spec.max_items) {
     if (spec.deadline.count() > 0) {
         has_deadline_ = true;
         deadline_at_ = std::chrono::steady_clock::now() + spec.deadline;
@@ -41,8 +18,6 @@ RunStatus Budget::check() noexcept {
         hit = RunStatus::LimitReached;
     } else if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_at_) {
         hit = RunStatus::DeadlineExceeded;
-    } else if (max_memory_bytes_ && over_memory_cap()) {
-        hit = RunStatus::LimitReached;
     }
     if (hit != RunStatus::Completed) {
         // First trip wins; concurrent pollers may race but can only publish
@@ -55,21 +30,10 @@ RunStatus Budget::check() noexcept {
     return RunStatus::Completed;
 }
 
-bool Budget::over_memory_cap() noexcept {
-    // Reading /proc is ~microseconds, far above the rest of the poll, so
-    // only sample every 32nd check.
-    if (memory_stride_++ % 32 != 0) return false;
-    const std::size_t rss = current_rss_bytes();
-    return rss != 0 && rss > max_memory_bytes_;
-}
-
 const char* Budget::detail() const noexcept {
     switch (tripped_.load(std::memory_order_acquire)) {
         case RunStatus::DeadlineExceeded: return "wall-clock deadline";
-        case RunStatus::LimitReached:
-            return (max_items_ && items_.load(std::memory_order_relaxed) >= max_items_)
-                       ? "item limit"
-                       : "memory cap";
+        case RunStatus::LimitReached: return "item limit";
         default: return nullptr;
     }
 }

@@ -1,5 +1,5 @@
 #pragma once
-// Run budgets: wall-clock deadline, work-item limit, optional memory cap.
+// Run budgets: wall-clock deadline and work-item limit.
 //
 // A BudgetSpec travels inside stage configs; a Budget is materialised when a
 // run starts (so the deadline clock begins at run entry, not config build)
@@ -29,12 +29,8 @@ struct BudgetSpec {
     std::chrono::milliseconds deadline{0};
     /// Maximum number of work items (stems / targets / faults). 0 = unlimited.
     std::size_t max_items = 0;
-    /// Process RSS cap in bytes, polled at a stride. 0 = unlimited.
-    std::size_t max_memory_bytes = 0;
 
-    bool any() const noexcept {
-        return deadline.count() > 0 || max_items > 0 || max_memory_bytes > 0;
-    }
+    bool any() const noexcept { return deadline.count() > 0 || max_items > 0; }
 };
 
 /// Live budget for one run. Constructed at run entry; not copyable (shared
@@ -55,28 +51,24 @@ public:
     /// return every later call returns the same status.
     RunStatus check() noexcept;
 
-    /// Sticky cross-thread view of the deadline/memory trip, safe to read
-    /// from worker threads without touching the clock (acquire).
+    /// Sticky cross-thread view of a tripped limit, safe to read from
+    /// worker threads without touching the clock (acquire).
     bool deadline_exceeded() const noexcept {
         return tripped_.load(std::memory_order_acquire) != RunStatus::Completed;
     }
 
-    /// Which limit tripped ("wall-clock deadline", "item limit", "memory
-    /// cap") or nullptr while within budget. For RunOutcome diagnostics.
+    /// Which limit tripped ("wall-clock deadline" or "item limit") or
+    /// nullptr while within budget. For RunOutcome diagnostics.
     const char* detail() const noexcept;
 
     std::size_t items() const noexcept { return items_.load(std::memory_order_relaxed); }
 
 private:
-    bool over_memory_cap() noexcept;
-
     std::chrono::steady_clock::time_point deadline_at_{};
     std::size_t max_items_ = 0;
-    std::size_t max_memory_bytes_ = 0;
     bool has_deadline_ = false;
     std::atomic<RunStatus> tripped_{RunStatus::Completed};
     std::atomic<std::size_t> items_{0};
-    unsigned memory_stride_ = 0;
 };
 
 /// Combined cancellation + budget poll used at every work-item boundary.

@@ -285,11 +285,6 @@ BenchReadResult read_bench_diag(std::istream& in, std::string circuit_name) {
     return res;
 }
 
-BenchReadResult read_bench_string_diag(std::string_view text, std::string circuit_name) {
-    std::istringstream in{std::string(text)};
-    return read_bench_diag(in, std::move(circuit_name));
-}
-
 Netlist read_bench(std::istream& in, std::string circuit_name) {
     BenchReadResult res = read_bench_diag(in, std::move(circuit_name));
     if (!res.netlist) {

@@ -54,10 +54,6 @@ struct BenchReadResult {
 /// Parse a .bench description in one streaming pass, collecting diagnostics.
 BenchReadResult read_bench_diag(std::istream& in, std::string circuit_name = "circuit");
 
-/// Parse a .bench description held in a string, collecting diagnostics.
-BenchReadResult read_bench_string_diag(std::string_view text,
-                                       std::string circuit_name = "circuit");
-
 /// Parse a .bench description. Throws std::runtime_error with a line number
 /// on the first error (warnings are ignored). Legacy wrapper over
 /// read_bench_diag().

@@ -39,9 +39,6 @@ public:
     bool is_string() const noexcept { return type_ == Type::String; }
     bool is_number() const noexcept { return type_ == Type::Number; }
 
-    bool as_bool(bool fallback = false) const noexcept {
-        return type_ == Type::Bool ? bool_ : fallback;
-    }
     double as_number(double fallback = 0.0) const noexcept {
         return type_ == Type::Number ? num_ : fallback;
     }

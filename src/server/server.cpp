@@ -1,5 +1,7 @@
 #include "server/server.hpp"
 
+#include "server/json.hpp"
+
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -11,6 +13,20 @@
 #include <cstring>
 
 namespace seqlearn::server {
+
+namespace {
+
+/// A transport-level error line: it answers no parsed command, so unlike a
+/// service error it carries no "cmd" member.
+std::string transport_error(ProtoCode code, std::string_view cls, std::string_view message) {
+    JsonWriter w;
+    w.begin_object().field("ok", false).field("code", static_cast<int>(code));
+    w.key("error").begin_object();
+    w.field("code", static_cast<int>(code)).field("class", cls).field("message", message);
+    return w.end_object().end_object().take();
+}
+
+}  // namespace
 
 /// Write the full line + '\n'. MSG_NOSIGNAL: a client that hung up must
 /// surface as a failed send, not a SIGPIPE. EINTR retries; partial sends
@@ -119,10 +135,8 @@ void Server::accept_loop() {
         // counts exactly the live connections (deregistered at close).
         if (cfg_.max_conns > 0 && conn_fds_.size() >= cfg_.max_conns) {
             counters_.rejected_overloaded.fetch_add(1, std::memory_order_relaxed);
-            send_line(fd,
-                      "{\"ok\": false, \"code\": 7, \"error\": "
-                      "{\"code\": 7, \"class\": \"overloaded\", \"message\": "
-                      "\"connection limit reached; retry later\"}}");
+            send_line(fd, transport_error(ProtoCode::Overloaded, "overloaded",
+                                          "connection limit reached; retry later"));
             ::close(fd);
             continue;
         }
@@ -175,11 +189,10 @@ void Server::serve_connection(int fd) {
                     frame.clear();
                     frame.shrink_to_fit();
                     discarding = true;
-                    if (!send_line(fd,
-                                   "{\"ok\": false, \"code\": 3, \"error\": "
-                                   "{\"code\": 3, \"class\": \"frame\", \"message\": "
-                                   "\"frame exceeds max_frame_bytes; rest of line "
-                                   "discarded\"}}")) {
+                    if (!send_line(fd, transport_error(
+                                           ProtoCode::Parse, "frame",
+                                           "frame exceeds max_frame_bytes; rest of line "
+                                           "discarded"))) {
                         client_gone = true;
                         break;
                     }

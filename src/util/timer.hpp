@@ -18,9 +18,6 @@ public:
         return std::chrono::duration<double>(Clock::now() - start_).count();
     }
 
-    /// Milliseconds elapsed since construction or the last reset().
-    double millis() const noexcept { return seconds() * 1e3; }
-
 private:
     using Clock = std::chrono::steady_clock;
     Clock::time_point start_;

@@ -138,7 +138,7 @@ FiresResult fires_untestable(const Netlist& nl, std::span<const fault::Fault> un
     // published algorithm is unsound without per-fault reconvergence
     // analysis — a "blocking" side input inside the fault's cone can itself
     // carry the effect — so this implementation deliberately omits it and
-    // reports conservatively fewer untestable faults (see EXPERIMENTS.md).
+    // reports conservatively fewer untestable faults.
     auto undetectable_under = [&](const std::vector<Val3>& val,
                                   std::vector<bool>& mask) {
         for (std::size_t i = 0; i < universe.size(); ++i) {

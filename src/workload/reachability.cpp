@@ -46,10 +46,4 @@ std::vector<bool> image_set(const Netlist& nl, std::size_t depth, std::size_t ma
     return current;
 }
 
-std::uint64_t count_states(const std::vector<bool>& set) {
-    std::uint64_t n = 0;
-    for (const bool b : set) n += b;
-    return n;
-}
-
 }  // namespace seqlearn::workload

@@ -19,7 +19,4 @@ namespace seqlearn::workload {
 std::vector<bool> image_set(const netlist::Netlist& nl, std::size_t depth,
                             std::size_t max_ffs = 20);
 
-/// Number of states in image_set(nl, depth).
-std::uint64_t count_states(const std::vector<bool>& set);
-
 }  // namespace seqlearn::workload

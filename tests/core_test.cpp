@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace seqlearn::core {
 namespace {
 
@@ -179,27 +181,37 @@ TEST(Equivalence, RefutesNearMisses) {
     EXPECT_TRUE(eq.rep[g1] == netlist::kNoGate || eq.rep[g1] != eq.rep[g2]);
 }
 
+// The exhaustive proof takes on a union support of at most kSupportCap
+// sources. Each pair below is one function with its fanins reversed, so
+// both members are equivalent and share a signature: the pairs over 6 and
+// kSupportCap inputs are proven, the pair one input past the cap is dropped.
 TEST(Equivalence, SupportCapDropsLargeCandidates) {
     NetlistBuilder b("big");
     std::vector<std::string> ins;
-    for (int i = 0; i < 6; ++i) {
-        b.input("i" + std::to_string(i));
+    for (std::size_t i = 0; i <= kSupportCap; ++i) {
         ins.push_back("i" + std::to_string(i));
+        b.input(ins.back());
     }
-    b.gate(GateType::And, "w1", {ins[0], ins[1], ins[2], ins[3], ins[4], ins[5]});
-    b.gate(GateType::And, "w2", {ins[5], ins[4], ins[3], ins[2], ins[1], ins[0]});
-    b.output("w1").output("w2");
+    const auto add_pair = [&b](GateType type, const std::string& name,
+                               std::vector<std::string> fanins) {
+        b.gate(type, name + "_a", fanins);
+        std::reverse(fanins.begin(), fanins.end());
+        b.gate(type, name + "_b", fanins);
+        b.output(name + "_a").output(name + "_b");
+    };
+    add_pair(GateType::And, "six", {ins.begin(), ins.begin() + 6});
+    add_pair(GateType::Xor, "at_cap", {ins.begin(), ins.end() - 1});
+    add_pair(GateType::Xor, "past_cap", ins);
     const Netlist nl = b.build();
-    EquivOptions opt;
-    opt.support_cap = 3;  // force the drop
-    const EquivResult eq = find_equivalences(nl, opt);
-    EXPECT_GE(eq.dropped, 1u);
-    EXPECT_TRUE(eq.rep[nl.find("w1")] == netlist::kNoGate ||
-                eq.rep[nl.find("w1")] != eq.rep[nl.find("w2")]);
-    EquivOptions wide;
-    wide.support_cap = 8;
-    const EquivResult eq2 = find_equivalences(nl, wide);
-    EXPECT_EQ(eq2.rep[nl.find("w1")], eq2.rep[nl.find("w2")]);
+    const EquivResult eq = find_equivalences(nl);
+    const auto rep = [&](const std::string& name) { return eq.rep[nl.find(name)]; };
+    EXPECT_NE(rep("six_a"), netlist::kNoGate);
+    EXPECT_EQ(rep("six_a"), rep("six_b"));
+    EXPECT_NE(rep("at_cap_a"), netlist::kNoGate);
+    EXPECT_EQ(rep("at_cap_a"), rep("at_cap_b"));
+    EXPECT_EQ(rep("past_cap_a"), netlist::kNoGate);
+    EXPECT_EQ(rep("past_cap_b"), netlist::kNoGate);
+    EXPECT_EQ(eq.dropped, 1u);
 }
 
 // --- Learning: hand-built scenarios -----------------------------------------

@@ -1,9 +1,8 @@
-// Unit and property tests for the logic algebras: 3-valued Kleene operators,
-// the good/faulty pair algebra (DVal), and 64-lane parallel patterns.
+// Unit and property tests for the logic algebras: 3-valued Kleene operators
+// and 64-lane parallel patterns.
 
 #include "logic/pattern.hpp"
 #include "logic/val3.hpp"
-#include "logic/val5.hpp"
 
 #include <gtest/gtest.h>
 
@@ -133,69 +132,6 @@ TEST(Val3, OutputInversionParity) {
 TEST(Val3, CharConversionRoundTrip) {
     for (const Val3 v : kAll) EXPECT_EQ(val3_from_char(to_char(v)), v);
     EXPECT_THROW(val3_from_char('z'), std::invalid_argument);
-}
-
-// --- DVal ---------------------------------------------------------------
-
-TEST(DVal, ConstantsAndPredicates) {
-    EXPECT_TRUE(is_fault_effect(kD));
-    EXPECT_TRUE(is_fault_effect(kDBar));
-    EXPECT_FALSE(is_fault_effect(kDOne));
-    EXPECT_TRUE(is_binary_equal(kDZero));
-    EXPECT_FALSE(is_binary_equal(kD));
-    EXPECT_FALSE(fully_known(DVal{Val3::One, Val3::X}));
-}
-
-TEST(DVal, NotSwapsWithinPlanes) {
-    EXPECT_EQ(dval_not(kD), kDBar);
-    EXPECT_EQ(dval_not(kDBar), kD);
-    EXPECT_EQ(dval_not(kDZero), kDOne);
-    EXPECT_EQ(dval_not(kDX), kDX);
-}
-
-TEST(DVal, ClassicDCalculus) {
-    // D AND 1 = D; D AND 0 = 0; D AND D' = 0; D OR D' = 1.
-    const std::array<DVal, 2> d_and_1{kD, kDOne};
-    EXPECT_EQ(eval_op(GateOp::And, d_and_1), kD);
-    const std::array<DVal, 2> d_and_0{kD, kDZero};
-    EXPECT_EQ(eval_op(GateOp::And, d_and_0), kDZero);
-    const std::array<DVal, 2> d_and_dbar{kD, kDBar};
-    EXPECT_EQ(eval_op(GateOp::And, d_and_dbar), kDZero);
-    const std::array<DVal, 2> d_or_dbar{kD, kDBar};
-    EXPECT_EQ(eval_op(GateOp::Or, d_or_dbar), kDOne);
-    const std::array<DVal, 2> d_xor_d{kD, kD};
-    EXPECT_EQ(eval_op(GateOp::Xor, d_xor_d), kDZero);
-    const std::array<DVal, 2> d_xor_dbar{kD, kDBar};
-    EXPECT_EQ(eval_op(GateOp::Xor, d_xor_dbar), kDOne);
-}
-
-// The pair algebra must agree with two independent scalar evaluations.
-TEST(DVal, PlanewiseAgreesWithScalarEval) {
-    std::array<DVal, 2> ins{};
-    for (const GateOp op : kAllOps) {
-        for (const Val3 g0 : kAll) {
-            for (const Val3 f0 : kAll) {
-                for (const Val3 g1 : kAll) {
-                    for (const Val3 f1 : kAll) {
-                        ins[0] = DVal{g0, f0};
-                        ins[1] = DVal{g1, f1};
-                        const DVal out = eval_op(op, ins);
-                        const std::array<Val3, 2> goods{g0, g1};
-                        const std::array<Val3, 2> faults{f0, f1};
-                        EXPECT_EQ(out.good, eval_op(op, goods));
-                        EXPECT_EQ(out.faulty, eval_op(op, faults));
-                    }
-                }
-            }
-        }
-    }
-}
-
-TEST(DVal, ToString) {
-    EXPECT_EQ(to_string(kD), "D");
-    EXPECT_EQ(to_string(kDBar), "D'");
-    EXPECT_EQ(to_string(kDX), "X");
-    EXPECT_EQ(to_string(DVal{Val3::One, Val3::X}), "1/X");
 }
 
 // --- Pattern -------------------------------------------------------------

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <new>
 #include <sstream>
 #include <thread>
@@ -402,6 +403,48 @@ TEST(Checkpoint, MismatchesAreRejected) {
     const netlist::Netlist other = testing::random_circuit(99, 6, 5, 30);
     EXPECT_THROW(resume_learn(other, netlist::Topology(other), base, ckpt),
                  std::invalid_argument);
+}
+
+// A checkpoint carries the digest of the config it was taken under, and
+// resume_learn refuses any other. These are the digests earlier releases
+// wrote; while they hold, checkpoints saved by those releases resume.
+TEST(Checkpoint, ConfigDigestsArePinned) {
+    EXPECT_EQ(learn_config_digest(LearnConfig{}), 17265463245651607604ULL);
+    LearnConfig shallow;
+    shallow.max_frames = 10;
+    EXPECT_EQ(learn_config_digest(shallow), 13084746606763090444ULL);
+    LearnConfig sat;
+    sat.sat_frames = 4;
+    EXPECT_EQ(learn_config_digest(sat), 1380615955990186896ULL);
+    LearnConfig single_only;
+    single_only.multiple_node = false;
+    single_only.use_equivalences = false;
+    EXPECT_EQ(learn_config_digest(single_only), 17384453524157883362ULL);
+
+    // Execution-only fields stay out of the digest.
+    LearnConfig governed = exec_cfg(4);
+    governed.budget.max_items = 3;
+    governed.budget.deadline = std::chrono::milliseconds(50);
+    EXPECT_EQ(learn_config_digest(governed), learn_config_digest(LearnConfig{}));
+}
+
+// Checkpoint files written by an earlier release (`learn suite:fig1x
+// --limit-stems N --checkpoint FILE`, stopped in the single-node pass at
+// N = 5 and in the multiple-node pass at N = 15) resume to the one-shot
+// result.
+TEST(Checkpoint, FilesFromAnEarlierReleaseResumeToOneShot) {
+    const netlist::Netlist nl = workload::suite_circuit("fig1x");
+    const netlist::Topology topo(nl);
+    const LearnResult golden = core::learn(nl, topo, LearnConfig{});
+    EXPECT_EQ(relation_hash(golden.db), 0xf30ec533a9f133b5ULL);
+    for (const char* name : {"checkpoint_fig1x_single.txt", "checkpoint_fig1x_multi.txt"}) {
+        std::ifstream in(std::string(SEQLEARN_TEST_DATA_DIR) + "/" + name);
+        ASSERT_TRUE(in) << name;
+        const LearnCheckpoint ckpt = load_checkpoint(in, nl);
+        const LearnResult resumed = resume_learn(nl, topo, LearnConfig{}, ckpt);
+        EXPECT_TRUE(resumed.outcome.ok()) << name;
+        expect_same_result(resumed, golden, name);
+    }
 }
 
 TEST(Checkpoint, SessionResumeApiRoundTrips) {

@@ -404,6 +404,9 @@ TEST(ServerRobustness, MalformedFramesGetStructuredErrors) {
     c.send_raw(big);
     const std::string line = c.read_line();
     ASSERT_FALSE(line.empty());
+    EXPECT_EQ(line,
+              "{\"ok\": false, \"code\": 3, \"error\": {\"code\": 3, \"class\": \"frame\", "
+              "\"message\": \"frame exceeds max_frame_bytes; rest of line discarded\"}}");
     auto over = JsonValue::parse(line, nullptr);
     ASSERT_TRUE(over.has_value());
     EXPECT_EQ(over->get_number("code"), 3);
@@ -1052,6 +1055,9 @@ TEST(ServerHardening, ConnectionCapAnswersOverloadedAndCloses) {
     RawSocket c(srv.port());
     const std::string line = c.recv_some(2000);
     ASSERT_FALSE(line.empty()) << "capped connection must get a response, not a RST";
+    EXPECT_EQ(line.substr(0, line.find('\n')),
+              "{\"ok\": false, \"code\": 7, \"error\": {\"code\": 7, \"class\": "
+              "\"overloaded\", \"message\": \"connection limit reached; retry later\"}}");
     std::string perr;
     const auto doc = JsonValue::parse(
         line.substr(0, line.find('\n')), &perr);
