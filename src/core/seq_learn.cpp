@@ -135,37 +135,33 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
             const bool skip_single = resuming_here && start_in_multi;
             const std::size_t first_stem = (resuming_here && !start_in_multi) ? start_unit : 0;
 
+            // A stopped pass leaves the resume cursor at its first
+            // unprocessed unit.
+            auto stop_at = [&](const PassOutcome& pass, bool in_multi) {
+                if (pass.stop == exec::RunStatus::Completed) return false;
+                result.outcome = outcome_from(pass.stop, budget_ptr);
+                result.cursor = {true, ci, in_multi, pass.next_index, digest};
+                result.records = std::move(records);
+                return true;
+            };
             if (!skip_single) {
-                const SingleNodeOutcome single = single_node_learning(
-                    nl, sims, closure, std::span<const GateId>(stems).subspan(first_stem),
-                    cfg.max_frames, result.ties, result.db, records,
-                    progress ? &progress : nullptr, env);
-                result.stats.stems_processed += single.stems_processed;
-                if (single.stop != exec::RunStatus::Completed) {
-                    result.outcome = outcome_from(single.stop, budget_ptr);
-                    result.cursor = {true, ci, false, first_stem + single.next_index, digest};
-                    result.records = std::move(records);
-                    stopped = true;
-                    break;
-                }
+                const PassOutcome single = single_node_learning(
+                    nl, sims, closure, stems, cfg.max_frames, result.ties, result.db, records,
+                    progress ? &progress : nullptr, env, first_stem);
+                result.stats.stems_processed += single.processed;
+                stopped = stop_at(single, false);
             }
             stems_done_base += stems.size();
 
-            if (cfg.multiple_node) {
+            if (!stopped && cfg.multiple_node) {
                 const std::size_t first_target = skip_single ? start_unit : 0;
-                const MultipleNodeOutcome multi = multiple_node_learning(
+                const PassOutcome multi = multiple_node_learning(
                     nl, sims, closure, records, cfg.max_frames, result.ties, result.db, env,
                     first_target);
-                result.stats.multi_targets += multi.targets_processed;
+                result.stats.multi_targets += multi.processed;
                 result.stats.multi_relations += multi.relations_added;
                 result.stats.multi_ties += multi.ties_found;
-                if (multi.stop != exec::RunStatus::Completed) {
-                    result.outcome = outcome_from(multi.stop, budget_ptr);
-                    result.cursor = {true, ci, true, multi.next_index, digest};
-                    result.records = std::move(records);
-                    stopped = true;
-                    break;
-                }
+                stopped = stop_at(multi, true);
             }
         }
 

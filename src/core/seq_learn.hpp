@@ -73,7 +73,8 @@ struct LearnConfig {
     /// stopped inside this phase keeps its facts but is not resumable.
     std::uint32_t sat_frames = 0;
     /// Per-stem progress observer for the single-node pass (stem
-    /// granularity; cancellation supported). Null = no observation.
+    /// granularity; a resumed run counts on from its cursor; cancellation
+    /// supported). Null = no observation.
     ProgressFn on_stem;
 };
 

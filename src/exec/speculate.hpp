@@ -3,14 +3,12 @@
 //
 // The learning passes have a serial semantics: item k's computation may read
 // state (the tie set) mutated by items < k, and bit-identical parallel runs
-// must reproduce exactly the serial schedule. Speculation pays off where
-// mutations are rare, so that most items compute the same answer whether or
-// not their predecessors committed first.
+// must reproduce exactly the serial schedule.
 //
-// speculate_ordered exploits that: it dispatches a window of items to the
-// pool, computing each against the current shared state (frozen during the
-// window — commits happen only between dispatches, on the calling thread),
-// then commits results strictly in item order. A commit that finds the
+// speculate_ordered dispatches a window of items to the pool, computing
+// each against the current shared state (frozen during the window —
+// commits happen only between dispatches, on the calling thread), then
+// commits results strictly in item order. A commit that finds the
 // shared state changed since the window was dispatched returns Retry: the
 // window is abandoned from that item on and re-dispatched against the fresh
 // state. Every dispatch commits at least its first item (nothing mutates
@@ -49,8 +47,7 @@ struct SpeculateOptions {
     std::size_t max_window = 0;
 };
 
-/// Resolved maximum window for slot sizing. Keep in sync with the defaults
-/// applied inside speculate_ordered.
+/// Resolved maximum window for slot sizing.
 inline std::size_t resolved_max_window(const SpeculateOptions& opt, unsigned workers) {
     return opt.max_window != 0 ? opt.max_window
                                : static_cast<std::size_t>(workers) * 4;
@@ -120,49 +117,6 @@ void speculate_ordered(Pool* pool, std::size_t n, const SpeculateOptions& opt,
             if (!changed) window = std::min(max_window, window * 2);
         }
     }
-}
-
-/// Ordered speculation over fixed-size *batches* of serially-dependent
-/// units (the 64-lane learning passes: one batch of stems/targets = one
-/// speculation item = one bit-parallel simulation). The batch commit walks
-/// its units in order with one shared skeleton:
-///  - observe(unit) is the serial observation point (cancel/progress/cap
-///    polling); returning false stops the whole pass;
-///  - stale(pos, slot) reports that the shared state moved under the
-///    speculation (version mismatch, or the worker stopped computing at a
-///    mutation). A stale unit at position 0 retries the window — nothing of
-///    the batch was applied; a later one hands the batch remainder to
-///    recompute(unit, end), which re-derives it against the fresh state on
-///    the calling thread (returning false = cancelled);
-///  - apply(unit, slot, pos) commits one computed unit.
-/// A batch whose commit moved the shared state (a recompute, or an applied
-/// unit that mutated it) reports Commit::Changed, so the window does not
-/// grow on it.
-/// Keeping this loop in one place is what guarantees the single-node and
-/// multiple-node passes share one staleness rule.
-template <typename PrepareFn, typename ComputeFn, typename ObserveFn, typename StaleFn,
-          typename ApplyFn, typename RecomputeFn>
-void speculate_batches(Pool* pool, std::size_t n_units, std::size_t batch,
-                       const SpeculateOptions& sopt, PrepareFn&& prepare,
-                       ComputeFn&& compute, ObserveFn&& observe, StaleFn&& stale,
-                       ApplyFn&& apply, RecomputeFn&& recompute, unsigned workers) {
-    const std::size_t n_items = (n_units + batch - 1) / batch;
-    auto commit = [&](std::size_t item, std::size_t slot) -> Commit {
-        const std::size_t base = item * batch;
-        const std::size_t count = std::min(batch, n_units - base);
-        for (std::size_t p = 0; p < count; ++p) {
-            if (!observe(base + p)) return Commit::Stop;
-            if (stale(p, slot)) {
-                if (p == 0) return Commit::Retry;
-                return recompute(base + p, base + count) ? Commit::Changed : Commit::Stop;
-            }
-            apply(base + p, slot, p);
-        }
-        // Every unit was computed and applied, so staleness at position 0 now
-        // can only mean the applied units moved the shared state.
-        return stale(0, slot) ? Commit::Changed : Commit::Done;
-    };
-    speculate_ordered(pool, n_items, sopt, prepare, compute, commit, workers);
 }
 
 }  // namespace seqlearn::exec

@@ -293,11 +293,11 @@ TEST(Learning, NextStemTiesWhatATieClosureImplies) {
         for (unsigned w = 0; w < threads; ++w) sims.emplace_back(closure);
         ImplicationDB db(nl.size());
         StemRecords records(64);
-        const SingleNodeOutcome out =
+        const PassOutcome out =
             single_node_learning(nl, sims, closure, stems, 50, ties, db, records, nullptr,
                                  LearnExecEnv{threads > 1 ? &pool : nullptr});
-        EXPECT_EQ(out.stems_processed, 2u);
-        EXPECT_EQ(out.stem_ties, 1u);
+        EXPECT_EQ(out.processed, 2u);
+        EXPECT_EQ(out.outright_ties, 1u);
         EXPECT_EQ(ties.value(nl.find("P")), Val3::Zero);
         EXPECT_EQ(ties.cycle(nl.find("P")), 0u);
         EXPECT_EQ(ties.value(nl.find("U")), Val3::One);

@@ -104,6 +104,42 @@ TEST(Governance, TieHeavyLearnMatchesGoldenAcrossThreadCounts) {
     }
 }
 
+// Item limits that stop inside the multiple-node pass (gen5378: 1806 stems,
+// then 2113 targets): the stop lands on the same target with the same
+// partial result at every thread count, and the resume reaches the
+// tie-heavy golden above.
+TEST(Governance, ItemLimitInsideMultipleNodePassStopsAlikeAtEveryThreadCount) {
+    const netlist::Netlist nl = workload::suite_circuit("gen5378");
+    const netlist::Topology topo(nl);
+    struct Stop {
+        std::size_t limit, unit, targets, ties, relations;
+    };
+    for (const Stop& want : {Stop{2506, 700, 559, 7, 5334}, Stop{3306, 1500, 1149, 24, 5338}}) {
+        for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+            const std::string ctx =
+                "limit=" + std::to_string(want.limit) + " threads=" + std::to_string(threads);
+            LearnConfig cfg;
+            cfg.threads = threads;
+            LearnConfig budgeted = cfg;
+            budgeted.budget.max_items = want.limit;
+            const LearnResult partial = learn(nl, topo, budgeted);
+            ASSERT_EQ(partial.outcome.status, exec::RunStatus::LimitReached) << ctx;
+            ASSERT_TRUE(partial.cursor.valid) << ctx;
+            EXPECT_TRUE(partial.cursor.in_multi) << ctx;
+            EXPECT_EQ(partial.cursor.unit, want.unit) << ctx;
+            EXPECT_EQ(partial.stats.multi_targets, want.targets) << ctx;
+            EXPECT_EQ(partial.stats.multi_ties, want.ties) << ctx;
+            EXPECT_EQ(partial.db.size(), want.relations) << ctx;
+
+            const LearnResult resumed =
+                resume_learn(nl, topo, cfg, make_checkpoint(nl, partial));
+            EXPECT_TRUE(resumed.outcome.ok()) << ctx;
+            EXPECT_EQ(relation_hash(resumed.db), 0x8b380d1c4636e54aULL) << ctx;
+            EXPECT_EQ(testing::tie_digest(resumed.ties), 1073545694368701090ULL) << ctx;
+        }
+    }
+}
+
 TEST(Governance, BudgetedRunPlusResumeMatchesOneShotAcrossExecConfigs) {
     const netlist::Netlist nl = workload::suite_circuit("gen5378");
     const netlist::Topology topo(nl);

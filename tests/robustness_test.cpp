@@ -447,6 +447,57 @@ TEST(Checkpoint, FilesFromAnEarlierReleaseResumeToOneShot) {
     }
 }
 
+// A resumed learn reports progress from its cursor, not from 0: gen953's
+// single-node pass (281 stems, one clock class) stopped after 40 stems
+// resumes at stem 40 and counts on, one call per stem, to the last.
+TEST(Checkpoint, ResumedProgressCountsOnFromTheCursor) {
+    const netlist::Netlist nl = workload::suite_circuit("gen953");
+    const netlist::Topology topo(nl);
+    LearnConfig budgeted = exec_cfg(1);
+    budgeted.budget.max_items = 40;
+    const LearnResult partial = core::learn(nl, topo, budgeted);
+    ASSERT_TRUE(partial.cursor.valid);
+    ASSERT_FALSE(partial.cursor.in_multi);
+    ASSERT_EQ(partial.cursor.unit, 40u);
+
+    std::vector<std::size_t> done;
+    LearnConfig observed = exec_cfg(1);
+    observed.on_stem = [&done](std::size_t d, std::size_t total) {
+        EXPECT_EQ(total, 281u);
+        done.push_back(d);
+        return true;
+    };
+    const LearnResult resumed = resume_learn(nl, topo, observed, make_checkpoint(nl, partial));
+    ASSERT_TRUE(resumed.outcome.ok());
+    ASSERT_FALSE(done.empty());
+    EXPECT_EQ(done.front(), 40u);
+    EXPECT_EQ(done.back(), 280u);
+    for (std::size_t i = 1; i < done.size(); ++i)
+        ASSERT_EQ(done[i], done[i - 1] + 1) << "call " << i;
+}
+
+// A checkpoint's cursor is outside input: a single-node cursor past the
+// last stem resumes as the end of that pass instead of reading past the
+// stem list.
+TEST(Checkpoint, CursorPastTheLastStemResumesAsThePassEnd) {
+    const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
+    const netlist::Topology topo(nl);
+    LearnConfig budgeted = exec_cfg(1);
+    budgeted.budget.max_items = 3;
+    const LearnResult partial = core::learn(nl, topo, budgeted);
+    ASSERT_TRUE(partial.cursor.valid);
+    ASSERT_FALSE(partial.cursor.in_multi);
+
+    LearnCheckpoint at_end = make_checkpoint(nl, partial);
+    at_end.cursor.unit = nl.stems().size();
+    LearnCheckpoint past_end = at_end;
+    past_end.cursor.unit = 99999;
+    const LearnResult want = resume_learn(nl, topo, exec_cfg(1), at_end);
+    const LearnResult got = resume_learn(nl, topo, exec_cfg(1), past_end);
+    EXPECT_TRUE(got.outcome.ok());
+    expect_same_result(got, want, "cursor past the last stem");
+}
+
 TEST(Checkpoint, SessionResumeApiRoundTrips) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
     const LearnResult golden = testing::learn(nl, exec_cfg(1));
