@@ -1,11 +1,20 @@
 // Machine-readable perf baseline: emits BENCH_sim.json with the throughput
 // of the learning- and validation-relevant hot paths on the gen5378 suite
-// circuit. Every perf PR diffs against the numbers this driver produced at
-// its base commit, so the schema is deliberately small and stable:
+// circuit, plus deterministic row families. Every perf PR diffs against the
+// numbers this driver produced at its base commit, so the schema is
+// deliberately small and stable:
 //
 //   { "circuit": "gen5378",
 //     "benchmarks": [ {"name": ..., "items_per_sec": ..., "seconds": ...,
 //                      "items": ..., "threads": ...}, ... ] }
+//
+// A row may add members of its own after these. The throughput rows repeat
+// their work for the time budget. The deterministic families run their work
+// once per invocation, whatever the budget, and record its counts:
+// scenarios/* (the ATPG guidance matrix) and the paper's tables,
+// paper/table3/* (learning statistics), paper/table4/* (tie-gate against
+// FIRE untestable faults), paper/table5/* (ATPG with and without learned
+// data) and paper/depth/* (the frame-depth ablation).
 //
 // The *_mt rows run the same work as their serial twins on one worker per
 // hardware thread through the exec subsystem ("threads" records the actual
@@ -39,6 +48,7 @@
 #include "sim/parallel_sim.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
+#include "workload/fires.hpp"
 #include "workload/suite.hpp"
 
 #include <arpa/inet.h>
@@ -55,7 +65,9 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -75,6 +87,16 @@ struct Row {
     /// stable schema for everyone.
     std::function<void(server::JsonWriter&)> extra;
 };
+
+/// A row whose work ran once and took `seconds`.
+Row once(std::string name, std::size_t items, double seconds) {
+    Row row;
+    row.name = std::move(name);
+    row.items = items;
+    row.seconds = seconds;
+    row.items_per_sec = static_cast<double>(items) / seconds;
+    return row;
+}
 
 // Repeat `body(items_per_rep)` until `min_seconds` of wall time accumulates.
 template <typename Body>
@@ -246,8 +268,11 @@ Row bench_learn_resume(const Netlist& nl, const netlist::Topology& topo) {
     // The checkpoint/resume path end to end: a budgeted pass stopped halfway
     // through the stems, a full text-format checkpoint round trip, and a
     // resumed pass to completion — interleaved with uninterrupted one-shot
-    // passes. overhead_pct is the price of splitting a run in two (checkpoint
-    // serialization plus the resumed pass's state rebuild).
+    // passes. overhead_pct is the price of splitting a run in two, fixed
+    // costs included. The fixed costs are reported apart: checkpoint_ms is
+    // the save + load, and passes_overhead_pct compares the stopped and the
+    // resumed pass alone with the one-shot pass (the resumed pass repeats
+    // the equivalence phase). Each figure is a best-of over the reps.
     core::LearnConfig base;
     base.threads = 1;
     core::LearnConfig budgeted = base;
@@ -257,6 +282,8 @@ Row bench_learn_resume(const Netlist& nl, const netlist::Topology& topo) {
     row.name = "learn_resume";
     double split_s = 0;
     double split_min = 1e300;
+    double passes_min = 1e300;
+    double checkpoint_min = 1e300;
     double one_shot_min = 1e300;
     unsigned pairs = 0;
     const util::Timer total;
@@ -264,13 +291,17 @@ Row bench_learn_resume(const Netlist& nl, const netlist::Topology& topo) {
         {
             const util::Timer t;
             const core::LearnResult partial = core::learn(nl, topo, budgeted);
+            const double stopped_s = t.seconds();
             std::stringstream ss;
             core::save_checkpoint(ss, nl, core::make_checkpoint(nl, partial));
             const core::LearnCheckpoint ckpt = core::load_checkpoint(ss, nl);
+            const double checkpoint_s = t.seconds() - stopped_s;
             const core::LearnResult resumed = core::resume_learn(nl, topo, base, ckpt);
             const double s = t.seconds();
             split_s += s;
             split_min = std::min(split_min, s);
+            passes_min = std::min(passes_min, s - checkpoint_s);
+            checkpoint_min = std::min(checkpoint_min, checkpoint_s);
             row.items += nl.stems().size();
             if (!resumed.outcome.ok()) std::fprintf(stderr, "learn_resume: not ok?\n");
         }
@@ -284,7 +315,11 @@ Row bench_learn_resume(const Netlist& nl, const netlist::Topology& topo) {
     row.seconds = split_s;
     row.items_per_sec = static_cast<double>(row.items) / split_s;
     const double overhead_pct = (split_min / one_shot_min - 1.0) * 100.0;
-    row.extra = [=](server::JsonWriter& w) { w.field("overhead_pct", overhead_pct, 2); };
+    const double passes_overhead_pct = (passes_min / one_shot_min - 1.0) * 100.0;
+    row.extra = [=](server::JsonWriter& w) {
+        w.field("overhead_pct", overhead_pct, 2).field("checkpoint_ms", checkpoint_min * 1e3, 2);
+        w.field("passes_overhead_pct", passes_overhead_pct, 2);
+    };
     return row;
 }
 
@@ -481,17 +516,15 @@ Row bench_scenario(const std::string& circuit, const Netlist& nl,
     }
     fault::FaultList list(fault::collapse(nl).representatives());
 
-    Row row;
     const char* backend_name = backend == cnf::Backend::FrameSim ? "frame"
                                : backend == cnf::Backend::Sat    ? "sat"
                                                                  : "auto";
-    row.name = "scenarios/" + circuit + "/" + std::string(guide::order_name(order)) +
-               "/" + std::string(guide::guidance_name(guidance)) + "/" + backend_name;
+    const std::string name = "scenarios/" + circuit + "/" +
+                             std::string(guide::order_name(order)) + "/" +
+                             std::string(guide::guidance_name(guidance)) + "/" + backend_name;
     const util::Timer t;
     const atpg::AtpgOutcome out = atpg::run_atpg(topo, list, cfg);
-    row.seconds = t.seconds();
-    row.items = list.size();
-    row.items_per_sec = static_cast<double>(row.items) / row.seconds;
+    Row row = once(name, list.size(), t.seconds());
     const fault::FaultList::Counts c = list.counts();
     row.extra = [=](server::JsonWriter& w) {
         w.field("fault_coverage", list.fault_coverage(), 4);
@@ -520,21 +553,8 @@ Row bench_sat_untestable(const Netlist& nl, const netlist::Topology& topo) {
         if (v.kind == cnf::CnfVerdict::Kind::Untestable) ++untestable;
         else if (v.kind == cnf::CnfVerdict::Kind::Test) ++witnesses;
     });
-    // Paper Table 4 cross-check: the tie-gate-derived untestable count (the
-    // paper's learning by-product) against what the bounded CNF prover saw
-    // in this row's round-robin slice. The delta is recorded, not pinned —
-    // the CNF count is untestable-within-4 over however many reps fit the
-    // budget, so it lower-bounds the tie-derived (unbounded) figure.
-    core::LearnConfig lcfg;
-    lcfg.threads = 1;
-    const core::LearnResult learned = core::learn(nl, topo, lcfg);
-    const std::size_t tie_untestable =
-        learned.ties.untestable_faults(nl, fault::fault_universe(nl)).size();
     row.extra = [=](server::JsonWriter& w) {
         w.field("untestable", untestable).field("witnesses", witnesses);
-        w.field("table4_tie_untestable", tie_untestable);
-        w.field("table4_sat_delta", static_cast<long long>(untestable) -
-                                        static_cast<long long>(tie_untestable));
     };
     return row;
 }
@@ -670,6 +690,125 @@ Row bench_snapshot_load(const Netlist& nl, const netlist::Topology& topo) {
     return row;
 }
 
+// The paper's tables. Each row runs at the paper's settings (50 learning
+// frames, backtrack limits 30 and 1000) and times one run; learning runs at
+// one worker. Every circuit's Topology is built before a clock starts, so no
+// row times circuit compilation.
+
+Row bench_table3(const std::string& circuit) {
+    // Table 3, learning statistics: sequential (frame >= 1) relation counts
+    // and ties from one learn; items = stems.
+    const Netlist nl = workload::suite_circuit(circuit);
+    const netlist::Topology topo(nl);
+    core::LearnConfig cfg;
+    cfg.threads = 1;
+    const util::Timer t;
+    const core::LearnResult r = core::learn(nl, topo, cfg);
+    Row row = once("paper/table3/" + circuit, nl.stems().size(), t.seconds());
+    const Netlist::Counts c = nl.counts();
+    row.extra = [ffs = c.flip_flops + c.latches, gates = c.combinational, stats = r.stats,
+                 ties = r.ties.count()](server::JsonWriter& w) {
+        w.field("ffs", ffs).field("gates", gates);
+        w.field("ff_ff_relations", stats.ff_ff_relations);
+        w.field("gate_ff_relations", stats.gate_ff_relations).field("ties", ties);
+    };
+    return row;
+}
+
+Row bench_table4(const std::string& circuit) {
+    // Table 4, untestable faults over the uncollapsed universe (items): the
+    // ones a learned tie proves, c-cycle-redundant faults included, against
+    // the FIRE-style baseline. tie_s is the learn plus the tie marking,
+    // fire_s the baseline; seconds is both.
+    const Netlist nl = workload::suite_circuit(circuit);
+    const netlist::Topology topo(nl);
+    const std::vector<fault::Fault> universe = fault::fault_universe(nl);
+    core::LearnConfig cfg;
+    cfg.threads = 1;
+    const util::Timer tie_timer;
+    const core::LearnResult r = core::learn(nl, topo, cfg);
+    const std::size_t tie_untestable = r.ties.untestable_faults(nl, universe).size();
+    const double tie_s = tie_timer.seconds();
+    const util::Timer fire_timer;
+    const std::size_t fire_untestable =
+        workload::fires_untestable(nl, universe).untestable.size();
+    const double fire_s = fire_timer.seconds();
+    Row row = once("paper/table4/" + circuit, universe.size(), tie_s + fire_s);
+    row.extra = [=](server::JsonWriter& w) {
+        w.field("tie_untestable", tie_untestable).field("fire_untestable", fire_untestable);
+        w.field("tie_s", tie_s, 3).field("fire_s", fire_s, 3);
+    };
+    return row;
+}
+
+void bench_table5(const std::string& circuit, exec::Pool& pool, std::vector<Row>& rows) {
+    // Table 5, ATPG with and without learned data: one learn, then a
+    // campaign over the collapsed list per (mode, backtrack limit). As in
+    // the paper, the learned columns count c-cycle-redundant tie faults as
+    // untestable. items = collapsed faults.
+    const Netlist nl = workload::suite_circuit(circuit);
+    const netlist::Topology topo(nl);
+    core::LearnConfig lcfg;
+    lcfg.threads = 1;
+    const core::LearnResult learned = core::learn(nl, topo, lcfg);
+    const fault::CollapsedFaults collapsed = fault::collapse(nl);
+    constexpr std::array<std::pair<atpg::LearnMode, const char*>, 3> modes = {{
+        {atpg::LearnMode::None, "none"},
+        {atpg::LearnMode::ForbiddenValue, "forbidden"},
+        {atpg::LearnMode::KnownValue, "known"},
+    }};
+    for (const auto& [mode, mode_name] : modes) {
+        for (const std::uint32_t backtracks : {30u, 1000u}) {
+            atpg::AtpgConfig cfg;
+            cfg.threads = pool.size();
+            cfg.executor = &pool;
+            cfg.mode = mode;
+            cfg.learned = mode == atpg::LearnMode::None ? nullptr : &learned;
+            cfg.count_c_cycle_redundant = cfg.learned != nullptr;
+            cfg.backtrack_limit = backtracks;
+            cfg.redundancy_effort = 500;
+            cfg.windows = {1, 2, 3, 4, 6, 8};
+            fault::FaultList list(collapsed.representatives());
+            const std::string name = "paper/table5/" + circuit + "/" + mode_name + "/bt" +
+                                     std::to_string(backtracks);
+            const util::Timer t;
+            const atpg::AtpgOutcome out = atpg::run_atpg(topo, list, cfg);
+            Row row = once(name, list.size(), t.seconds());
+            row.threads = pool.size();
+            row.extra = [c = list.counts(), by_tie = out.untestable_by_tie,
+                         by_proof = out.untestable_by_proof](server::JsonWriter& w) {
+                w.field("detected", c.detected).field("untestable", c.untestable);
+                w.field("untestable_by_tie", by_tie).field("untestable_by_proof", by_proof);
+                w.field("aborted", c.aborted);
+            };
+            if (!out.run.ok()) std::fprintf(stderr, "%s: campaign stopped early\n", name.c_str());
+            rows.push_back(std::move(row));
+        }
+    }
+}
+
+void bench_depth(const std::string& circuit, std::vector<Row>& rows) {
+    // Frame-depth ablation: what each learning depth buys, from one frame to
+    // the paper's 50. items = stems.
+    const Netlist nl = workload::suite_circuit(circuit);
+    const netlist::Topology topo(nl);
+    for (const std::uint32_t frames : {1u, 2u, 5u, 10u, 20u, 50u}) {
+        core::LearnConfig cfg;
+        cfg.threads = 1;
+        cfg.max_frames = frames;
+        const util::Timer t;
+        const core::LearnResult r = core::learn(nl, topo, cfg);
+        Row row = once("paper/depth/" + circuit + "/f" + std::to_string(frames),
+                       nl.stems().size(), t.seconds());
+        row.extra = [stats = r.stats, ties = r.ties.count()](server::JsonWriter& w) {
+            w.field("ff_ff_relations", stats.ff_ff_relations);
+            w.field("gate_ff_relations", stats.gate_ff_relations).field("ties", ties);
+            w.field("multi_relations", stats.multi_relations);
+        };
+        rows.push_back(std::move(row));
+    }
+}
+
 }  // namespace
 
 // The checkout's commit, for the provenance header: "-dirty" when the
@@ -765,6 +904,19 @@ int main(int argc, char** argv) {
                                       guide::OrderStrategy::Index,
                                       guide::Guidance::Scoap, cnf::Backend::Auto));
     }
+
+    // The paper's tables. Table 3 leaves out its five largest circuits,
+    // which take from half a second to minutes each to learn; perfbench's
+    // learn_gen38417 covers learning at that scale.
+    constexpr std::array<std::string_view, 5> largest = {"gen38417", "gen38584", "ind20k",
+                                                         "ind60k", "ind250k"};
+    for (const std::string& circuit : workload::table3_names())
+        if (std::ranges::find(largest, circuit) == largest.end())
+            rows.push_back(bench_table3(circuit));
+    for (const std::string& circuit : workload::table4_names())
+        rows.push_back(bench_table4(circuit));
+    for (const std::string& circuit : workload::table5_names()) bench_table5(circuit, pool, rows);
+    for (const char* circuit : {"gen5378", "rt510a"}) bench_depth(circuit, rows);
 
     // One row per line: the committed BENCH_sim.json diffs row by row.
     server::JsonWriter w(2);

@@ -249,11 +249,7 @@ FaultSimReport Session::fault_sim(std::span<const sim::InputSequence> tests,
         for (const sim::InputSequence& t : tests) {
             const exec::RunStatus st = exec::poll_point(cancel_.get(), budget_ptr);
             if (st != exec::RunStatus::Completed) {
-                report.outcome.status = st;
-                if (budget_ptr != nullptr && (st == exec::RunStatus::DeadlineExceeded ||
-                                              st == exec::RunStatus::LimitReached)) {
-                    report.outcome.diagnostic = budget_ptr->detail();
-                }
+                report.outcome = exec::outcome_from(st, budget_ptr);
                 break;
             }
             if (cfg_.progress &&

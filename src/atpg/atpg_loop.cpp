@@ -2,7 +2,6 @@
 
 #include "atpg/redundancy.hpp"
 #include "exec/speculate.hpp"
-#include "exec/worker_set.hpp"
 #include "netlist/structure.hpp"
 #include "util/timer.hpp"
 
@@ -132,16 +131,6 @@ void apply_verdict(TargetVerdict&& v, std::size_t fault_index, fault::FaultList&
     }
 }
 
-exec::RunOutcome outcome_from(exec::RunStatus st, const exec::Budget* budget) {
-    exec::RunOutcome o;
-    o.status = st;
-    if (budget != nullptr && budget->detail() != nullptr &&
-        (st == exec::RunStatus::DeadlineExceeded || st == exec::RunStatus::LimitReached)) {
-        o.diagnostic = budget->detail();
-    }
-    return o;
-}
-
 // The campaign body; every early stop records out.run and returns. Exceptions
 // escape to run_atpg's catch (commit walks run on the calling thread with no
 // window in flight, so unwinding cannot deadlock or tear shared state).
@@ -203,7 +192,7 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
     if (cfg.rand_warmup > 0) {
         const exec::RunStatus st = exec::poll_point(cfg.cancel, budget);
         if (st != exec::RunStatus::Completed) {
-            out.run = outcome_from(st, budget);
+            out.run = exec::outcome_from(st, budget);
             return;
         }
         const guide::WarmupStats ws =
@@ -260,7 +249,7 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
                 continue;
             const exec::RunStatus st = exec::poll_point(cfg.cancel, budget);
             if (st != exec::RunStatus::Completed) {
-                out.run = outcome_from(st, budget);
+                out.run = exec::outcome_from(st, budget);
                 return;
             }
             if (cfg.failpoint != nullptr) cfg.failpoint->poll(exec::FailSite::WorkItem);
@@ -313,14 +302,15 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
         Engine engine;
         fault::FaultSimulator fsim;
     };
-    exec::WorkerSet<WorkerCtx> ctxs(workers - 1, [&](unsigned) {
-        WorkerCtx ctx{Engine(topo), fault::FaultSimulator(topo)};
+    std::vector<WorkerCtx> ctxs;  // worker w > 0 solves on ctxs[w - 1]
+    ctxs.reserve(workers - 1);
+    for (unsigned w = 1; w < workers; ++w) {
+        WorkerCtx& ctx = ctxs.emplace_back(WorkerCtx{Engine(topo), fault::FaultSimulator(topo)});
         if (cfg.learned != nullptr) {
             ctx.fsim.set_good_ties(&cfg.learned->ties.dense(),
                                    &cfg.learned->ties.dense_cycles());
         }
-        return ctx;
-    });
+    }
 
     const exec::SpeculateOptions sopt{/*min_window=*/workers,
                                       /*max_window=*/2 * static_cast<std::size_t>(workers)};
@@ -353,7 +343,7 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
         const std::size_t i = targets[item];
         const exec::RunStatus st = exec::poll_point(cfg.cancel, budget);
         if (st != exec::RunStatus::Completed) {
-            out.run = outcome_from(st, budget);
+            out.run = exec::outcome_from(st, budget);
             return exec::Commit::Stop;
         }
         if (list.status(i) != FaultStatus::Undetected) return exec::Commit::Done;

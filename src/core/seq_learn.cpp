@@ -35,16 +35,6 @@ void finalize_stats(LearnResult& result, const Netlist& nl, const util::Timer& t
     result.stats.cancelled = !result.outcome.ok();
 }
 
-exec::RunOutcome outcome_from(exec::RunStatus st, const exec::Budget* budget) {
-    exec::RunOutcome o;
-    o.status = st;
-    if (budget != nullptr && budget->detail() != nullptr &&
-        (st == exec::RunStatus::DeadlineExceeded || st == exec::RunStatus::LimitReached)) {
-        o.diagnostic = budget->detail();
-    }
-    return o;
-}
-
 LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
                        const LearnConfig& cfg, const LearnCheckpoint* ckpt) {
     const util::Timer timer;
@@ -139,7 +129,7 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
             // unprocessed unit.
             auto stop_at = [&](const PassOutcome& pass, bool in_multi) {
                 if (pass.stop == exec::RunStatus::Completed) return false;
-                result.outcome = outcome_from(pass.stop, budget_ptr);
+                result.outcome = exec::outcome_from(pass.stop, budget_ptr);
                 result.cursor = {true, ci, in_multi, pass.next_index, digest};
                 result.records = std::move(records);
                 return true;

@@ -80,4 +80,16 @@ inline RunStatus poll_point(const CancelFlag* cancel, Budget* budget) noexcept {
     return RunStatus::Completed;
 }
 
+/// The outcome of a run that stopped with `st`; a budget stop names the
+/// limit that tripped. `budget` may be null.
+inline RunOutcome outcome_from(RunStatus st, const Budget* budget) {
+    RunOutcome o;
+    o.status = st;
+    if (budget != nullptr && budget->detail() != nullptr &&
+        (st == RunStatus::DeadlineExceeded || st == RunStatus::LimitReached)) {
+        o.diagnostic = budget->detail();
+    }
+    return o;
+}
+
 }  // namespace seqlearn::exec

@@ -10,8 +10,7 @@
 //    of encoding), standing in for s510jcsrre/s510josrre/s832jcsrer/
 //    scfjisdre;
 //  - "ind20k", "ind60k", "ind250k": large multi-clock-domain circuits with
-//    latches and partial set/reset, standing in for indust1..3 (ind250k is
-//    sized to keep the bench under a minute; scaling is linear).
+//    latches and partial set/reset, standing in for indust1..3.
 
 #include "netlist/netlist.hpp"
 
@@ -24,13 +23,13 @@ namespace seqlearn::workload {
 /// names. Deterministic: equal names give identical netlists.
 netlist::Netlist suite_circuit(const std::string& name);
 
-/// Table 3 row order (all circuits the learning bench reports).
+/// Table 3 row order (every suite circuit).
 std::vector<std::string> table3_names();
 
 /// Table 4 subset (untestable-fault comparison).
 std::vector<std::string> table4_names();
 
-/// Table 5 subset (the ATPG-hard circuits).
+/// Table 5 subset (ATPG with and without learned data).
 std::vector<std::string> table5_names();
 
 }  // namespace seqlearn::workload

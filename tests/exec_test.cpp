@@ -6,7 +6,6 @@
 #include "exec/cancel.hpp"
 #include "exec/pool.hpp"
 #include "exec/speculate.hpp"
-#include "exec/worker_set.hpp"
 
 #include <gtest/gtest.h>
 
@@ -95,14 +94,6 @@ TEST(CancelFlag, RequestResetRoundTrip) {
     EXPECT_TRUE(flag.requested());
     flag.reset();
     EXPECT_FALSE(flag.requested());
-}
-
-TEST(WorkerSet, BuildsOneClonePerWorker) {
-    WorkerSet<std::vector<int>> set(4, [](unsigned w) {
-        return std::vector<int>(3, static_cast<int>(w));
-    });
-    EXPECT_EQ(set.size(), 4u);
-    for (unsigned w = 0; w < 4; ++w) EXPECT_EQ(set[w][0], static_cast<int>(w));
 }
 
 // A miniature of the learning pass: items are processed in order against a
