@@ -189,8 +189,9 @@ Row bench_fault_sim(const Netlist& nl, const netlist::Topology& topo, exec::Pool
                     unsigned threads, const char* name, const core::TieSet* ties = nullptr) {
     // drop_detected over the full collapsed list with 24-frame random
     // sequences — the validation hot path of every ATPG campaign; items =
-    // faults simulated per pass. The simulator shares one CSR snapshot, the
-    // Session pattern; the mt rows fan the 63-fault passes over the pool.
+    // faults simulated per repeat, `passes` = simulation passes per repeat
+    // (kFaultsPerPass faults each). The simulator shares one CSR snapshot,
+    // the Session pattern; the mt rows fan the passes over the pool.
     // With `ties` the good machine carries learned ties, so every pass also
     // builds its tie lanes from the fault cones (the learning-aware
     // validation path); the sequences are the same as without.
@@ -209,6 +210,9 @@ Row bench_fault_sim(const Netlist& nl, const netlist::Topology& topo, exec::Pool
             fsim.drop_detected(seq, list);
         });
     row.threads = threads;
+    const std::size_t passes =
+        (collapsed.size() + fault::kFaultsPerPass - 1) / fault::kFaultsPerPass;
+    row.extra = [passes](server::JsonWriter& w) { w.field("passes", passes); };
     return row;
 }
 

@@ -138,16 +138,16 @@ std::shared_ptr<const core::LearnedSnapshot> Session::freeze_learned() {
 
 void Session::use_learned(std::shared_ptr<const core::LearnedSnapshot> snap) {
     // Drop any session-local result so the snapshot becomes the active data;
-    // replace_learned also detaches the fault simulator from the dying tie
-    // vectors.
+    // replace_learned also detaches the fault simulator from the previous
+    // result's ties.
     replace_learned(nullptr);
     snapshot_ = std::move(snap);
 }
 
 void Session::replace_learned(std::unique_ptr<core::LearnResult> next) {
-    // The fault simulator may still point at the previous result's tie
-    // vectors (set_good_ties's "must outlive" contract); drop those
-    // pointers before the vectors die. Facade paths re-set ties on use.
+    // The fault simulator may still carry the previous result's ties:
+    // drop them so nothing simulates against stale facts. Facade paths
+    // re-set ties on use.
     if (fsim_) fsim_->set_good_ties(nullptr, nullptr);
     learned_ = std::move(next);
 }
@@ -240,7 +240,7 @@ FaultSimReport Session::fault_sim(std::span<const sim::InputSequence> tests,
     cancel_->reset();
     // Validation runs under the session-wide budget (it has no per-call
     // config of its own); the simulator additionally polls the same hooks
-    // at its internal 63-fault pass boundaries.
+    // at its internal pass boundaries.
     exec::Budget budget(cfg_.budget);
     exec::Budget* budget_ptr = cfg_.budget.any() ? &budget : nullptr;
     fsim.set_governance(cancel_.get(), budget_ptr, cfg_.failpoint);

@@ -1,22 +1,31 @@
 #pragma once
-// Sequential stuck-at fault simulation, 63 faults per pass.
+// Sequential stuck-at fault simulation, 255 faults per pass.
 //
-// Lane 0 of every 64-lane pattern carries the fault-free circuit; lanes
-// 1..63 carry faulty circuits (one permanent fault each). All machines run
-// from the all-X state under 3-valued semantics. A fault is detected when a
-// primary output is binary in both the good and the faulty lane and the two
-// values differ (the conservative definition a tester can rely on).
+// A pass simulates up to 256 three-valued machines side by side in four
+// 64-lane words: lane 0 of word 0 carries the fault-free circuit, lanes
+// 1..255 carry faulty circuits (one permanent fault each). All machines run
+// from the all-X state. A fault is detected when a primary output is binary
+// in both the good and the faulty lane and the two values differ (the
+// conservative definition a tester can rely on).
 //
-// Hot-path design: all structural access goes through the flat CSR
-// netlist::Topology (contiguous fanin spans in the 64-lane evaluation loop,
-// its strongly-connected-component DAG for fault cones). Fault forcing lives
-// in flat per-gate and per-fanin-edge mask arrays that persist on the
-// simulator and are cleared entry-by-entry between passes. With ties
-// attached, one Topology::propagate_lanes() sweep per pass marks all 63
-// fault cones at once (one lane bit per fault, one word per component), and
-// only the tied gates are visited to build their lanes. Primary-output
-// detection accumulates into one lane mask per pass. Apart from the
-// returned flags, run() performs no per-pass heap allocation.
+// Hot-path design: the simulator compiles netlist::Topology once per tie set
+// into a flat schedule — every non-source gate in level order, grouped
+// within its level by (tied, operator, arity), with one flat fanin list in
+// that order. Same-level gates never read each other, so the regrouping
+// cannot change a value, and the kernel runs each group as one tight loop
+// over two planes of std::array<std::uint64_t, W> words per gate, with no
+// per-gate operator, tie-cycle or force test. One template is instantiated
+// at W = 4 and at W = 1; a pass holding at most 63 faults (detects()
+// included) runs the narrow one. Faults are a per-pass table of at most 255
+// forced gates sorted by schedule slot: after each level the forced gates
+// of that level are re-evaluated with their pin forces and tie, then their
+// output forces are applied, before the next level reads them. With ties attached, one Topology::propagate_lanes() sweep per word
+// marks every fault cone of the pass (one lane bit per fault, one word per
+// component); each tie's lane masks switch on when the frame reaches its
+// proof cycle, so the tied groups apply them with no per-gate cycle test.
+// Primary-output detection accumulates into one lane mask per word. Apart
+// from run()'s returned flags, simulation performs no per-pass heap
+// allocation once its scratch has grown.
 
 #include "exec/budget.hpp"
 #include "exec/cancel.hpp"
@@ -24,10 +33,10 @@
 #include "exec/pool.hpp"
 #include "fault/fault.hpp"
 #include "fault/fault_list.hpp"
-#include "logic/pattern.hpp"
 #include "netlist/topology.hpp"
 #include "sim/comb_engine.hpp"
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <span>
@@ -35,8 +44,19 @@
 
 namespace seqlearn::fault {
 
-/// Maximum faults per simulation pass (lanes 1..63).
-inline constexpr std::size_t kFaultsPerPass = 63;
+/// 64-lane words per simulation pass.
+inline constexpr std::size_t kPassWords = 4;
+
+/// Maximum faults per simulation pass (every lane but the good machine's).
+inline constexpr std::size_t kFaultsPerPass = kPassWords * 64 - 1;
+
+/// Three-valued planes of W 64-lane words: (ones, zeros) bit pairs
+/// (1,0) = 1, (0,1) = 0, (0,0) = X, as in logic::Pattern.
+template <std::size_t W>
+struct WideLanes {
+    std::array<std::uint64_t, W> ones{};
+    std::array<std::uint64_t, W> zeros{};
+};
 
 class FaultSimulator {
 public:
@@ -48,15 +68,16 @@ public:
 
     /// Fan drop_detected() passes out over `pool` (must outlive the
     /// simulator; null reverts to serial), using at most `max_workers` slots
-    /// (0 = all). Worker clones over the shared Topology are built lazily;
-    /// run() and detects() always execute on the calling thread.
+    /// (0 = all). Worker clones share this simulator's compiled schedule
+    /// and are built lazily; run() and detects() always execute on the
+    /// calling thread.
     void set_executor(exec::Pool* pool, unsigned max_workers = 0);
 
     /// Attach run-governance hooks for the current stage (all may be null;
     /// the owner clears them when its run ends). drop_detected() polls
-    /// cancel/budget at 63-fault pass boundaries and stops early — sound,
-    /// since skipping passes only leaves detectable faults undropped — and
-    /// polls `failpoint` (FailSite::WorkItem) before each pass.
+    /// cancel/budget at pass boundaries and stops early — sound, since
+    /// skipping passes only leaves detectable faults undropped — and polls
+    /// `failpoint` (FailSite::WorkItem) before each pass.
     void set_governance(const exec::CancelFlag* cancel, exec::Budget* budget,
                         exec::FailurePoint* failpoint) noexcept {
         cancel_ = cancel;
@@ -72,15 +93,16 @@ public:
     /// its component reaches in Topology's condensation DAG — where the
     /// faulty machine behaves identically. This closes the pessimism gap
     /// between the learning-aware ATPG and plain 3-valued validation (the
-    /// paper's "pitfalls of necessary assignments" discussion). The tied
-    /// gates, values and cycles are read here: call again after editing the
-    /// vectors. Vectors must outlive the simulator (worker clones built
-    /// later read them too).
+    /// paper's "pitfalls of necessary assignments" discussion). Primary
+    /// inputs are never tied. The tied gates, values and cycles are compiled
+    /// into the schedule here and not read again: call again after editing
+    /// the vectors.
     void set_good_ties(const std::vector<Val3>* values,
                        const std::vector<std::uint32_t>* cycles);
 
-    /// Simulate `seq` with up to kFaultsPerPass `faults` injected in
-    /// parallel; returns one flag per fault (true = detected).
+    /// Simulate `seq` against `faults` (any number; split internally into
+    /// passes of kFaultsPerPass); returns one flag per fault (true =
+    /// detected).
     std::vector<bool> run(const sim::InputSequence& seq, std::span<const Fault> faults);
 
     /// True when `seq` detects the single fault `f`.
@@ -88,65 +110,84 @@ public:
 
     /// Fault-simulate `seq` against every Undetected fault of `list`,
     /// marking newly detected ones Detected. Returns how many were dropped.
-    /// With an executor attached, the 63-fault passes run in parallel on
-    /// per-worker clones into a shared atomic detected-bitmap, merged into
-    /// `list` in fault-index order — statuses are bit-identical to the
-    /// serial pass at any thread count (detection is a pure union).
+    /// With an executor attached, the passes run in parallel on per-worker
+    /// clones into a shared atomic detected-bitmap, merged into `list` in
+    /// fault-index order — statuses are bit-identical to the serial pass at
+    /// any thread count (detection is a pure union).
     std::size_t drop_detected(const sim::InputSequence& seq, FaultList& list);
 
     const netlist::Topology& topology() const noexcept { return *topo_; }
 
-    /// Approximate heap bytes of reusable scratch (force masks, tie lanes,
-    /// pattern/state vectors, chunk buffers, the detected bitmap), including
-    /// lazily built worker clones. Excludes the shared Topology.
+    /// Approximate heap bytes of the compiled schedule and reusable scratch
+    /// (lane values, state, tie lanes, force tables, chunk buffers, the
+    /// detected bitmap), including lazily built worker clones. Excludes the
+    /// shared Topology.
     std::size_t memory_bytes() const noexcept;
 
+    /// The compiled schedule (defined in fault_sim.cpp); immutable once
+    /// built and shared with worker clones.
+    struct Schedule;
+
 private:
-    void clear_forces();
+    using PassLanes = std::array<std::uint64_t, kPassWords>;
+
+    /// Faults of one pass on one gate: output forces (stuck-at-1 lanes in
+    /// `out.ones`, stuck-at-0 in `out.zeros`) and its pin forces
+    /// pins[pin_begin, pin_end).
+    template <std::size_t W>
+    struct GateForce {
+        std::uint32_t slot;
+        std::uint32_t pin_begin;
+        std::uint32_t pin_end;
+        WideLanes<W> out;
+    };
+    template <std::size_t W>
+    struct PinForce {
+        std::uint32_t pin;
+        WideLanes<W> lanes;
+    };
+    /// Reusable per-width simulation scratch.
+    template <std::size_t W>
+    struct Scratch {
+        std::vector<WideLanes<W>> vals;    // per schedule slot
+        std::vector<WideLanes<W>> state;   // per sequential element
+        std::vector<WideLanes<W>> tie_on;  // per tie: lanes it is asserted in
+        std::vector<GateForce<W>> gates;
+        std::vector<PinForce<W>> pins;
+        /// Allocate for a full pass of `sched` without touching the memory.
+        void reserve(const Schedule& sched);
+        std::size_t bytes() const noexcept;
+    };
+
+    const Schedule& schedule();
+    /// Simulate one pass of at most kFaultsPerPass faults; bit j + 1 of the
+    /// returned lanes (word (j + 1) / 64) is fault j's verdict.
+    PassLanes simulate_pass(const sim::InputSequence& seq, std::span<const Fault> faults);
+    template <std::size_t W>
+    PassLanes simulate(Scratch<W>& sc, const sim::InputSequence& seq,
+                       std::span<const Fault> faults);
     std::size_t drop_detected_parallel(const sim::InputSequence& seq, FaultList& list,
                                        std::span<const std::size_t> todo,
                                        std::size_t passes, unsigned workers);
 
     const netlist::Topology* topo_;
+    // Built lazily (tie-free) or by set_good_ties; shared with clones.
+    std::shared_ptr<const Schedule> sched_;
 
-    // Per-gate force flags (bits below); flat force masks per gate (output
-    // forces) and per fanin edge (pin forces, indexed topo fanin_offset + pin).
-    // Only entries named in forced_gates_ / forced_edges_ are ever nonzero.
-    static constexpr std::uint8_t kOutForced = 1;
-    static constexpr std::uint8_t kPinForced = 2;
-    std::vector<std::uint8_t> force_flags_;
-    std::vector<std::uint64_t> out_force1_, out_force0_;
-    std::vector<std::uint64_t> pin_force1_, pin_force0_;
-    std::vector<netlist::GateId> forced_gates_;
-    std::vector<std::uint32_t> forced_edges_;
-
-    const std::vector<Val3>* tie_values_ = nullptr;
-    const std::vector<std::uint32_t>* tie_cycles_ = nullptr;
-    // Per tied gate (fixed by set_good_ties): the lanes its tie may be
-    // asserted in, rebuilt per run.
-    struct TieLanes {
-        netlist::GateId gate;
-        std::uint32_t cycle;
-        Val3 value;
-        std::uint64_t ones;
-        std::uint64_t zeros;
-    };
-    std::vector<TieLanes> tie_lanes_;
-    // gate -> index into tie_lanes_ (or -1); fixed by set_good_ties.
-    std::vector<std::int32_t> tie_index_;
-
-    // Reused run() scratch: per-gate patterns, sequential state, and (with
-    // ties) per-component fault-cone lane masks.
-    std::vector<logic::Pattern> pats_;
-    std::vector<logic::Pattern> state_;
+    Scratch<1> narrow_;
+    Scratch<kPassWords> wide_;
+    // Per-pass fault cones: kPassWords segments of one word per component.
     std::vector<std::uint64_t> cone_lanes_;
+    // Per-pass fault order (index into the pass, sorted by slot and pin).
+    std::vector<std::uint32_t> force_order_;
     // Reused drop_detected() chunk buffers.
     std::vector<std::size_t> chunk_indices_;
     std::vector<Fault> chunk_;
 
     // Parallel drop_detected: the pool, per-worker clones (lazily built,
-    // sharing *topo_), and the atomic detected-bitmap the passes merge into
-    // (1 bit per todo position; grown on demand, reused across calls).
+    // sharing *topo_ and the schedule), and the atomic detected-bitmap the
+    // passes merge into (1 bit per todo position; grown on demand, reused
+    // across calls).
     exec::Pool* executor_ = nullptr;
     unsigned executor_max_workers_ = 0;
     const exec::CancelFlag* cancel_ = nullptr;

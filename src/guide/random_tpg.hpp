@@ -1,7 +1,7 @@
 #pragma once
 // Deterministic random test-pattern generation and static compaction.
 //
-// Random warmup bulk-drops the easy faults through the 64-lane fault
+// Random warmup bulk-drops the easy faults through the 256-lane fault
 // simulator before the deterministic engine runs, so ATPG only sees the
 // hard remainder. The generator is the library-wide xoshiro engine seeded
 // from a digest of the result-affecting campaign configuration: the same

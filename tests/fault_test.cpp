@@ -1,5 +1,5 @@
 // Tests for the fault substrate: universe generation, equivalence
-// collapsing, the status list, and the 63-fault-parallel sequential fault
+// collapsing, the status list, and the 255-fault-parallel sequential fault
 // simulator cross-validated against netlist-surgery reference simulation
 // and, with learned ties attached, against a scalar two-machine reference.
 
@@ -250,13 +250,69 @@ TEST(FaultSim, ParallelPassMatchesSerialRuns) {
     FaultSimulator fsim(topo);
     util::Rng rng(15);
     const InputSequence seq = random_sequence(nl, 10, rng);
-    // One big pass over the first 63 faults vs. per-fault runs.
+    // One pass over (up to) kFaultsPerPass faults vs. per-fault runs.
     const std::size_t n = std::min<std::size_t>(universe.size(), kFaultsPerPass);
     const std::span<const Fault> chunk(universe.data(), n);
     const auto parallel = fsim.run(seq, chunk);
     for (std::size_t j = 0; j < n; ++j) {
         EXPECT_EQ(parallel[j], fsim.detects(seq, universe[j])) << to_string(nl, universe[j]);
     }
+}
+
+// One full-width pass on gen953 with learned ties. Detected output faults
+// sit in lanes 63, 127, 191 and 255 and detected pin faults in lanes 64,
+// 128 and 192, on both sides of every 64-lane word boundary. Every verdict
+// must equal the fault's own detects(), which runs the one-word kernel, and
+// run() over more faults than two passes hold must equal its passes run one
+// by one.
+TEST(FaultSim, WidePassLanesMatchSingleFaultRuns) {
+    const Netlist nl = workload::suite_circuit("gen953");
+    const core::LearnResult learned = testing::learn(nl);
+    ASSERT_GT(learned.ties.count(), 0u);
+    const netlist::Topology topo(nl);
+    FaultSimulator fsim(topo);
+    fsim.set_good_ties(&learned.ties.dense(), &learned.ties.dense_cycles());
+    const std::vector<Fault> faults = collapse(nl).representatives();
+    ASSERT_GT(faults.size(), 600u);
+    util::Rng rng(63);
+    const InputSequence seq = random_sequence(nl, 16, rng);
+
+    // Lane j + 1 carries pass[j]: the first faults of the list, with
+    // detected faults from beyond it placed on the word boundaries.
+    std::vector<Fault> pass(faults.begin(), faults.begin() + kFaultsPerPass);
+    std::vector<Fault> outs, pins;
+    for (std::size_t i = kFaultsPerPass; i < faults.size(); ++i) {
+        if (fsim.detects(seq, faults[i]))
+            (faults[i].pin == kOutputPin ? outs : pins).push_back(faults[i]);
+    }
+    ASSERT_GE(outs.size(), 4u);
+    ASSERT_GE(pins.size(), 3u);
+    std::size_t next_out = 0, next_pin = 0;
+    for (const std::size_t lane : {63u, 127u, 191u, 255u}) pass[lane - 1] = outs[next_out++];
+    for (const std::size_t lane : {64u, 128u, 192u}) pass[lane - 1] = pins[next_pin++];
+
+    const std::vector<bool> got = fsim.run(seq, pass);
+    ASSERT_EQ(got.size(), pass.size());
+    std::size_t detected = 0;
+    for (std::size_t j = 0; j < pass.size(); ++j) {
+        EXPECT_EQ(got[j], fsim.detects(seq, pass[j]))
+            << to_string(nl, pass[j]) << " lane " << j + 1;
+        detected += got[j];
+    }
+    EXPECT_GT(detected, 7u);
+    EXPECT_LT(detected, pass.size());
+
+    const std::span<const Fault> many(faults.data(), 600);
+    const std::vector<bool> all = fsim.run(seq, many);
+    std::vector<bool> concat;
+    for (std::size_t pos = 0; pos < many.size(); pos += kFaultsPerPass) {
+        const std::vector<bool> part =
+            fsim.run(seq, many.subspan(pos, std::min(kFaultsPerPass, many.size() - pos)));
+        concat.insert(concat.end(), part.begin(), part.end());
+    }
+    EXPECT_EQ(all, concat);
+    for (std::size_t j = 0; j < many.size(); ++j)
+        EXPECT_EQ(all[j], fsim.detects(seq, many[j])) << to_string(nl, many[j]);
 }
 
 TEST(FaultSim, XInputsNeverProduceFalseDetections) {
@@ -324,13 +380,13 @@ TEST(FaultSim, SequentialFaultNeedsPropagationFrames) {
 }
 
 TEST(FaultSim, ParallelDropDetectedMatchesSerial) {
-    // More than one 63-fault pass, random sequences, serial vs pooled
+    // More than two full passes, random sequences, serial vs pooled
     // drop_detected over per-worker clones: every status and drop count
     // must agree (detection is a union merged in fault-index order).
-    const Netlist nl = testing::random_circuit(77, 8, 6, 60);
+    const Netlist nl = testing::random_circuit(77, 8, 6, 130);
     const netlist::Topology topo(nl);
     const CollapsedFaults collapsed = collapse(nl);
-    ASSERT_GT(collapsed.size(), kFaultsPerPass);  // at least two passes
+    ASSERT_GT(collapsed.size(), 2 * kFaultsPerPass);  // at least three passes
 
     FaultSimulator serial(topo);
     exec::Pool pool(4);
@@ -358,10 +414,10 @@ TEST(FaultSim, ParallelDropForwardsGoodTiesToClones) {
     // set_good_ties after clones exist must reconfigure every worker: tie a
     // gate and check parallel statuses still match a serial simulator with
     // the same ties.
-    const Netlist nl = testing::random_circuit(31, 7, 5, 50);
+    const Netlist nl = testing::random_circuit(31, 7, 5, 130);
     const netlist::Topology topo(nl);
     const CollapsedFaults collapsed = collapse(nl);
-    if (collapsed.size() <= kFaultsPerPass) GTEST_SKIP();
+    ASSERT_GT(collapsed.size(), 2 * kFaultsPerPass);  // at least three passes
 
     std::vector<Val3> ties(nl.size(), Val3::X);
     std::vector<std::uint32_t> cycles(nl.size(), 0);

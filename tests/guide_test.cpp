@@ -319,6 +319,37 @@ TEST(RandomTpg, WarmupCompactionReverifiedByFaultSim) {
     EXPECT_EQ(frames, out.pattern_frames);
 }
 
+// Compaction without warmup on gen953: the deterministic tests each detect
+// many faults, so a merge check re-simulates more faults than one pass
+// holds. The campaign must complete, and the compacted set must re-detect
+// every fault the campaign reports detected on a fresh simulator.
+TEST(RandomTpg, CompactionVerifiesMergesBeyondOnePass) {
+    const Netlist nl = workload::suite_circuit("gen953");
+    const Topology topo(nl);
+
+    atpg::AtpgConfig cfg;
+    cfg.threads = 1;
+    cfg.identify_untestable = false;
+    cfg.backtrack_limit = 10;
+    cfg.windows = {1, 2};
+    cfg.compact = true;
+    cfg.fill = FillMode::X;
+    fault::FaultList list(fault::collapse(nl).representatives());
+    const atpg::AtpgOutcome out = atpg::run_atpg(topo, list, cfg);
+    ASSERT_TRUE(out.run.ok()) << out.run.diagnostic;
+    EXPECT_EQ(out.detected_by_warmup, 0u);
+    EXPECT_GT(out.compaction_before, 0u);
+    EXPECT_LT(out.compaction_after, out.compaction_before);
+
+    fault::FaultSimulator fsim(topo);
+    fault::FaultList replay(fault::collapse(nl).representatives());
+    for (const sim::InputSequence& seq : out.tests) fsim.drop_detected(seq, replay);
+    for (std::size_t i = 0; i < list.size(); ++i) {
+        if (list.status(i) == fault::FaultStatus::Detected)
+            EXPECT_EQ(replay.status(i), fault::FaultStatus::Detected) << i;
+    }
+}
+
 // The default configuration — order=index, guidance=none, no warmup, no
 // compaction — must keep reproducing the recorded pre-guidance campaign
 // digests, even with the Design's cached Testability explicitly attached
