@@ -18,12 +18,13 @@
 //
 // The *_mt rows run the same work as their serial twins on one worker per
 // hardware thread through the exec subsystem ("threads" records the actual
-// worker count — on a 1-core machine they measure the speculation overhead,
-// not a speedup); results are bit-identical to the serial rows by design.
+// worker count — on a 1-core machine they measure the pool's overhead, not
+// a speedup); results are bit-identical to the serial rows by design.
 // fault_sim_drop_detected_ties_mt differs from fault_sim_drop_detected_mt
 // only in carrying one learn's ties on the good machine.
-// The learn_full_pass_batch* rows run learn(), whose passes always simulate
-// through the 64-lane bit-parallel BatchFrameSimulator.
+// The learn_full_pass_batch row runs learn(), whose passes run on the
+// calling thread and always simulate through the 64-lane bit-parallel
+// BatchFrameSimulator; learning has no _mt twin.
 //
 // Usage: bench_bench_json [--min-seconds S] [output.json]
 // (default: 2.0-second budget per row, BENCH_sim.json in cwd; "-" writes
@@ -161,7 +162,8 @@ Row bench_frame_sim_batch(const Netlist& nl, const netlist::Topology& topo) {
 }
 
 Row bench_parallel_patterns(const Netlist& nl) {
-    sim::ParallelSim psim(nl);
+    const netlist::Topology topo(nl);
+    const sim::ParallelSim psim(topo);
     util::Rng rng(1);
     std::vector<logic::Pattern> pats(nl.size());
     // 64 patterns per evaluation.
@@ -169,20 +171,14 @@ Row bench_parallel_patterns(const Netlist& nl) {
                    [&] { psim.eval_random(pats, rng); });
 }
 
-Row bench_learn(const Netlist& nl, const netlist::Topology& topo, exec::Pool* pool,
-                unsigned threads, const char* name) {
+Row bench_learn(const Netlist& nl, const netlist::Topology& topo) {
     // One full learn() pass per rep over the shared CSR snapshot (the
     // Session pattern); items = stems processed per pass.
-    core::LearnConfig cfg;
-    cfg.threads = threads;
-    cfg.executor = pool;
     const std::size_t stems = nl.stems().size();
-    Row row = measure(name, stems, g_min_seconds, [&] {
-        const core::LearnResult r = core::learn(nl, topo, cfg);
+    return measure("learn_full_pass_batch", stems, g_min_seconds, [&] {
+        const core::LearnResult r = core::learn(nl, topo);
         if (r.stats.stems_processed == 0) std::fprintf(stderr, "learn: empty pass?\n");
     });
-    row.threads = threads;
-    return row;
 }
 
 Row bench_fault_sim(const Netlist& nl, const netlist::Topology& topo, exec::Pool* pool,
@@ -228,7 +224,6 @@ Row bench_budget_overhead(const Netlist& nl, const netlist::Topology& topo) {
     // 1-thread gen5378 pass takes ~30 ms, short enough for best-of-N per
     // side to pick up scheduler noise on a shared 4-CPU VM.
     core::LearnConfig governed;
-    governed.threads = 1;
     governed.budget.deadline = std::chrono::hours(24);
     governed.budget.max_items = static_cast<std::size_t>(-1) / 2;
     core::LearnConfig plain = governed;
@@ -278,7 +273,6 @@ Row bench_learn_resume(const Netlist& nl, const netlist::Topology& topo) {
     // resumed pass alone with the one-shot pass (the resumed pass repeats
     // the equivalence phase). Each figure is a best-of over the reps.
     core::LearnConfig base;
-    base.threads = 1;
     core::LearnConfig budgeted = base;
     budgeted.budget.max_items = nl.stems().size() / 2;
 
@@ -569,7 +563,6 @@ Row bench_learn_sat_mode(const Netlist& nl, const netlist::Topology& topo) {
     // directly comparable to learn_full_pass_batch — the delta is the SAT
     // phase.
     core::LearnConfig cfg;
-    cfg.threads = 1;
     cfg.sat_frames = 4;
     const std::size_t stems = nl.stems().size();
     std::size_t sat_ties = 0, sat_relations = 0;
@@ -596,10 +589,8 @@ Row bench_server_warm_restart(const Netlist& nl, const netlist::Topology& topo) 
     const std::string bench = netlist::write_bench_string(nl);
     const std::uint64_t digest = server::content_digest(bench);
 
-    core::LearnConfig lcfg;
-    lcfg.threads = 1;
     const util::Timer cold_timer;
-    const core::LearnResult learned = core::learn(nl, topo, lcfg);
+    const core::LearnResult learned = core::learn(nl, topo);
     const double cold_learn_s = cold_timer.seconds();
 
     Row row;
@@ -655,9 +646,7 @@ Row bench_snapshot_load(const Netlist& nl, const netlist::Topology& topo) {
     // format against the text format, same data. This is the daemon's
     // restart path (and --load-db's); speedup_vs_text is what the binary
     // format buys. items = relations+ties decoded per load.
-    core::LearnConfig cfg;
-    cfg.threads = 1;
-    const core::LearnResult learned = core::learn(nl, topo, cfg);
+    const core::LearnResult learned = core::learn(nl, topo);
 
     std::ostringstream text_out, bin_out;
     core::save_learned(text_out, nl, learned.db, learned.ties);
@@ -704,10 +693,8 @@ Row bench_table3(const std::string& circuit) {
     // and ties from one learn; items = stems.
     const Netlist nl = workload::suite_circuit(circuit);
     const netlist::Topology topo(nl);
-    core::LearnConfig cfg;
-    cfg.threads = 1;
     const util::Timer t;
-    const core::LearnResult r = core::learn(nl, topo, cfg);
+    const core::LearnResult r = core::learn(nl, topo);
     Row row = once("paper/table3/" + circuit, nl.stems().size(), t.seconds());
     const Netlist::Counts c = nl.counts();
     row.extra = [ffs = c.flip_flops + c.latches, gates = c.combinational, stats = r.stats,
@@ -727,10 +714,8 @@ Row bench_table4(const std::string& circuit) {
     const Netlist nl = workload::suite_circuit(circuit);
     const netlist::Topology topo(nl);
     const std::vector<fault::Fault> universe = fault::fault_universe(nl);
-    core::LearnConfig cfg;
-    cfg.threads = 1;
     const util::Timer tie_timer;
-    const core::LearnResult r = core::learn(nl, topo, cfg);
+    const core::LearnResult r = core::learn(nl, topo);
     const std::size_t tie_untestable = r.ties.untestable_faults(nl, universe).size();
     const double tie_s = tie_timer.seconds();
     const util::Timer fire_timer;
@@ -752,9 +737,7 @@ void bench_table5(const std::string& circuit, exec::Pool& pool, std::vector<Row>
     // untestable. items = collapsed faults.
     const Netlist nl = workload::suite_circuit(circuit);
     const netlist::Topology topo(nl);
-    core::LearnConfig lcfg;
-    lcfg.threads = 1;
-    const core::LearnResult learned = core::learn(nl, topo, lcfg);
+    const core::LearnResult learned = core::learn(nl, topo);
     const fault::CollapsedFaults collapsed = fault::collapse(nl);
     constexpr std::array<std::pair<atpg::LearnMode, const char*>, 3> modes = {{
         {atpg::LearnMode::None, "none"},
@@ -798,7 +781,6 @@ void bench_depth(const std::string& circuit, std::vector<Row>& rows) {
     const netlist::Topology topo(nl);
     for (const std::uint32_t frames : {1u, 2u, 5u, 10u, 20u, 50u}) {
         core::LearnConfig cfg;
-        cfg.threads = 1;
         cfg.max_frames = frames;
         const util::Timer t;
         const core::LearnResult r = core::learn(nl, topo, cfg);
@@ -860,15 +842,11 @@ int main(int argc, char** argv) {
     rows.push_back(bench_frame_sim(nl));
     rows.push_back(bench_frame_sim_batch(nl, topo));
     rows.push_back(bench_parallel_patterns(nl));
-    rows.push_back(bench_learn(nl, topo, nullptr, 1, "learn_full_pass_batch"));
+    rows.push_back(bench_learn(nl, topo));
     rows.push_back(bench_fault_sim(nl, topo, nullptr, 1, "fault_sim_drop_detected"));
-    rows.push_back(bench_learn(nl, topo, &pool, hw, "learn_full_pass_batch_mt"));
     rows.push_back(bench_fault_sim(nl, topo, &pool, hw, "fault_sim_drop_detected_mt"));
     {
-        core::LearnConfig lcfg;
-        lcfg.threads = hw;
-        lcfg.executor = &pool;
-        const core::LearnResult learned = core::learn(nl, topo, lcfg);
+        const core::LearnResult learned = core::learn(nl, topo);
         rows.push_back(bench_fault_sim(nl, topo, &pool, hw, "fault_sim_drop_detected_ties_mt",
                                        &learned.ties));
     }

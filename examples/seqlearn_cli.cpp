@@ -26,10 +26,11 @@
 // src/api/request.hpp, and every command checks its flags the way the daemon
 // checks a request, before the circuit loads: a count must be a whole number
 // in its field's range (--frames 0 keeps the default depth; --threads 0 is
-// one worker per hardware thread, except for learning, which runs one, and
-// more than the hardware threads is refused), a name must be
-// one of those listed, and an unknown flag is refused. A refused flag is a
-// usage error (exit 2) naming it.
+// one worker per hardware thread, and more than the hardware threads is
+// refused), a name must be one of those listed, and an unknown flag is
+// refused. A refused flag is a usage error (exit 2) naming it. --threads
+// sizes ATPG and fault simulation; learning runs on one thread whatever it
+// says.
 //
 // serve runs the ATPG-as-a-service daemon: newline-framed JSON requests
 // (load / learn / atpg / fault_sim / stats / cancel / shutdown) over a
@@ -64,8 +65,9 @@
 // work items (how the CI large-circuit smoke bounds a 100k-gate learn);
 // --deadline-ms N bounds each stage's wall clock. --checkpoint FILE saves a
 // budget-stopped learn that --resume FILE continues to the one-shot result.
-// Results are bit-identical at any --threads. gen writes a synthetic
-// ISCAS-like circuit (workload::circuit_gen) for scaling experiments.
+// ATPG and fault-simulation results are bit-identical at any --threads.
+// gen writes a synthetic ISCAS-like circuit (workload::circuit_gen) for
+// scaling experiments.
 //
 // What --mode, --backend, --sat-frames and the guidance flags (--order,
 // --order-seed, --guidance, --rand-warmup, --fill) do is in README

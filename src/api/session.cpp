@@ -114,10 +114,6 @@ const core::LearnResult& Session::run_learn(const core::LearnConfig& lcfg,
     cfg.cancel = cancel_.get();
     if (!cfg.budget.any()) cfg.budget = cfg_.budget;
     if (cfg.failpoint == nullptr) cfg.failpoint = cfg_.failpoint;
-    const unsigned asked = lcfg.threads != 0 ? lcfg.threads : cfg_.threads;
-    const unsigned workers = asked != 0 ? asked : core::kDefaultLearnWorkers;
-    cfg.threads = workers;
-    if (workers > 1) cfg.executor = &executor(workers);
     replace_learned(std::make_unique<core::LearnResult>(
         ckpt != nullptr
             ? core::resume_learn(design_->netlist(), design_->topology(), cfg, *ckpt)

@@ -77,18 +77,18 @@ using ProgressObserver = std::function<bool(const Progress&)>;
 
 /// One configuration for the whole flow. The nested atpg config's `learned`
 /// and `on_fault` fields are managed by the Session (learned data is wired
-/// in automatically for modes that use it), as are both stage configs'
-/// `executor`/`cancel` fields (the Session's shared pool and cancel flag);
-/// everything else passes through.
+/// in automatically for modes that use it), as are its `executor` field
+/// (the Session's shared pool) and both stage configs' `cancel` fields (the
+/// Session's cancel flag); everything else passes through.
 struct SessionConfig {
     core::LearnConfig learn;
     atpg::AtpgConfig atpg;
     ProgressObserver progress;
-    /// Session-wide default worker count (0 = hardware_concurrency, except
-    /// learning, which runs core::kDefaultLearnWorkers). A stage config's
-    /// own `threads` field, when nonzero, wins for that stage. All stages
-    /// share one exec::Pool sized to the largest request; N-thread results
-    /// are bit-identical to 1-thread results.
+    /// Session-wide default worker count for ATPG and fault simulation (0 =
+    /// hardware_concurrency); the ATPG config's own `threads` field, when
+    /// nonzero, wins for that stage. Both stages share one exec::Pool sized
+    /// to the largest request; N-thread results are bit-identical to
+    /// 1-thread results. Learning always runs on the calling thread.
     unsigned threads = 0;
     /// Session-wide default run budget, inherited by any stage whose own
     /// config leaves `budget` empty. Each stage materializes its own clock
@@ -242,7 +242,7 @@ public:
     /// the (possibly again partial) result like learn() does. The config —
     /// cfg.learn for the first overload — must have the same result-affecting
     /// fields as the run that produced the checkpoint (execution fields:
-    /// threads / executor / budget may differ freely); throws
+    /// budget / cancel / callbacks may differ freely); throws
     /// std::invalid_argument otherwise. A resumed run completes to the same
     /// final db/ties the uninterrupted run would have produced.
     const core::LearnResult& resume_learn(const core::LearnCheckpoint& ckpt);

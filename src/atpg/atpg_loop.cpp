@@ -312,11 +312,10 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
         }
     }
 
-    const exec::SpeculateOptions sopt{/*min_window=*/workers,
-                                      /*max_window=*/2 * static_cast<std::size_t>(workers)};
-    std::vector<TargetVerdict> slots(exec::resolved_max_window(sopt, workers));
+    const exec::SpeculateOptions sopt{/*first_window=*/workers,
+                                      /*window=*/2 * static_cast<std::size_t>(workers)};
+    std::vector<TargetVerdict> slots(sopt.window);
 
-    auto prepare = [](std::size_t, std::size_t) {};
     auto compute = [&](unsigned worker, std::size_t item, std::size_t slot) {
         TargetVerdict& v = slots[slot];
         const std::size_t i = targets[item];
@@ -357,7 +356,7 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
         if (budget != nullptr) budget->note_item();
         return exec::Commit::Done;
     };
-    exec::speculate_ordered(ex.pool, targets.size(), sopt, prepare, compute, commit, workers);
+    exec::speculate_ordered(ex.pool, targets.size(), sopt, compute, commit, workers);
     run_sat_phase();
 }
 

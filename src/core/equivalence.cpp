@@ -1,7 +1,6 @@
 #include "core/equivalence.hpp"
 
 #include "logic/pattern.hpp"
-#include "netlist/levelize.hpp"
 #include "netlist/structure.hpp"
 #include "sim/parallel_sim.hpp"
 
@@ -108,7 +107,7 @@ struct ConeCache {
 };
 
 // Evaluate the union cone of the jobs sharing `pats` and check each job's
-// lane range. `pats`/`touched` are reusable worker scratch (all-X between
+// lane range. `pats`/`touched` are reusable scratch (all-X between
 // batches). Jobs must already have their support patterns staged.
 void eval_cone_and_touch(const Netlist& nl, std::span<const GateId> cone,
                          std::vector<Pattern>& pats, std::vector<GateId>& touched,
@@ -148,8 +147,8 @@ bool job_verdict_lanes(const ProofJob& job, const std::vector<Pattern>& pats, in
     return ((logic::pat_known(a) & logic::pat_known(b)) & lane_mask) == lane_mask;
 }
 
-// Reusable per-worker evaluation scratch. `pats` is all-X outside a batch;
-// the touch list undoes exactly the gates a batch wrote.
+// Reusable evaluation scratch. `pats` is all-X outside a batch; the touch
+// list undoes exactly the gates a batch wrote.
 struct ProofScratch {
     std::vector<Pattern> pats;
     std::vector<GateId> touched;
@@ -209,16 +208,17 @@ void prove_packed(const Netlist& nl, std::span<const ProofJob* const> jobs,
 
 }  // namespace
 
-EquivResult find_equivalences(const Netlist& nl, exec::Pool* pool, unsigned max_workers) {
+EquivResult find_equivalences(const Netlist& nl, const netlist::Topology& topo) {
     EquivResult out;
     out.map.assign(nl.size(), {});
     out.rep.assign(nl.size(), netlist::kNoGate);
     out.inverted.assign(nl.size(), false);
 
-    const sim::SignatureSet sigs = sim::collect_signatures(nl, kSignatureRounds, kSignatureSeed);
-    const netlist::Levelization lv = netlist::levelize(nl);
+    const sim::SignatureSet sigs =
+        sim::collect_signatures(topo, kSignatureRounds, kSignatureSeed);
+    const std::span<const GateId> order = topo.schedule();
     std::vector<std::uint32_t> pos(nl.size(), 0);
-    for (std::uint32_t i = 0; i < lv.topo_order.size(); ++i) pos[lv.topo_order[i]] = i;
+    for (std::uint32_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
 
     // Canonical polarity: flip the whole signature when its first bit is 1,
     // so a gate and its complement land in the same bucket.
@@ -237,11 +237,10 @@ EquivResult find_equivalences(const Netlist& nl, exec::Pool* pool, unsigned max_
         buckets[std::move(key)].push_back({g, flip});
     }
 
-    // Flatten the candidate proofs (each independent, read-only over nl/lv)
-    // and precompute every proof's union support and cone — once per gate
-    // via the cone cache, not once per pair. Verdicts are merged in bucket
-    // order below, making the result identical at any thread count and any
-    // batch packing.
+    // Flatten the candidate proofs (each independent of the others) and
+    // precompute every proof's union support and cone — once per gate via
+    // the cone cache, not once per pair. Verdicts are merged in bucket
+    // order below, making the result independent of batch packing.
     ConeCache cache(nl, pos);
     std::vector<ProofJob> proofs;
     for (const auto& [key, entries] : buckets) {
@@ -316,27 +315,17 @@ EquivResult find_equivalences(const Netlist& nl, exec::Pool* pool, unsigned max_
     }
 
     std::vector<std::uint8_t> proven_flags(proofs.size(), 0);
-    unsigned workers = pool != nullptr ? pool->size() : 1;
-    if (max_workers != 0) workers = std::min(workers, max_workers);
-    std::vector<ProofScratch> scratch(std::max(1u, workers));
-    for (ProofScratch& s : scratch) s.pats.assign(nl.size(), logic::kPatAllX);
-
-    auto prove_batch = [&](unsigned worker, std::size_t bi) {
-        const Batch& b = batches[bi];
-        ProofScratch& s = scratch[worker];
+    ProofScratch scratch;
+    scratch.pats.assign(nl.size(), logic::kPatAllX);
+    for (const Batch& b : batches) {
         if (!b.packed) {
-            proven_flags[b.first] = prove_solo(nl, proofs[b.first], s) ? 1 : 0;
-            return;
+            proven_flags[b.first] = prove_solo(nl, proofs[b.first], scratch) ? 1 : 0;
+            continue;
         }
         std::array<const ProofJob*, 64> jobs{};
         for (std::uint32_t j = 0; j < b.count; ++j) jobs[j] = &proofs[b.first + j];
         prove_packed(nl, {jobs.data(), b.count}, pos,
-                     {proven_flags.data() + b.first, b.count}, s);
-    };
-    if (pool != nullptr && workers > 1 && batches.size() > 1) {
-        pool->run(batches.size(), exec::TaskView(prove_batch), workers);
-    } else {
-        for (std::size_t i = 0; i < batches.size(); ++i) prove_batch(0, i);
+                     {proven_flags.data() + b.first, b.count}, scratch);
     }
 
     std::size_t next_proof = 0;

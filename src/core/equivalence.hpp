@@ -10,8 +10,8 @@
 // during 3-valued simulation: if the gates agree on every binary assignment
 // they agree on every completion of a partial assignment.
 
-#include "exec/pool.hpp"
 #include "netlist/netlist.hpp"
+#include "netlist/topology.hpp"
 #include "sim/frame_sim.hpp"
 
 #include <cstdint>
@@ -46,11 +46,9 @@ struct EquivResult {
     std::vector<bool> inverted;
 };
 
-/// Find proven combinational equivalences in `nl`. The candidate proofs are
-/// independent of each other, so with a pool they run in parallel (capped at
-/// `max_workers` slots; 0 = all); class construction merges the verdicts in
-/// canonical bucket order, so the result is identical at any thread count.
-EquivResult find_equivalences(const netlist::Netlist& nl, exec::Pool* pool = nullptr,
-                              unsigned max_workers = 0);
+/// Find proven combinational equivalences in `nl`, whose CSR snapshot
+/// `topo` provides the signature simulation and the proof order. Class
+/// construction merges the verdicts in canonical bucket order.
+EquivResult find_equivalences(const netlist::Netlist& nl, const netlist::Topology& topo);
 
 }  // namespace seqlearn::core

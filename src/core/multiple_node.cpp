@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 
 namespace seqlearn::core {
 
@@ -56,11 +57,9 @@ TargetPlan plan_target(const StemRecords& records, std::uint32_t max_frames, Lit
 }
 
 // Extraction over a completed run (order-insensitive: the relation set is a
-// function of the frame-T implied set alone). Shared by the speculative and
-// commit sides (SpecCtx or DirectCtx).
-template <typename Ctx>
+// function of the frame-T implied set alone).
 void extract_target(const Netlist& nl, Literal target, std::uint32_t T,
-                    const sim::FrameSimResult& res, Ctx& ctx) {
+                    const sim::FrameSimResult& res, LearnCtx& ctx) {
     if (res.conflict) {
         ctx.set_tie(target.gate, target.value, T);
         return;
@@ -88,8 +87,8 @@ struct TargetPass {
         bool skipped = true;
         TargetPlan plan;
     };
-    // Per-worker scratch. Lane spans point into the flat `inj` buffer, which
-    // is fully built before the spans are taken.
+    // Scratch. Lane spans point into the flat `inj` buffer, which is fully
+    // built before the spans are taken.
     struct Scratch {
         std::vector<sim::Injection> inj;
         std::vector<std::pair<std::uint32_t, std::uint32_t>> inj_span;  // per lane
@@ -145,8 +144,7 @@ struct TargetPass {
         w.bres.extract_all({w.lane_res.data(), static_cast<std::size_t>(n_lanes)});
     }
 
-    template <typename Ctx>
-    bool extract(std::size_t unit, std::size_t pos, Scratch& w, Ctx& ctx) const {
+    bool extract(std::size_t unit, std::size_t pos, Scratch& w, LearnCtx& ctx) const {
         const Entry& e = w.entries[pos];
         if (e.skipped) return false;
         const Literal target = targets[unit];
@@ -163,13 +161,13 @@ struct TargetPass {
 
 }  // namespace
 
-PassOutcome multiple_node_learning(const Netlist& nl, std::span<sim::BatchFrameSimulator> sims,
+PassOutcome multiple_node_learning(const Netlist& nl, sim::BatchFrameSimulator& bsim,
                                    sim::TieClosure& closure, const StemRecords& records,
                                    std::uint32_t max_frames, TieSet& ties, ImplicationDB& db,
                                    const LearnExecEnv& env, std::size_t first_target) {
     const std::vector<Literal> targets = records.targets(kMinTargetRecords);
     const TargetPass pass{nl, targets, records, max_frames};
-    return run_learn_pass(pass, first_target, targets.size(), sims, ties, closure, db, nullptr,
+    return run_learn_pass(pass, first_target, targets.size(), bsim, ties, closure, db, nullptr,
                           nullptr, env);
 }
 

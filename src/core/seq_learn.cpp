@@ -4,7 +4,6 @@
 #include "netlist/clock_class.hpp"
 #include "util/timer.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace seqlearn::core {
@@ -44,13 +43,7 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
     exec::Budget budget(cfg.budget);
     exec::Budget* budget_ptr = cfg.budget.any() ? &budget : nullptr;
 
-    // Resolve the execution environment once: a shared executor when the
-    // caller (typically a Session) provides one, a private pool when more
-    // than one thread is requested, pure serial otherwise. The serial path
-    // never touches the pool machinery.
-    const exec::StageExec ex = exec::resolve_stage_exec(
-        cfg.executor, cfg.threads != 0 ? cfg.threads : kDefaultLearnWorkers);
-    const LearnExecEnv env{ex.pool, ex.workers, cfg.cancel, budget_ptr, cfg.failpoint};
+    const LearnExecEnv env{cfg.cancel, budget_ptr, cfg.failpoint};
 
     std::size_t start_class = 0;
     std::size_t start_unit = 0;
@@ -69,7 +62,7 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
 
     try {
         if (cfg.use_equivalences) {
-            result.equivalences = find_equivalences(nl, ex.pool, ex.workers);
+            result.equivalences = find_equivalences(nl, topo);
             result.stats.equiv_classes = result.equivalences.num_classes;
         }
 
@@ -96,13 +89,11 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
             };
         }
 
-        // Every per-class simulator — one per worker — shares the caller's
-        // CSR snapshot and the class's background (constants, ties so far,
-        // their forcings and carried state); only the cheap mutable scratch
-        // is per worker. The passes extend the background with every tie
-        // they commit, so committed ties are simulation facts for every
-        // later stem regardless of which worker simulates it.
-        const unsigned num_sims = std::max(1u, ex.workers);
+        // Each class's simulator shares the caller's CSR snapshot and runs
+        // against the class's background (constants, ties so far, their
+        // forcings and carried state). The passes extend the background
+        // with every tie they commit, so committed ties are simulation facts
+        // for every later stem.
         const std::uint64_t digest = learn_config_digest(cfg);
         bool stopped = false;
         for (std::size_t ci = start_class; ci < classes.size() && !stopped; ++ci) {
@@ -112,9 +103,7 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
                                     cfg.use_equivalences ? &result.equivalences.map : nullptr,
                                     cfg.max_frames, &result.ties.dense(),
                                     &result.ties.dense_cycles());
-            std::vector<sim::BatchFrameSimulator> sims;
-            sims.reserve(num_sims);
-            for (unsigned w = 0; w < num_sims; ++w) sims.emplace_back(closure);
+            sim::BatchFrameSimulator bsim(closure);
 
             // Resuming mid-class restores that class's records and skips the
             // already-processed schedule prefix; the carried ties/db make the
@@ -136,7 +125,7 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
             };
             if (!skip_single) {
                 const PassOutcome single = single_node_learning(
-                    nl, sims, closure, stems, cfg.max_frames, result.ties, result.db, records,
+                    nl, bsim, closure, stems, cfg.max_frames, result.ties, result.db, records,
                     progress ? &progress : nullptr, env, first_stem);
                 result.stats.stems_processed += single.processed;
                 stopped = stop_at(single, false);
@@ -146,7 +135,7 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
             if (!stopped && cfg.multiple_node) {
                 const std::size_t first_target = skip_single ? start_unit : 0;
                 const PassOutcome multi = multiple_node_learning(
-                    nl, sims, closure, records, cfg.max_frames, result.ties, result.db, env,
+                    nl, bsim, closure, records, cfg.max_frames, result.ties, result.db, env,
                     first_target);
                 result.stats.multi_targets += multi.processed;
                 result.stats.multi_relations += multi.relations_added;
@@ -177,9 +166,9 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
             }
         }
     } catch (const std::exception& e) {
-        // Never throw across the learn() boundary: the committed prefix in
-        // db/ties is intact (speculation windows apply nothing after a
-        // throw), but the exact stop point is unknown — not resumable.
+        // Never throw across the learn() boundary: every relation and tie
+        // committed so far is proven, but the exact stop point is unknown —
+        // not resumable.
         result.outcome = exec::RunOutcome::failed(e.what());
         result.cursor = {};
         finalize_stats(result, nl, timer);

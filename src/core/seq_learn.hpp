@@ -29,34 +29,20 @@ namespace seqlearn::core {
 /// running pass; partial results are kept and flagged cancelled.
 using ProgressFn = std::function<bool(std::size_t done, std::size_t total)>;
 
-/// Workers a learn runs when neither its LearnConfig nor its Session asks
-/// for a count. One, the measured best: ties come in runs — on gen38417,
-/// 436 stems of the single-node pass land ties, in nearly every one of its
-/// 445 batches, and a tie usually makes the next stem tie the gates its
-/// closure implies — so speculative batches are mostly re-derived after a
-/// tie, and 2-4 workers learned gen5378 and gen38417 slower than one.
-inline constexpr unsigned kDefaultLearnWorkers = 1;
-
+/// Learning runs on the calling thread: a tie learned at one stem is a
+/// simulation fact for every later stem, so the schedule is serial (see
+/// core/learn_pass.hpp).
 struct LearnConfig {
-    /// Worker threads for the pass (0 = kDefaultLearnWorkers). N-thread
-    /// results are bit-identical to 1-thread results: stems, multiple-node
-    /// targets, and equivalence proofs run speculatively in parallel and
-    /// commit in canonical order (see src/exec/).
-    unsigned threads = 0;
-    /// Run on this pool instead of a private one (a Session shares its pool
-    /// across stages); the effective worker count is min(pool size, threads).
-    exec::Pool* executor = nullptr;
-    /// Optional cooperative stop switch, polled at work-item boundaries from
-    /// the calling thread; request() is safe from any thread.
+    /// Optional cooperative stop switch, polled at stem/target boundaries;
+    /// request() is safe from any thread.
     exec::CancelFlag* cancel = nullptr;
     /// Run budget (wall-clock deadline / item limit), polled at
-    /// the same work-item boundaries as `cancel`. An exceeded budget stops
+    /// the same stem/target boundaries as `cancel`. An exceeded budget stops
     /// the pass at a stem/target boundary; the partial result is an exact
     /// prefix of the serial schedule and carries a resume cursor.
     exec::BudgetSpec budget;
     /// Fault-injection harness for the robustness test suite (null in
-    /// production). Polled inside work items, speculation commits, and batch
-    /// recomputes.
+    /// production). Polled before each batch simulation.
     exec::FailurePoint* failpoint = nullptr;
     /// Forward-simulation depth of both passes (the paper's experiments use
     /// 50).
@@ -163,9 +149,9 @@ struct LearnCheckpoint {
 };
 
 /// Digest of the LearnConfig fields that affect learning *results* (depth,
-/// passes, SAT frames). Execution-only fields — threads,
-/// executor, budget, callbacks — are excluded: results are bit-identical
-/// across them, so a checkpoint taken under one is resumable under another.
+/// passes, SAT frames). Execution-only fields — cancel, budget, failpoint,
+/// callbacks — are excluded: results are bit-identical across them, so a
+/// checkpoint taken under one is resumable under another.
 std::uint64_t learn_config_digest(const LearnConfig& cfg);
 
 /// Package an interrupted result for resumption. Throws std::logic_error
@@ -182,7 +168,7 @@ LearnResult learn(const netlist::Netlist& nl, const netlist::Topology& topo,
 
 /// Continue an interrupted run from `ckpt`. The combined run (original up
 /// to the cursor, then this) produces bit-identical results to a single
-/// uninterrupted learn() with the same config — at any thread count. Throws
+/// uninterrupted learn() with the same config. Throws
 /// std::invalid_argument when the checkpoint does not match the netlist or
 /// the config digest.
 LearnResult resume_learn(const netlist::Netlist& nl, const netlist::Topology& topo,

@@ -42,8 +42,7 @@ struct ExtractScratch {
 
 // Record collection and same-frame pairing over two completed conflict-free
 // runs (inject 0 -> r0, inject 1 -> r1), both with implied lists grouped by
-// frame. Shared verbatim by the speculative and commit sides via the
-// context (SpecCtx or DirectCtx), so the two cannot drift apart.
+// frame.
 //
 // Within a frame the implied values arrive in the interleaved batch
 // schedule's order, not the event order a lone FrameSimulator run of the
@@ -55,10 +54,9 @@ struct ExtractScratch {
 // makes schedule-independent; that is what keeps the learning results
 // independent of how stems are packed into batches, without canonicalizing
 // sorts on the hot path.
-template <typename Ctx>
 void extract_stem_results(const Netlist& nl, GateId stem, const sim::FrameSimResult& r0,
                           const sim::FrameSimResult& r1, std::uint32_t max_frames,
-                          ExtractScratch& s, Ctx& ctx) {
+                          ExtractScratch& s, LearnCtx& ctx) {
     // Observations feed the multiple-node pass.
     const sim::FrameSimResult* runs[2] = {&r0, &r1};
     for (int side = 0; side < 2; ++side) {
@@ -134,9 +132,8 @@ struct StemPass {
     /// Stems per 64-lane batch: two injection lanes per stem.
     static constexpr std::size_t kBatch = 32;
 
-    // Per-worker scratch: the lane schedules of one batch, the raw batch
-    // result, the per-lane extracted runs, and each stem's first lane (-1
-    // when skipped).
+    // Scratch: the lane schedules of one batch, the raw batch result, the
+    // per-lane extracted runs, and each stem's first lane (-1 when skipped).
     struct Scratch {
         ExtractScratch extract;
         std::array<sim::Injection, 2 * kBatch> inj;
@@ -179,8 +176,7 @@ struct StemPass {
 
     // One stem's verdict from its inject-0/inject-1 lanes (frame-grouped
     // implied lists; conflict flag for contradictory lanes).
-    template <typename Ctx>
-    bool extract(std::size_t unit, std::size_t pos, Scratch& w, Ctx& ctx) const {
+    bool extract(std::size_t unit, std::size_t pos, Scratch& w, LearnCtx& ctx) const {
         if (w.lane_of[pos] < 0) return false;
         const auto lane = static_cast<std::size_t>(w.lane_of[pos]);
         const sim::FrameSimResult& r0 = w.lane_res[lane];
@@ -203,14 +199,14 @@ struct StemPass {
 
 }  // namespace
 
-PassOutcome single_node_learning(const Netlist& nl, std::span<sim::BatchFrameSimulator> sims,
+PassOutcome single_node_learning(const Netlist& nl, sim::BatchFrameSimulator& bsim,
                                  sim::TieClosure& closure, std::span<const GateId> stems,
                                  std::uint32_t max_frames, TieSet& ties, ImplicationDB& db,
                                  StemRecords& records,
                                  const std::function<bool(std::size_t, std::size_t)>* progress,
                                  const LearnExecEnv& env, std::size_t first_stem) {
     const StemPass pass{nl, stems, max_frames};
-    return run_learn_pass(pass, first_stem, stems.size(), sims, ties, closure, db, &records,
+    return run_learn_pass(pass, first_stem, stems.size(), bsim, ties, closure, db, &records,
                           progress, env);
 }
 

@@ -30,9 +30,9 @@ public:
     void set(GateId gate, Val3 v, std::uint32_t cycle);
 
     /// Mutation counter: bumped by every set() that changes observable state
-    /// (a new tie, or a proof cycle lowered). Parallel learning dispatches
-    /// speculative work against a version snapshot and recomputes any item
-    /// whose commit finds the version moved.
+    /// (a new tie, or a proof cycle lowered). The learning loop compares it
+    /// around each unit's extraction and re-batches after a unit that moved
+    /// it.
     std::uint64_t version() const noexcept { return version_; }
 
     /// Tied value of `gate`, or X when not tied.

@@ -35,9 +35,9 @@ namespace seqlearn::exec {
 /// code location ("inside a work item's compute"), the arrival index picks
 /// the concrete occurrence.
 enum class FailSite : unsigned char {
-    WorkItem = 0,     ///< inside a work item (stem/target/fault-pass compute)
-    SpecCommit,       ///< inside an ordered/batched speculation commit
-    BatchRecompute,   ///< inside a batch remainder recompute
+    WorkItem = 0,     ///< inside a work item (learning batch, ATPG target, fault-sim pass)
+    SpecCommit,       ///< inside an ordered speculation commit (ATPG targets)
+    BatchRecompute,   ///< before a learning batch re-simulates units a tie left stale
     FsWrite,          ///< a filesystem write() — armed arrival = short write
     FsFsync,          ///< an fsync()/fdatasync() — armed arrival = EIO
     FsRename,         ///< a rename() into place — armed arrival = EIO

@@ -1,7 +1,7 @@
 #pragma once
 // A small fixed-size thread pool with a chunked dynamic work queue — the
-// execution engine underneath the parallel learning, fault-simulation, and
-// ATPG paths.
+// execution engine underneath the parallel fault-simulation and ATPG
+// paths.
 //
 // Design rules that keep N-thread results bit-identical to 1-thread runs:
 //  - work items are indexed; workers claim indices from one atomic counter,
@@ -101,7 +101,7 @@ struct StageExec {
     std::unique_ptr<Pool> owned;
 };
 
-/// The one resolution rule every stage shares: run on `shared` when the
+/// The one resolution rule the parallel stages share: run on `shared` when the
 /// caller provides one (workers = min(pool size, threads)), otherwise build
 /// a private pool when more than one thread is requested, otherwise serial.
 /// `threads` = 0 means one worker per hardware thread.

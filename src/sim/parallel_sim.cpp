@@ -4,36 +4,36 @@
 
 namespace seqlearn::sim {
 
-ParallelSim::ParallelSim(const Netlist& nl) : nl_(&nl), topo_(nl) {}
-
 void ParallelSim::eval(std::vector<Pattern>& pats) const {
-    if (pats.size() != topo_.size()) throw std::invalid_argument("ParallelSim::eval: bad size");
+    const netlist::Topology& topo = *topo_;
+    if (pats.size() != topo.size()) throw std::invalid_argument("ParallelSim::eval: bad size");
     Pattern* const vals = pats.data();
-    for (const GateId id : topo_.schedule()) {
-        if (!(topo_.flags(id) & (netlist::Topology::kComb | netlist::Topology::kConst)))
+    for (const GateId id : topo.schedule()) {
+        if (!(topo.flags(id) & (netlist::Topology::kComb | netlist::Topology::kConst)))
             continue;
-        const auto fi = topo_.fanins(id);
-        vals[id] = logic::eval_op_indirect(topo_.op(id), fi.size(),
+        const auto fi = topo.fanins(id);
+        vals[id] = logic::eval_op_indirect(topo.op(id), fi.size(),
                                            [&](std::size_t k) { return vals[fi[k]]; });
     }
 }
 
 void ParallelSim::eval_random(std::vector<Pattern>& pats, util::Rng& rng) const {
-    if (pats.size() != topo_.size())
+    if (pats.size() != topo_->size())
         throw std::invalid_argument("ParallelSim::eval_random: bad size");
     auto randomize = [&](GateId id) {
         const std::uint64_t bits = rng.next_u64();
         pats[id] = Pattern{bits, ~bits};
     };
-    for (const GateId id : nl_->inputs()) randomize(id);
-    for (const GateId id : nl_->seq_elements()) randomize(id);
+    for (const GateId id : topo_->inputs()) randomize(id);
+    for (const GateId id : topo_->seq_elements()) randomize(id);
     eval(pats);
 }
 
-SignatureSet collect_signatures(const Netlist& nl, std::size_t rounds, std::uint64_t seed) {
-    ParallelSim sim(nl);
+SignatureSet collect_signatures(const netlist::Topology& topo, std::size_t rounds,
+                                std::uint64_t seed) {
+    const ParallelSim sim(topo);
     util::Rng rng(seed);
-    const std::size_t n = nl.size();
+    const std::size_t n = topo.size();
     SignatureSet out;
     out.rounds = rounds;
     out.words.assign(n * rounds, 0);  // one preallocated rounds-per-gate block

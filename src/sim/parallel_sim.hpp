@@ -24,26 +24,23 @@ using logic::Pattern;
 using netlist::GateId;
 using netlist::Netlist;
 
-/// Levelized evaluator over 64-lane patterns.
+/// Levelized evaluator over 64-lane patterns on a caller-owned CSR
+/// snapshot, which must outlive it.
 class ParallelSim {
 public:
-    explicit ParallelSim(const Netlist& nl);
+    explicit ParallelSim(const netlist::Topology& topo) : topo_(&topo) {}
 
     /// Evaluate every combinational gate from the source patterns already in
     /// `pats` (inputs and sequential-element outputs). `pats` must be sized
-    /// nl.size().
+    /// topo.size().
     void eval(std::vector<Pattern>& pats) const;
 
     /// Fill all source lanes (inputs and sequential outputs) with random
     /// binary values and evaluate. Convenient for signature collection.
     void eval_random(std::vector<Pattern>& pats, util::Rng& rng) const;
 
-    const Netlist& netlist() const noexcept { return *nl_; }
-    const netlist::Topology& topology() const noexcept { return topo_; }
-
 private:
-    const Netlist* nl_;
-    netlist::Topology topo_;
+    const netlist::Topology* topo_;
 };
 
 /// Per-gate 64-bit signatures accumulated over `rounds` random evaluations;
@@ -64,6 +61,7 @@ struct SignatureSet {
     }
 };
 
-SignatureSet collect_signatures(const Netlist& nl, std::size_t rounds, std::uint64_t seed);
+SignatureSet collect_signatures(const netlist::Topology& topo, std::size_t rounds,
+                                std::uint64_t seed);
 
 }  // namespace seqlearn::sim

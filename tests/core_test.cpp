@@ -10,7 +10,6 @@
 #include "core/stem_records.hpp"
 #include "core/tie.hpp"
 #include "fault/fault.hpp"
-#include "exec/pool.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/topology.hpp"
 #include "test_helpers.hpp"
@@ -157,7 +156,7 @@ TEST(Equivalence, FindsDeMorganPair) {
     b.gate(GateType::Nand, "g3", {"a", "c"});   // == !g1
     b.output("g2");
     const Netlist nl = b.build();
-    const EquivResult eq = find_equivalences(nl);
+    const EquivResult eq = find_equivalences(nl, netlist::Topology(nl));
     const GateId g1 = nl.find("g1"), g2 = nl.find("g2"), g3 = nl.find("g3");
     ASSERT_NE(eq.rep[g1], netlist::kNoGate);
     EXPECT_EQ(eq.rep[g1], eq.rep[g2]);
@@ -176,7 +175,7 @@ TEST(Equivalence, RefutesNearMisses) {
     b.gate(GateType::And, "g2", {"a", "d"});
     b.output("g1").output("g2");
     const Netlist nl = b.build();
-    const EquivResult eq = find_equivalences(nl);
+    const EquivResult eq = find_equivalences(nl, netlist::Topology(nl));
     const GateId g1 = nl.find("g1"), g2 = nl.find("g2");
     EXPECT_TRUE(eq.rep[g1] == netlist::kNoGate || eq.rep[g1] != eq.rep[g2]);
 }
@@ -203,7 +202,7 @@ TEST(Equivalence, SupportCapDropsLargeCandidates) {
     add_pair(GateType::Xor, "at_cap", {ins.begin(), ins.end() - 1});
     add_pair(GateType::Xor, "past_cap", ins);
     const Netlist nl = b.build();
-    const EquivResult eq = find_equivalences(nl);
+    const EquivResult eq = find_equivalences(nl, netlist::Topology(nl));
     const auto rep = [&](const std::string& name) { return eq.rep[nl.find(name)]; };
     EXPECT_NE(rep("six_a"), netlist::kNoGate);
     EXPECT_EQ(rep("six_a"), rep("six_b"));
@@ -282,35 +281,28 @@ TEST(Learning, NextStemTiesWhatATieClosureImplies) {
     ASSERT_EQ(nl.fanouts(stems[0]).size(), 2u);
     ASSERT_EQ(nl.fanouts(stems[1]).size(), 2u);
 
-    for (const unsigned threads : {1u, 2u}) {
-        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-        exec::Pool pool(threads);
-        TieSet ties(nl.size());
-        ties.set(nl.find("Z"), Val3::Zero, 0);
-        sim::TieClosure closure(topo, sim::SeqGating::all_open(nl), nullptr, 50, &ties.dense(),
-                                &ties.dense_cycles());
-        std::vector<sim::BatchFrameSimulator> sims;
-        for (unsigned w = 0; w < threads; ++w) sims.emplace_back(closure);
-        ImplicationDB db(nl.size());
-        StemRecords records(64);
-        const PassOutcome out =
-            single_node_learning(nl, sims, closure, stems, 50, ties, db, records, nullptr,
-                                 LearnExecEnv{threads > 1 ? &pool : nullptr});
-        EXPECT_EQ(out.processed, 2u);
-        EXPECT_EQ(out.outright_ties, 1u);
-        EXPECT_EQ(ties.value(nl.find("P")), Val3::Zero);
-        EXPECT_EQ(ties.cycle(nl.find("P")), 0u);
-        EXPECT_EQ(ties.value(nl.find("U")), Val3::One);
-        EXPECT_EQ(ties.cycle(nl.find("U")), 0u);
-        EXPECT_EQ(ties.value(nl.find("F")), Val3::One);
-        EXPECT_EQ(ties.cycle(nl.find("F")), 1u);
-        EXPECT_EQ(ties.value(nl.find("G")), Val3::One);
-        EXPECT_EQ(ties.cycle(nl.find("G")), 1u);
-        EXPECT_EQ(out.ties_found, 4u);
-        EXPECT_EQ(records.total_records(), 12u);
-        // Once tied, the gates leave the background's free values.
-        EXPECT_TRUE(closure.free_values().empty());
-    }
+    TieSet ties(nl.size());
+    ties.set(nl.find("Z"), Val3::Zero, 0);
+    sim::TieClosure closure(topo, sim::SeqGating::all_open(nl), nullptr, 50, &ties.dense(),
+                            &ties.dense_cycles());
+    sim::BatchFrameSimulator bsim(closure);
+    ImplicationDB db(nl.size());
+    StemRecords records(64);
+    const PassOutcome out = single_node_learning(nl, bsim, closure, stems, 50, ties, db, records);
+    EXPECT_EQ(out.processed, 2u);
+    EXPECT_EQ(out.outright_ties, 1u);
+    EXPECT_EQ(ties.value(nl.find("P")), Val3::Zero);
+    EXPECT_EQ(ties.cycle(nl.find("P")), 0u);
+    EXPECT_EQ(ties.value(nl.find("U")), Val3::One);
+    EXPECT_EQ(ties.cycle(nl.find("U")), 0u);
+    EXPECT_EQ(ties.value(nl.find("F")), Val3::One);
+    EXPECT_EQ(ties.cycle(nl.find("F")), 1u);
+    EXPECT_EQ(ties.value(nl.find("G")), Val3::One);
+    EXPECT_EQ(ties.cycle(nl.find("G")), 1u);
+    EXPECT_EQ(out.ties_found, 4u);
+    EXPECT_EQ(records.total_records(), 12u);
+    // Once tied, the gates leave the background's free values.
+    EXPECT_TRUE(closure.free_values().empty());
 }
 
 // Paper Figure-2 reconstruction: the relation G9=0 => F2=0 requires both
@@ -577,7 +569,7 @@ TEST_P(LearningSoundness, TiesHoldInAllDeepEnoughStates) {
 TEST_P(LearningSoundness, EquivalencesAreTrueEquivalences) {
     const std::uint64_t seed = GetParam();
     const Netlist nl = testing::random_circuit(seed, 3, 5, 14);
-    const EquivResult eq = find_equivalences(nl);
+    const EquivResult eq = find_equivalences(nl, netlist::Topology(nl));
     const sim::CombEngine engine(nl);
     const auto inputs = nl.inputs();
     const std::uint64_t n_states = 1ULL << nl.seq_elements().size();

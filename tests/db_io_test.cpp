@@ -364,7 +364,6 @@ TEST(DbIoCorpus, StrictNumericParsingRejectsTrailingGarbage) {
 TEST(DbIoCorpus, CheckpointRoundTripPreservesEveryField) {
     const Netlist nl = testing::random_circuit(21, 6, 5, 30);
     core::LearnConfig cfg;
-    cfg.threads = 1;
     cfg.budget.max_items = 9;
     const LearnResult partial = testing::learn(nl, cfg);
     ASSERT_TRUE(partial.cursor.valid);

@@ -1,7 +1,6 @@
 // Tests for the exec subsystem: pool scheduling (every item exactly once,
 // worker ids in range, caller participation, caps, exceptions), the cancel
-// flag, and the ordered-speculation driver's bit-identical replay of a
-// serial schedule with rare state mutations.
+// flag, and ordered speculation's in-order commits.
 
 #include "exec/cancel.hpp"
 #include "exec/pool.hpp"
@@ -96,73 +95,32 @@ TEST(CancelFlag, RequestResetRoundTrip) {
     EXPECT_FALSE(flag.requested());
 }
 
-// A miniature of the learning pass: items are processed in order against a
-// shared "tie count"; every item whose index is divisible by `mutate_every`
-// mutates the state, and each item's result depends on the state it saw.
-// The serial schedule defines the expected observation sequence; the
-// speculative run must reproduce it exactly at any worker count.
-struct ToyRun {
-    std::vector<std::uint64_t> observed;  // state version each item recorded
-    std::uint64_t version = 0;
-};
-
-ToyRun toy_run(Pool* pool, unsigned workers, std::size_t n, std::size_t mutate_every) {
-    ToyRun run;
-    const SpeculateOptions opt;
-    std::vector<std::uint64_t> slots(resolved_max_window(opt, workers == 0 ? 8 : workers));
-    std::uint64_t dispatch_version = 0;
-    auto prepare = [&](std::size_t, std::size_t) { dispatch_version = run.version; };
-    auto compute = [&](unsigned, std::size_t item, std::size_t slot) {
-        // Simulated work whose answer depends on the shared state.
-        slots[slot] = run.version * 1000003u + item;
-    };
-    auto commit = [&](std::size_t item, std::size_t slot) -> Commit {
-        if (run.version != dispatch_version) return Commit::Retry;
-        run.observed.push_back(slots[slot]);
-        if (mutate_every != 0 && item % mutate_every == 0) ++run.version;
-        return Commit::Done;
-    };
-    speculate_ordered(pool, n, opt, prepare, compute, commit, workers);
-    return run;
-}
-
-TEST(Speculate, MatchesSerialScheduleUnderMutation) {
-    const ToyRun serial = toy_run(nullptr, 1, 500, 7);
-    for (const unsigned workers : {2u, 8u}) {
-        Pool pool(workers);
-        const ToyRun parallel = toy_run(&pool, workers, 500, 7);
-        EXPECT_EQ(parallel.version, serial.version) << workers;
-        EXPECT_EQ(parallel.observed, serial.observed) << workers;
-    }
-}
-
 TEST(Speculate, NoMutationNeverRetries) {
     Pool pool(4);
     std::atomic<std::size_t> computed{0};
-    const SpeculateOptions opt;
-    std::vector<std::size_t> slots(resolved_max_window(opt, 4));
-    auto prepare = [](std::size_t, std::size_t) {};
+    const SpeculateOptions opt{4, 8};
+    std::vector<std::size_t> slots(opt.window);
     auto compute = [&](unsigned, std::size_t item, std::size_t slot) {
         slots[slot] = item;
         computed.fetch_add(1, std::memory_order_relaxed);
     };
     std::size_t committed = 0;
     auto commit = [&](std::size_t item, std::size_t slot) -> Commit {
+        EXPECT_EQ(item, committed);  // strictly in item order
         EXPECT_EQ(slots[slot], item);
         ++committed;
         return Commit::Done;
     };
-    speculate_ordered(&pool, 300, opt, prepare, compute, commit, 4);
+    speculate_ordered(&pool, 300, opt, compute, commit, 4);
     EXPECT_EQ(committed, 300u);
-    // Without retries every item is computed exactly once.
+    // Every item is computed exactly once.
     EXPECT_EQ(computed.load(), 300u);
 }
 
 TEST(Speculate, StopAbandonsTheRest) {
     Pool pool(4);
-    const SpeculateOptions opt;
-    std::vector<std::size_t> slots(resolved_max_window(opt, 4));
-    auto prepare = [](std::size_t, std::size_t) {};
+    const SpeculateOptions opt{4, 8};
+    std::vector<std::size_t> slots(opt.window);
     auto compute = [&](unsigned, std::size_t item, std::size_t slot) { slots[slot] = item; };
     std::size_t committed = 0;
     auto commit = [&](std::size_t, std::size_t) -> Commit {
@@ -170,7 +128,7 @@ TEST(Speculate, StopAbandonsTheRest) {
         ++committed;
         return Commit::Done;
     };
-    speculate_ordered(&pool, 1000, opt, prepare, compute, commit, 4);
+    speculate_ordered(&pool, 1000, opt, compute, commit, 4);
     EXPECT_EQ(committed, 10u);
 }
 

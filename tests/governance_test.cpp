@@ -1,7 +1,7 @@
 // Wall-clock governance on a real workload (gen5378, the paper's s5378
 // stand-in): a deadline-bounded learn() must stop promptly and return a
 // usable partial result, and a budgeted run plus a checkpointed resume must
-// reproduce the one-shot goldens bit-identically at every thread count. Kept
+// reproduce the one-shot goldens bit-identically. Kept
 // out of the TSan job: gen5378 is too large to simulate under TSan's
 // slowdown (the small-circuit robustness_test covers the same code paths
 // there).
@@ -33,12 +33,11 @@ TEST(Governance, DeadlineStopsPromptlyWithUsablePartialResult) {
     using std::chrono::duration_cast;
     using std::chrono::milliseconds;
 
-    // The deadline comes from a full 1-thread pass measured here: the time
-    // to its first stem (the equivalence phase before it polls no deadline)
-    // plus a quarter of the rest, so it cuts the pass off mid-stream at any
-    // build type and machine speed (a Release pass takes ~25-35 ms). The
-    // stop bound: polling happens at stem boundaries (a batch's speculative
-    // compute fast-aborts once the deadline passes), so the tolerance is one
+    // The deadline comes from a full pass measured here: the time to its
+    // first stem (the equivalence phase before it polls no deadline) plus a
+    // quarter of the rest, so it cuts the pass off mid-stream at any build
+    // type and machine speed (a Release pass takes ~25-35 ms). The stop
+    // bound: polling happens at stem boundaries, so the tolerance is one
     // batch plus scheduling noise; Debug/instrumented builds run ~20x slower
     // and get a generous allowance.
 #ifdef NDEBUG
@@ -47,7 +46,6 @@ TEST(Governance, DeadlineStopsPromptlyWithUsablePartialResult) {
     constexpr long kToleranceMs = 1000;
 #endif
     LearnConfig cfg;
-    cfg.threads = 1;
     LearnConfig timed = cfg;
     Clock::time_point first_stem{};
     timed.on_stem = [&first_stem](std::size_t done, std::size_t) {
@@ -83,60 +81,49 @@ TEST(Governance, DeadlineStopsPromptlyWithUsablePartialResult) {
 // A tie-heavy golden: gen5378 learns 949 ties (the other goldens have at
 // most 75), so most batches run against a background many tie-set versions
 // old. Recorded from the per-frame-seeding batch simulator.
-TEST(Governance, TieHeavyLearnMatchesGoldenAcrossThreadCounts) {
+TEST(Governance, TieHeavyLearnMatchesGolden) {
     const netlist::Netlist nl = workload::suite_circuit("gen5378");
     const netlist::Topology topo(nl);
-    for (const unsigned threads : {1u, 2u, 8u}) {
-        LearnConfig cfg;
-        cfg.threads = threads;
-        const LearnResult r = learn(nl, topo, cfg);
-        const std::string ctx = "threads=" + std::to_string(threads);
-        ASSERT_TRUE(r.outcome.ok()) << ctx;
-        EXPECT_EQ(r.db.size(), 5342u) << ctx;
-        EXPECT_EQ(r.ties.count(), 949u) << ctx;
-        EXPECT_EQ(r.stats.ties_combinational, 486u) << ctx;
-        EXPECT_EQ(r.stats.ties_sequential, 463u) << ctx;
-        EXPECT_EQ(r.stats.multi_relations, 303u) << ctx;
-        EXPECT_EQ(r.stats.multi_ties, 49u) << ctx;
-        EXPECT_EQ(r.stats.stems_processed, 1298u) << ctx;
-        EXPECT_EQ(relation_hash(r.db), 0x8b380d1c4636e54aULL) << ctx;
-        EXPECT_EQ(testing::tie_digest(r.ties), 1073545694368701090ULL) << ctx;
-    }
+    const LearnResult r = learn(nl, topo);
+    ASSERT_TRUE(r.outcome.ok());
+    EXPECT_EQ(r.db.size(), 5342u);
+    EXPECT_EQ(r.ties.count(), 949u);
+    EXPECT_EQ(r.stats.ties_combinational, 486u);
+    EXPECT_EQ(r.stats.ties_sequential, 463u);
+    EXPECT_EQ(r.stats.multi_relations, 303u);
+    EXPECT_EQ(r.stats.multi_ties, 49u);
+    EXPECT_EQ(r.stats.stems_processed, 1298u);
+    EXPECT_EQ(relation_hash(r.db), 0x8b380d1c4636e54aULL);
+    EXPECT_EQ(testing::tie_digest(r.ties), 1073545694368701090ULL);
 }
 
 // Item limits that stop inside the multiple-node pass (gen5378: 1806 stems,
-// then 2113 targets): the stop lands on the same target with the same
-// partial result at every thread count, and the resume reaches the
-// tie-heavy golden above.
-TEST(Governance, ItemLimitInsideMultipleNodePassStopsAlikeAtEveryThreadCount) {
+// then 2113 targets): the stop lands on a pinned target with a pinned
+// partial result, and the resume reaches the tie-heavy golden above.
+TEST(Governance, ItemLimitInsideMultipleNodePassStopsAtThePinnedTarget) {
     const netlist::Netlist nl = workload::suite_circuit("gen5378");
     const netlist::Topology topo(nl);
     struct Stop {
         std::size_t limit, unit, targets, ties, relations;
     };
     for (const Stop& want : {Stop{2506, 700, 559, 7, 5334}, Stop{3306, 1500, 1149, 24, 5338}}) {
-        for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-            const std::string ctx =
-                "limit=" + std::to_string(want.limit) + " threads=" + std::to_string(threads);
-            LearnConfig cfg;
-            cfg.threads = threads;
-            LearnConfig budgeted = cfg;
-            budgeted.budget.max_items = want.limit;
-            const LearnResult partial = learn(nl, topo, budgeted);
-            ASSERT_EQ(partial.outcome.status, exec::RunStatus::LimitReached) << ctx;
-            ASSERT_TRUE(partial.cursor.valid) << ctx;
-            EXPECT_TRUE(partial.cursor.in_multi) << ctx;
-            EXPECT_EQ(partial.cursor.unit, want.unit) << ctx;
-            EXPECT_EQ(partial.stats.multi_targets, want.targets) << ctx;
-            EXPECT_EQ(partial.stats.multi_ties, want.ties) << ctx;
-            EXPECT_EQ(partial.db.size(), want.relations) << ctx;
+        const std::string ctx = "limit=" + std::to_string(want.limit);
+        LearnConfig budgeted;
+        budgeted.budget.max_items = want.limit;
+        const LearnResult partial = learn(nl, topo, budgeted);
+        ASSERT_EQ(partial.outcome.status, exec::RunStatus::LimitReached) << ctx;
+        ASSERT_TRUE(partial.cursor.valid) << ctx;
+        EXPECT_TRUE(partial.cursor.in_multi) << ctx;
+        EXPECT_EQ(partial.cursor.unit, want.unit) << ctx;
+        EXPECT_EQ(partial.stats.multi_targets, want.targets) << ctx;
+        EXPECT_EQ(partial.stats.multi_ties, want.ties) << ctx;
+        EXPECT_EQ(partial.db.size(), want.relations) << ctx;
 
-            const LearnResult resumed =
-                resume_learn(nl, topo, cfg, make_checkpoint(nl, partial));
-            EXPECT_TRUE(resumed.outcome.ok()) << ctx;
-            EXPECT_EQ(relation_hash(resumed.db), 0x8b380d1c4636e54aULL) << ctx;
-            EXPECT_EQ(testing::tie_digest(resumed.ties), 1073545694368701090ULL) << ctx;
-        }
+        const LearnResult resumed =
+            resume_learn(nl, topo, LearnConfig{}, make_checkpoint(nl, partial));
+        EXPECT_TRUE(resumed.outcome.ok()) << ctx;
+        EXPECT_EQ(relation_hash(resumed.db), 0x8b380d1c4636e54aULL) << ctx;
+        EXPECT_EQ(testing::tie_digest(resumed.ties), 1073545694368701090ULL) << ctx;
     }
 }
 
@@ -144,14 +131,12 @@ TEST(Governance, BudgetedRunPlusResumeMatchesOneShotAcrossExecConfigs) {
     const netlist::Netlist nl = workload::suite_circuit("gen5378");
     const netlist::Topology topo(nl);
 
-    LearnConfig serial;
-    serial.threads = 1;
-    const LearnResult golden = learn(nl, topo, serial);
+    const LearnResult golden = learn(nl, topo);
     ASSERT_TRUE(golden.outcome.ok());
 
-    // Stop partway through the single-node pass, checkpoint, resume under
-    // each execution config; every combined run must land on the goldens.
-    LearnConfig budgeted = serial;
+    // Stop partway through the single-node pass, checkpoint, and resume
+    // without the item limit; the combined run must land on the goldens.
+    LearnConfig budgeted;
     budgeted.budget.max_items = 300;
     const LearnResult partial = learn(nl, topo, budgeted);
     ASSERT_EQ(partial.outcome.status, exec::RunStatus::LimitReached);
@@ -164,29 +149,21 @@ TEST(Governance, BudgetedRunPlusResumeMatchesOneShotAcrossExecConfigs) {
     EXPECT_GT(partial.stats.stems_processed, 0u);
     const LearnCheckpoint ckpt = make_checkpoint(nl, partial);
 
-    // One cell exercises the full text round trip; the rest resume from the
-    // in-memory checkpoint (the serialization is identical — db_io_test
-    // proves field fidelity, this proves result fidelity at scale).
+    // The resume goes through the full text round trip (db_io_test proves
+    // field fidelity, this proves result fidelity at scale).
     std::stringstream ss;
     save_checkpoint(ss, nl, ckpt);
     const LearnCheckpoint reloaded = load_checkpoint(ss, nl);
 
-    bool first = true;
-    for (const unsigned threads : {1u, 2u, 8u}) {
-        LearnConfig cfg;
-        cfg.threads = threads;
-        const LearnResult resumed = resume_learn(nl, topo, cfg, first ? reloaded : ckpt);
-        first = false;
-        const std::string ctx = "threads=" + std::to_string(threads);
-        EXPECT_TRUE(resumed.outcome.ok()) << ctx;
-        EXPECT_EQ(relation_hash(resumed.db), relation_hash(golden.db)) << ctx;
-        EXPECT_EQ(resumed.db.size(), golden.db.size()) << ctx;
-        EXPECT_EQ(resumed.ties.dense(), golden.ties.dense()) << ctx;
-        EXPECT_EQ(resumed.ties.dense_cycles(), golden.ties.dense_cycles()) << ctx;
-        EXPECT_EQ(resumed.stats.multi_relations, golden.stats.multi_relations) << ctx;
-        EXPECT_EQ(resumed.stats.multi_ties, golden.stats.multi_ties) << ctx;
-        EXPECT_EQ(resumed.stats.stems_processed, golden.stats.stems_processed) << ctx;
-    }
+    const LearnResult resumed = resume_learn(nl, topo, LearnConfig{}, reloaded);
+    EXPECT_TRUE(resumed.outcome.ok());
+    EXPECT_EQ(relation_hash(resumed.db), relation_hash(golden.db));
+    EXPECT_EQ(resumed.db.size(), golden.db.size());
+    EXPECT_EQ(resumed.ties.dense(), golden.ties.dense());
+    EXPECT_EQ(resumed.ties.dense_cycles(), golden.ties.dense_cycles());
+    EXPECT_EQ(resumed.stats.multi_relations, golden.stats.multi_relations);
+    EXPECT_EQ(resumed.stats.multi_ties, golden.stats.multi_ties);
+    EXPECT_EQ(resumed.stats.stems_processed, golden.stats.stems_processed);
 }
 
 }  // namespace

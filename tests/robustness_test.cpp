@@ -3,13 +3,14 @@
 //
 // The contract under test (ISSUE 6's graceful-degradation layer): a run
 // that stops early — cooperative cancel, exhausted budget, or an exception
-// thrown from inside a parallel work item or speculation commit — must (a)
-// surface as a structured RunOutcome instead of an escaped exception or a
-// deadlock, (b) leave the shared learned state (db / ties) a sound, intact
-// prefix, and (c) never poison later runs: a clean re-run on the same
-// engine state reproduces the untouched goldens bit for bit. Checkpointed
-// resumes must converge to the exact one-shot result at any thread count.
-// This suite runs under the ASan and TSan CI jobs.
+// thrown from inside a work item, a batch re-simulation or an ATPG
+// speculation commit — must (a) surface as a structured RunOutcome instead
+// of an escaped exception or a deadlock, (b) leave the shared learned state
+// (db / ties) a sound, intact prefix, and (c) never poison later runs: a
+// clean re-run on the same engine state reproduces the untouched goldens
+// bit for bit. Checkpointed resumes must converge to the exact one-shot
+// result under any execution-only config. This suite runs under the ASan
+// and TSan CI jobs.
 
 #include "api/session.hpp"
 #include "core/db_io.hpp"
@@ -41,9 +42,12 @@ using exec::RunStatus;
 // relation_hash comes from the library (core/impl_db.hpp) so these
 // robustness/governance digests stay pinned to the serving protocol's.
 
-LearnConfig exec_cfg(unsigned threads) {
+// A config whose one non-default field is execution-only: a wall-clock
+// deadline of `hours` hours, which no run here comes near. A run under it
+// is bit-identical to a run without it.
+LearnConfig exec_cfg(unsigned hours) {
     LearnConfig cfg;
-    cfg.threads = threads;
+    cfg.budget.deadline = std::chrono::hours(hours);
     return cfg;
 }
 
@@ -91,91 +95,95 @@ TEST(FailurePoint, InjectedFaultNamesItsSite) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection into learning: every site, serial and parallel, must
-// surface as a Failed outcome with the shared state intact.
+// Fault injection into learning and ATPG: every site must surface as a
+// Failed outcome with the shared state intact.
 
 TEST(FaultInjection, WorkItemFailureYieldsFailedOutcomeAndCleanRerun) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
     const LearnResult golden = testing::learn(nl, exec_cfg(1));
     ASSERT_TRUE(golden.outcome.ok());
 
-    // The work-item site is polled once per batch, and this circuit's whole
-    // pass fits one batch, so the 1st arrival is the one that exists.
-    for (const unsigned threads : {1u, 4u}) {
-        FailurePoint fp;
-        fp.arm(FailSite::WorkItem, 1);
-        LearnConfig cfg = exec_cfg(threads);
-        cfg.failpoint = &fp;
-        const LearnResult r = testing::learn(nl, cfg);
-        const std::string ctx = "threads=" + std::to_string(threads);
-        EXPECT_EQ(r.outcome.status, RunStatus::Failed) << ctx;
-        EXPECT_FALSE(r.outcome.diagnostic.empty()) << ctx;
-        EXPECT_FALSE(r.cursor.valid) << ctx;  // unwound: stop point unknown
-        EXPECT_TRUE(r.stats.cancelled) << ctx;
-        // The committed prefix is sound: every relation it holds appears in
-        // the complete run's database.
-        const auto all = golden.db.relations();
-        for (const Relation& rel : r.db.relations()) {
-            EXPECT_NE(std::find(all.begin(), all.end(), rel), all.end())
-                << ctx << ": injected-failure prefix learned a bogus relation";
-        }
-        // A clean re-run reproduces the untouched golden exactly.
-        const LearnResult clean = testing::learn(nl, exec_cfg(threads));
-        expect_same_result(clean, golden, ctx + " (clean rerun)");
-    }
-}
-
-TEST(FaultInjection, SpecCommitFailureYieldsFailedOutcome) {
-    const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
-    const LearnResult golden = testing::learn(nl, exec_cfg(1));
-
+    // The work-item site is polled before a pass's first batch, so the 1st
+    // arrival is one that exists.
     FailurePoint fp;
-    fp.arm(FailSite::SpecCommit, 2);
-    LearnConfig cfg = exec_cfg(4);
+    fp.arm(FailSite::WorkItem, 1);
+    LearnConfig cfg = exec_cfg(1);
     cfg.failpoint = &fp;
     const LearnResult r = testing::learn(nl, cfg);
     EXPECT_EQ(r.outcome.status, RunStatus::Failed);
-    EXPECT_GE(fp.hits(FailSite::SpecCommit), 2u);
-    const LearnResult clean = testing::learn(nl, exec_cfg(4));
+    EXPECT_FALSE(r.outcome.diagnostic.empty());
+    EXPECT_FALSE(r.cursor.valid);  // unwound: stop point unknown
+    EXPECT_TRUE(r.stats.cancelled);
+    // The committed prefix is sound: every relation it holds appears in the
+    // complete run's database.
+    const auto all = golden.db.relations();
+    for (const Relation& rel : r.db.relations()) {
+        EXPECT_NE(std::find(all.begin(), all.end(), rel), all.end())
+            << "injected-failure prefix learned a bogus relation";
+    }
+    // A clean re-run reproduces the untouched golden exactly.
+    const LearnResult clean = testing::learn(nl, exec_cfg(1));
     expect_same_result(clean, golden, "clean rerun");
 }
 
+// Learning commits as it goes and has no speculation commit; the site is
+// the ATPG campaign's in-order commit of the targets its workers solved.
+TEST(FaultInjection, SpecCommitFailureYieldsFailedOutcome) {
+    const netlist::Netlist nl = workload::suite_circuit("s27");
+    auto session_for = [&nl](FailurePoint* fp) {
+        api::SessionConfig scfg;
+        scfg.threads = 4;
+        scfg.failpoint = fp;
+        return api::Session(netlist::Netlist(nl), std::move(scfg));
+    };
+    atpg::AtpgConfig acfg;
+    acfg.mode = atpg::LearnMode::None;
+    acfg.backtrack_limit = 100;
+
+    FailurePoint fp;
+    fp.arm(FailSite::SpecCommit, 2);
+    api::Session broken = session_for(&fp);
+    EXPECT_EQ(broken.atpg(acfg).outcome.run.status, RunStatus::Failed);
+    EXPECT_GE(fp.hits(FailSite::SpecCommit), 2u);
+    // A clean rerun reproduces the golden campaign digest
+    // (AtpgDeterminism.CampaignDigestsMatchPrePortGoldens).
+    api::Session clean = session_for(nullptr);
+    EXPECT_EQ(api::campaign_digest(clean.atpg(acfg)), 18111582773122034168ULL);
+}
+
 TEST(FaultInjection, BatchRecomputeFailureYieldsFailedOutcome) {
-    // The recompute site is only reached when a speculative batch goes stale
-    // (a tie committed mid-window), so sweep tie-rich seeds and both worker
-    // counts; each firing must surface as Failed, and at least one cell of
-    // the sweep must actually fire (the site is not dead).
+    // The recompute site is only reached when a tie cuts a batch short and
+    // units are left to re-simulate, so sweep tie-rich seeds; each firing
+    // must surface as Failed, and at least one seed must actually fire (the
+    // site is not dead).
     bool any_fired = false;
     for (const std::uint64_t seed : {21ULL, 33ULL, 55ULL, 77ULL}) {
         const netlist::Netlist nl = testing::random_circuit(seed, 6, 5, 30);
         const LearnResult golden = testing::learn(nl, exec_cfg(1));
-        for (const unsigned threads : {2u, 4u}) {
-            FailurePoint fp;
-            fp.arm(FailSite::BatchRecompute, 1);
-            LearnConfig cfg = exec_cfg(threads);
-            cfg.failpoint = &fp;
-            const LearnResult r = testing::learn(nl, cfg);
-            const std::string ctx =
-                "seed=" + std::to_string(seed) + " threads=" + std::to_string(threads);
-            if (fp.hits(FailSite::BatchRecompute) > 0) {
-                any_fired = true;
-                EXPECT_EQ(r.outcome.status, RunStatus::Failed) << ctx;
-                const LearnResult clean = testing::learn(nl, exec_cfg(threads));
-                expect_same_result(clean, golden, ctx + " (clean rerun)");
-            } else {
-                EXPECT_TRUE(r.outcome.ok()) << ctx;
-                expect_same_result(r, golden, ctx);
-            }
+        FailurePoint fp;
+        fp.arm(FailSite::BatchRecompute, 1);
+        LearnConfig cfg = exec_cfg(1);
+        cfg.failpoint = &fp;
+        const LearnResult r = testing::learn(nl, cfg);
+        const std::string ctx = "seed=" + std::to_string(seed);
+        if (fp.hits(FailSite::BatchRecompute) > 0) {
+            any_fired = true;
+            EXPECT_EQ(r.outcome.status, RunStatus::Failed) << ctx;
+            const LearnResult clean = testing::learn(nl, exec_cfg(1));
+            expect_same_result(clean, golden, ctx + " (clean rerun)");
+        } else {
+            EXPECT_TRUE(r.outcome.ok()) << ctx;
+            expect_same_result(r, golden, ctx);
         }
     }
-    EXPECT_TRUE(any_fired) << "no config ever reached the batch-recompute site";
+    EXPECT_TRUE(any_fired) << "no seed ever reached the batch-recompute site";
 }
 
 TEST(FaultInjection, SimulatedAllocationFailureIsCaptured) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
     FailurePoint fp;
     fp.arm(FailSite::WorkItem, 1, FailKind::BadAlloc);
-    LearnConfig cfg = exec_cfg(4);
+    LearnConfig cfg = exec_cfg(1);
     cfg.failpoint = &fp;
     const LearnResult r = testing::learn(nl, cfg);
     EXPECT_EQ(r.outcome.status, RunStatus::Failed);
@@ -278,29 +286,30 @@ TEST(SessionReuse, BudgetStoppedLearnIsRerunByNoArgCall) {
 // ---------------------------------------------------------------------------
 // Deterministic budgets and checkpoint/resume.
 
+// The Session's thread count sizes ATPG and fault simulation only: a
+// budgeted learn through a Session sized for eight workers stops at the
+// same unit, with the same prefix, as the bare learn().
 TEST(Budget, ItemLimitStopsAtTheSameUnitAtAnyThreadCount) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
-    LearnConfig serial = exec_cfg(1);
-    serial.budget.max_items = 7;
-    const LearnResult want = core::learn(nl, netlist::Topology(nl), serial);
+    LearnConfig budgeted = exec_cfg(1);
+    budgeted.budget.max_items = 7;
+    const LearnResult want = core::learn(nl, netlist::Topology(nl), budgeted);
     ASSERT_EQ(want.outcome.status, RunStatus::LimitReached);
     ASSERT_TRUE(want.cursor.valid);
     EXPECT_EQ(want.stats.stems_processed, 7u);
 
-    for (const unsigned threads : {2u, 8u}) {
-        LearnConfig cfg = exec_cfg(threads);
-        cfg.budget.max_items = 7;
-        const LearnResult got = core::learn(nl, netlist::Topology(nl), cfg);
-        const std::string ctx = "threads=" + std::to_string(threads);
-        EXPECT_EQ(got.outcome.status, RunStatus::LimitReached) << ctx;
-        EXPECT_EQ(got.cursor.unit, want.cursor.unit) << ctx;
-        EXPECT_EQ(got.cursor.in_multi, want.cursor.in_multi) << ctx;
-        EXPECT_EQ(got.cursor.class_index, want.cursor.class_index) << ctx;
-        EXPECT_EQ(got.stats.stems_processed, want.stats.stems_processed) << ctx;
-        // The partial result is bit-identical to the serial prefix.
-        EXPECT_EQ(relation_hash(got.db), relation_hash(want.db)) << ctx;
-        EXPECT_EQ(got.ties.dense(), want.ties.dense()) << ctx;
-    }
+    api::SessionConfig scfg;
+    scfg.threads = 8;
+    api::Session session(netlist::Netlist(nl), std::move(scfg));
+    const LearnResult& got = session.learn(budgeted);
+    EXPECT_EQ(got.outcome.status, RunStatus::LimitReached);
+    EXPECT_EQ(got.cursor.unit, want.cursor.unit);
+    EXPECT_EQ(got.cursor.in_multi, want.cursor.in_multi);
+    EXPECT_EQ(got.cursor.class_index, want.cursor.class_index);
+    EXPECT_EQ(got.stats.stems_processed, want.stats.stems_processed);
+    // The partial result is bit-identical to the bare prefix.
+    EXPECT_EQ(relation_hash(got.db), relation_hash(want.db));
+    EXPECT_EQ(got.ties.dense(), want.ties.dense());
 }
 
 TEST(Checkpoint, ResumeConvergesToOneShotAtEveryStopBoundary) {
@@ -372,12 +381,11 @@ TEST(Checkpoint, ResumeUnderDifferentExecutionConfigMatchesGolden) {
     ASSERT_TRUE(partial.cursor.valid);
     const LearnCheckpoint ckpt = make_checkpoint(nl, partial);
 
-    // threads/budget are execution-only: the digest admits them and the
+    // The deadline and the item limit are execution-only: the digest admits
+    // a resume under a different deadline and no item limit, and the
     // resumed result is still bit-identical.
-    for (const unsigned threads : {2u, 8u}) {
-        const LearnResult resumed = resume_learn(nl, topo, exec_cfg(threads), ckpt);
-        expect_same_result(resumed, golden, "threads=" + std::to_string(threads));
-    }
+    const LearnResult resumed = resume_learn(nl, topo, exec_cfg(8), ckpt);
+    expect_same_result(resumed, golden, "resumed under an 8-hour deadline");
 }
 
 TEST(Checkpoint, MismatchesAreRejected) {
@@ -524,9 +532,9 @@ TEST(Checkpoint, SessionResumeApiRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// Cancellation under parallel execution: a cancel raised mid-run from
-// another thread stops every exec path without deadlock and leaves state
-// reusable. (TSan coverage for the cancel/budget polling added this issue.)
+// Cancellation from another thread: a cancel raised mid-run stops the learn
+// without deadlock and leaves state reusable. (TSan coverage for the
+// cancel/budget polling.)
 
 TEST(Cancellation, MidRunCancelFromAnotherThreadStopsAllExecPaths) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);

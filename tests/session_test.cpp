@@ -188,10 +188,10 @@ TEST(Session, LearnCancellationKeepsPartialResults) {
 }
 
 TEST(Session, CancelMidParallelLearnKeepsPartialResults) {
-    // Same contract as the serial cancellation test, but with eight workers
-    // speculating ahead: the observer's false return raises the atomic
-    // cancel flag, uncommitted speculative stems are discarded, and only
-    // the stems committed before the cut survive.
+    // Same contract as the serial cancellation test, in a Session sized for
+    // eight workers (learning itself runs on the calling thread): the
+    // observer's false return raises the atomic cancel flag, and only the
+    // stems committed before the cut survive.
     SessionConfig cfg;
     cfg.threads = 8;
     cfg.progress = [](const Progress& p) {
@@ -205,8 +205,8 @@ TEST(Session, CancelMidParallelLearnKeepsPartialResults) {
 
 TEST(Session, RequestCancelFromAnotherThreadStopsTheStage) {
     // The observer lets a helper thread call request_cancel() and joins it
-    // before returning true, so the flag is provably raised concurrently
-    // with the running parallel stage — the next stem boundary must stop.
+    // before returning true, so the flag is provably raised by another
+    // thread while the stage runs — the next stem boundary must stop.
     SessionConfig cfg;
     cfg.threads = 4;
     Session* session_ptr = nullptr;

@@ -514,7 +514,8 @@ TEST(FrameSim, AgreesWithReferenceSequenceSimulation) {
 
 TEST(ParallelSim, MatchesScalarEngineLanewise) {
     const Netlist nl = netlist::read_bench_string(kS27, "s27");
-    ParallelSim psim(nl);
+    const netlist::Topology topo(nl);
+    const ParallelSim psim(topo);
     const CombEngine eng(nl);
     util::Rng rng(99);
     std::vector<logic::Pattern> pats(nl.size());
@@ -541,8 +542,9 @@ TEST(ParallelSim, SignaturesDeterministicAndEquivalenceRevealing) {
     b.gate(GateType::Nand, "g3", {"a", "b"});  // complement of g1
     b.output("g1");
     const Netlist nl = b.build();
-    const auto s1 = collect_signatures(nl, 4, 7);
-    const auto s2 = collect_signatures(nl, 4, 7);
+    const netlist::Topology topo(nl);
+    const auto s1 = collect_signatures(topo, 4, 7);
+    const auto s2 = collect_signatures(topo, 4, 7);
     EXPECT_EQ(s1.words, s2.words);
     const auto g1 = s1.of(nl.find("g1"));
     const auto g2 = s1.of(nl.find("g2"));
