@@ -17,11 +17,14 @@
 // data) and paper/depth/* (the frame-depth ablation).
 //
 // The *_mt rows run the same work as their serial twins on one worker per
-// hardware thread through the exec subsystem ("threads" records the actual
-// worker count — on a 1-core machine they measure the pool's overhead, not
-// a speedup); results are bit-identical to the serial rows by design.
-// fault_sim_drop_detected_ties_mt differs from fault_sim_drop_detected_mt
-// only in carrying one learn's ties on the good machine.
+// hardware thread through the exec subsystem ("threads" records the pool's
+// size — on a 1-core machine they measure the pool's overhead, not a
+// speedup); results are bit-identical to the serial rows by design.
+// fault_sim_drop_detected_2t and _4t run the tie-free pass on pools of 2
+// and 4 workers whatever the machine, so the 1/2/4-worker scaling is on
+// record. fault_sim_drop_detected_ties_mt differs from
+// fault_sim_drop_detected_mt only in carrying one learn's ties on the good
+// machine.
 // The learn_full_pass_batch row runs learn(), whose passes run on the
 // calling thread and always simulate through the 64-lane bit-parallel
 // BatchFrameSimulator; learning has no _mt twin.
@@ -182,17 +185,18 @@ Row bench_learn(const Netlist& nl, const netlist::Topology& topo) {
 }
 
 Row bench_fault_sim(const Netlist& nl, const netlist::Topology& topo, exec::Pool* pool,
-                    unsigned threads, const char* name, const core::TieSet* ties = nullptr) {
+                    const char* name, const core::TieSet* ties = nullptr) {
     // drop_detected over the full collapsed list with 24-frame random
     // sequences — the validation hot path of every ATPG campaign; items =
     // faults simulated per repeat, `passes` = simulation passes per repeat
     // (kFaultsPerPass faults each). The simulator shares one CSR snapshot,
-    // the Session pattern; the mt rows fan the passes over the pool.
+    // the Session pattern, and runs its passes on `pool` (null = the
+    // calling thread); `threads` records the pool's size.
     // With `ties` the good machine carries learned ties, so every pass also
     // builds its tie lanes from the fault cones (the learning-aware
     // validation path); the sequences are the same as without.
     fault::FaultSimulator fsim(topo);
-    if (pool != nullptr) fsim.set_executor(pool, threads);
+    fsim.set_executor(pool);
     if (ties != nullptr) fsim.set_good_ties(&ties->dense(), &ties->dense_cycles());
     const fault::CollapsedFaults collapsed = fault::collapse(nl);
     util::Rng rng(1);
@@ -205,7 +209,7 @@ Row bench_fault_sim(const Netlist& nl, const netlist::Topology& topo, exec::Pool
             fault::FaultList list(collapsed.representatives());
             fsim.drop_detected(seq, list);
         });
-    row.threads = threads;
+    row.threads = pool != nullptr ? pool->size() : 1;
     const std::size_t passes =
         (collapsed.size() + fault::kFaultsPerPass - 1) / fault::kFaultsPerPass;
     row.extra = [passes](server::JsonWriter& w) { w.field("passes", passes); };
@@ -495,7 +499,6 @@ Row bench_scenario(const std::string& circuit, const Netlist& nl,
     // matrix stays a bounded slice of the real campaign: every row covers
     // the whole fault list, so scoap-vs-none deltas are apples to apples.
     atpg::AtpgConfig cfg;
-    cfg.threads = 1;
     cfg.mode = atpg::LearnMode::None;
     cfg.identify_untestable = false;
     cfg.backtrack_limit = 12;
@@ -528,6 +531,7 @@ Row bench_scenario(const std::string& circuit, const Netlist& nl,
         w.field("fault_coverage", list.fault_coverage(), 4);
         w.field("test_coverage", list.test_coverage(), 4).field("detected", c.detected);
         w.field("aborts", c.aborted).field("untestable", c.untestable);
+        w.field("untestable_bounded", c.untestable_bounded);
         w.field("patterns", out.tests.size()).field("pattern_frames", out.pattern_frames);
         w.field("gen_calls", out.gen_calls).field("warmup_dropped", out.detected_by_warmup);
         w.field("compaction_before", out.compaction_before);
@@ -747,7 +751,6 @@ void bench_table5(const std::string& circuit, exec::Pool& pool, std::vector<Row>
     for (const auto& [mode, mode_name] : modes) {
         for (const std::uint32_t backtracks : {30u, 1000u}) {
             atpg::AtpgConfig cfg;
-            cfg.threads = pool.size();
             cfg.executor = &pool;
             cfg.mode = mode;
             cfg.learned = mode == atpg::LearnMode::None ? nullptr : &learned;
@@ -843,12 +846,17 @@ int main(int argc, char** argv) {
     rows.push_back(bench_frame_sim_batch(nl, topo));
     rows.push_back(bench_parallel_patterns(nl));
     rows.push_back(bench_learn(nl, topo));
-    rows.push_back(bench_fault_sim(nl, topo, nullptr, 1, "fault_sim_drop_detected"));
-    rows.push_back(bench_fault_sim(nl, topo, &pool, hw, "fault_sim_drop_detected_mt"));
+    rows.push_back(bench_fault_sim(nl, topo, nullptr, "fault_sim_drop_detected"));
+    for (const unsigned workers : {2u, 4u}) {
+        exec::Pool sized(workers);
+        const std::string name = "fault_sim_drop_detected_" + std::to_string(workers) + "t";
+        rows.push_back(bench_fault_sim(nl, topo, &sized, name.c_str()));
+    }
+    rows.push_back(bench_fault_sim(nl, topo, &pool, "fault_sim_drop_detected_mt"));
     {
         const core::LearnResult learned = core::learn(nl, topo);
-        rows.push_back(bench_fault_sim(nl, topo, &pool, hw, "fault_sim_drop_detected_ties_mt",
-                                       &learned.ties));
+        rows.push_back(
+            bench_fault_sim(nl, topo, &pool, "fault_sim_drop_detected_ties_mt", &learned.ties));
     }
     rows.push_back(bench_multi_session_atpg(nl));
     rows.push_back(bench_budget_overhead(nl, topo));

@@ -172,7 +172,10 @@ void print_json(api::Session& session, const netlist::Diagnostics& diags,
     if (s.atpg_run) {
         w.key("atpg").begin_object();
         w.field("total", s.faults.total).field("detected", s.faults.detected);
-        w.field("untestable", s.faults.untestable).field("aborted", s.faults.aborted);
+        w.field("untestable", s.faults.untestable);
+        if (s.faults.untestable_bounded > 0)
+            w.field("untestable_bounded", s.faults.untestable_bounded);
+        w.field("aborted", s.faults.aborted);
         w.field("undetected", s.faults.undetected);
         w.field("test_coverage", s.test_coverage, 4).field("tests", s.tests);
         // Pattern shape: count mirrors "tests"; compaction_ratio is
@@ -364,6 +367,9 @@ int cmd_atpg(api::Session& session, const netlist::Diagnostics& diags, const Atp
                 mode.data(), cnf::backend_name(cfg.backend), cfg.backtrack_limit);
     std::printf("  detected:   %zu (of %zu)\n", c.detected, c.total);
     std::printf("  untestable: %zu\n", c.untestable);
+    if (c.untestable_bounded > 0)
+        std::printf("  bounded:    %zu untestable within the frame bound\n",
+                    c.untestable_bounded);
     std::printf("  aborted:    %zu\n", c.aborted);
     std::printf("  coverage:   %.2f%% fault, %.2f%% test\n",
                 100.0 * report.list.fault_coverage(),

@@ -19,26 +19,15 @@ Session::Session(DesignPtr design, SessionConfig cfg)
 Session::Session(netlist::Netlist nl, SessionConfig cfg)
     : Session(DesignBuilder(std::move(nl)).build(), std::move(cfg)) {}
 
-unsigned Session::resolve_threads(unsigned stage_threads) const noexcept {
-    if (stage_threads != 0) return stage_threads;
-    if (cfg_.threads != 0) return cfg_.threads;
-    return exec::Pool::hardware_threads();
-}
-
-exec::Pool& Session::executor(unsigned workers) {
-    if (!pool_ || pool_->size() < workers) {
-        pool_ = std::make_unique<exec::Pool>(workers);
-        // The fault simulator keeps a pool pointer; re-wire it after growth.
-        if (fsim_) fsim_->set_executor(pool_.get(), resolve_threads(0));
-    }
-    return *pool_;
+exec::Pool* Session::pool() {
+    if (!pool_) pool_ = std::make_unique<exec::Pool>(cfg_.threads);
+    return pool_.get();
 }
 
 fault::FaultSimulator& Session::fault_simulator() {
     if (!fsim_) {
         fsim_.emplace(design_->topology());
-        const unsigned workers = resolve_threads(0);
-        if (workers > 1) fsim_->set_executor(&executor(workers), workers);
+        fsim_->set_executor(pool());
     }
     return *fsim_;
 }
@@ -178,16 +167,9 @@ const AtpgReport& Session::atpg(atpg::AtpgConfig acfg) {
     if (acfg.failpoint == nullptr) acfg.failpoint = cfg_.failpoint;
     // The Design computed SCOAP once at build time; never recompute per run.
     if (acfg.testability == nullptr) acfg.testability = &design_->testability();
-    // Build the lazy engines BEFORE capturing the pool pointer: creating the
-    // fault simulator may grow (i.e. replace) the pool for the session-wide
-    // default worker count, which would dangle an earlier-captured executor.
-    atpg::Engine& eng = engine();
-    fault::FaultSimulator& fsim = fault_simulator();
-    const unsigned workers = resolve_threads(acfg.threads);
-    acfg.threads = workers;
-    if (workers > 1) acfg.executor = &executor(workers);
+    acfg.executor = pool();
     fault::FaultList list(design_->collapsed_faults().representatives());
-    atpg::AtpgOutcome outcome = run_atpg(eng, fsim, list, acfg);
+    atpg::AtpgOutcome outcome = run_atpg(engine(), fault_simulator(), list, acfg);
     atpg_.emplace(
         AtpgReport{std::move(list), std::move(outcome), acfg.learned != nullptr});
     return *atpg_;

@@ -78,17 +78,16 @@ using ProgressObserver = std::function<bool(const Progress&)>;
 /// One configuration for the whole flow. The nested atpg config's `learned`
 /// and `on_fault` fields are managed by the Session (learned data is wired
 /// in automatically for modes that use it), as are its `executor` field
-/// (the Session's shared pool) and both stage configs' `cancel` fields (the
+/// (the Session's pool) and both stage configs' `cancel` fields (the
 /// Session's cancel flag); everything else passes through.
 struct SessionConfig {
     core::LearnConfig learn;
     atpg::AtpgConfig atpg;
     ProgressObserver progress;
-    /// Session-wide default worker count for ATPG and fault simulation (0 =
-    /// hardware_concurrency); the ATPG config's own `threads` field, when
-    /// nonzero, wins for that stage. Both stages share one exec::Pool sized
-    /// to the largest request; N-thread results are bit-identical to
-    /// 1-thread results. Learning always runs on the calling thread.
+    /// Workers of the Session's one exec::Pool (0 = hardware_concurrency),
+    /// which ATPG and fault simulation both run on; N-thread results are
+    /// bit-identical to 1-thread results. Learning always runs on the
+    /// calling thread.
     unsigned threads = 0;
     /// Session-wide default run budget, inherited by any stage whose own
     /// config leaves `budget` empty. Each stage materializes its own clock
@@ -331,8 +330,8 @@ private:
     const core::LearnResult& run_learn(const core::LearnConfig& lcfg,
                                        const core::LearnCheckpoint* ckpt);
     void replace_learned(std::unique_ptr<core::LearnResult> next);
-    unsigned resolve_threads(unsigned stage_threads) const noexcept;
-    exec::Pool& executor(unsigned workers);
+    /// The Session's pool of cfg_.threads workers, built on first use.
+    exec::Pool* pool();
 
     DesignPtr design_;
     SessionConfig cfg_;
@@ -345,9 +344,9 @@ private:
     // (shadowed by learned_, shadows the Design snapshot).
     std::shared_ptr<const core::LearnedSnapshot> snapshot_;
     std::optional<AtpgReport> atpg_;
-    // The shared thread pool (lazily built, grown if a stage asks for more
-    // workers) and the stage cancel flag; both heap-allocated so pointers
-    // handed to stage engines stay stable across Session moves.
+    // The pool ATPG and fault simulation run on (built once, on first use)
+    // and the stage cancel flag; both heap-allocated so pointers handed to
+    // stage engines stay stable across Session moves.
     std::unique_ptr<exec::Pool> pool_;
     std::unique_ptr<exec::CancelFlag> cancel_;
 };

@@ -1,7 +1,6 @@
 #include "atpg/atpg_loop.hpp"
 
 #include "atpg/redundancy.hpp"
-#include "exec/speculate.hpp"
 #include "netlist/structure.hpp"
 #include "util/timer.hpp"
 
@@ -56,7 +55,8 @@ std::vector<std::uint32_t> default_windows(const netlist::Topology& topo) {
 // Outcome of one deterministic target: everything the solve attempt decided
 // plus the counters it accumulated. Computing this touches only the engine,
 // the validating simulator, and the fault itself — never the fault list —
-// which is what makes targets safe to solve speculatively in parallel.
+// which is what makes a window of targets safe to solve in parallel ahead
+// of their commits.
 struct TargetVerdict {
     enum class Kind : std::uint8_t { Skipped, Untestable, Test, Aborted, Exhausted };
     Kind kind = Kind::Skipped;
@@ -286,18 +286,13 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
         }
     };
 
-    // Resolve the execution environment (shared executor, private pool, or
-    // serial) with the rule every stage shares; no more workers, and so no
-    // more clones, than targets.
-    const exec::StageExec ex = exec::resolve_stage_exec(cfg.executor, cfg.threads);
-    const unsigned workers =
-        static_cast<unsigned>(std::clamp<std::size_t>(targets.size(), 1, ex.workers));
-
-    // Speculative target solves on per-worker clones, committed in schedule
-    // order; one worker solves and commits each target in turn on the
-    // calling thread. A solve depends only on the fault — never on the list
-    // — so speculation is never stale; the only wasted work is solving a
-    // target that a test committed just before it drops.
+    // Target solves run on the campaign's pool, at most one worker per
+    // target, each worker on its own engine and simulator (worker 0 on the
+    // caller's). A solve depends only on the fault — never on the list —
+    // so it is never stale; the only wasted work is solving a target that
+    // a test committed just before it drops.
+    const unsigned workers = static_cast<unsigned>(std::clamp<std::size_t>(
+        targets.size(), 1, cfg.executor != nullptr ? cfg.executor->size() : 1));
     struct WorkerCtx {
         Engine engine;
         fault::FaultSimulator fsim;
@@ -312,13 +307,12 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
         }
     }
 
-    const exec::SpeculateOptions sopt{/*first_window=*/workers,
-                                      /*window=*/2 * static_cast<std::size_t>(workers)};
-    std::vector<TargetVerdict> slots(sopt.window);
-
-    auto compute = [&](unsigned worker, std::size_t item, std::size_t slot) {
+    // Solve into slots[s] the target at schedule position base + s.
+    std::vector<TargetVerdict> slots(workers == 1 ? 1 : 2 * static_cast<std::size_t>(workers));
+    std::size_t base = 0;
+    auto solve = [&](unsigned worker, std::size_t slot) {
         TargetVerdict& v = slots[slot];
-        const std::size_t i = targets[item];
+        const std::size_t i = targets[base + slot];
         if (list.status(i) != FaultStatus::Undetected) {
             // Dropped by a test committed before this window was dispatched;
             // statuses never return to Undetected, so the commit will skip
@@ -326,9 +320,9 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
             v = TargetVerdict{};
             return;
         }
-        // Fast abort: a pending stop means the next in-order commit Stops, so
+        // Fast abort: a pending stop means the next in-order commit stops, so
         // this solve is wasted work. Commits alone count items and none runs
-        // while a window computes, so a reached item limit is final here.
+        // while a window solves, so a reached item limit is final here.
         if (exec::poll_point(cfg.cancel, budget) != exec::RunStatus::Completed) {
             v = TargetVerdict{};
             return;
@@ -338,25 +332,38 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
         fault::FaultSimulator& fs = worker == 0 ? fsim : ctxs[worker - 1].fsim;
         v = solve_target(eng, fs, list.fault(i), ecfg, cfg, windows);
     };
-    auto commit = [&](std::size_t item, std::size_t slot) -> exec::Commit {
-        const std::size_t i = targets[item];
+    // Commit the verdict in `slot` on the calling thread; false stops the
+    // campaign.
+    auto commit = [&](std::size_t slot) {
+        const std::size_t i = targets[base + slot];
         const exec::RunStatus st = exec::poll_point(cfg.cancel, budget);
         if (st != exec::RunStatus::Completed) {
             out.run = exec::outcome_from(st, budget);
-            return exec::Commit::Stop;
+            return false;
         }
-        if (list.status(i) != FaultStatus::Undetected) return exec::Commit::Done;
+        if (list.status(i) != FaultStatus::Undetected) return true;
         if (cfg.on_fault && !cfg.on_fault(out.targeted_faults, total_targets)) {
             out.run.status = exec::RunStatus::Cancelled;
-            return exec::Commit::Stop;
+            return false;
         }
         if (cfg.failpoint != nullptr) cfg.failpoint->poll(exec::FailSite::SpecCommit);
         ++out.targeted_faults;
         apply_verdict(std::move(slots[slot]), i, list, fsim, out);
         if (budget != nullptr) budget->note_item();
-        return exec::Commit::Done;
+        return true;
     };
-    exec::speculate_ordered(ex.pool, targets.size(), sopt, compute, commit, workers);
+    // Windows of `workers` targets, then of twice that, each solved on the
+    // pool and then committed in schedule order, so the result is the
+    // one-worker schedule's; one worker solves and commits each target in
+    // turn.
+    for (std::size_t window = workers; base < targets.size(); window = slots.size()) {
+        const std::size_t n = std::min(window, targets.size() - base);
+        exec::run(cfg.executor, n, exec::TaskView(solve));
+        for (std::size_t s = 0; s < n; ++s) {
+            if (!commit(s)) return;
+        }
+        base += n;
+    }
     run_sat_phase();
 }
 
@@ -387,8 +394,8 @@ AtpgOutcome run_atpg(Engine& engine, fault::FaultSimulator& fsim, fault::FaultLi
         }
     } catch (const std::exception& e) {
         // Never throw across the campaign boundary: tests and fault statuses
-        // committed before the failure are intact (speculation windows apply
-        // nothing after a throw).
+        // committed before the failure are intact (a window whose solves
+        // throw commits nothing).
         out.run = exec::RunOutcome::failed(e.what());
     }
     fsim.set_governance(nullptr, nullptr, nullptr);
@@ -402,6 +409,7 @@ AtpgOutcome run_atpg(const netlist::Topology& topo, fault::FaultList& list,
                      const AtpgConfig& cfg) {
     Engine engine(topo);
     fault::FaultSimulator fsim(topo);
+    fsim.set_executor(cfg.executor);
     return run_atpg(engine, fsim, list, cfg);
 }
 

@@ -29,15 +29,12 @@
 namespace seqlearn::atpg {
 
 struct AtpgConfig {
-    /// Worker threads for the campaign (0 = hardware_concurrency). Targets
-    /// fan out over per-worker Engine/FaultSimulator clones; solves are
-    /// stateless per (fault, window), and results commit in fault-index
-    /// order with first-detection credit, so N-thread campaigns are
-    /// bit-identical to 1-thread ones, which solve and commit each target
-    /// in turn on the calling thread.
-    unsigned threads = 0;
-    /// Run on this pool instead of a private one (a Session shares its pool
-    /// across stages); effective workers = min(pool size, threads).
+    /// The pool the campaign's target solves run on (a Session hands over
+    /// its one pool); null = the calling thread. Its size is the worker
+    /// count: targets are solved a window at a time on per-worker
+    /// Engine/FaultSimulator clones and committed in schedule order with
+    /// first-detection credit, so a campaign's result is the same at any
+    /// worker count. One worker solves and commits each target in turn.
     exec::Pool* executor = nullptr;
     /// Optional cooperative stop switch, polled at target boundaries on the
     /// calling thread; request() is safe from any thread.
@@ -172,7 +169,8 @@ struct AtpgOutcome {
 AtpgOutcome run_atpg(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList& list,
                      const AtpgConfig& cfg);
 
-/// Convenience: build the engine and fault simulator over `topo` and run.
+/// Convenience: build the engine and fault simulator over `topo` and run;
+/// the simulator's passes also run on cfg.executor.
 AtpgOutcome run_atpg(const netlist::Topology& topo, fault::FaultList& list,
                      const AtpgConfig& cfg);
 

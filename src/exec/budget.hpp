@@ -8,10 +8,10 @@
 // check() is one steady_clock read plus two compares — the bench suite pins
 // the total at <2% of a learning pass (`budget_overhead` row).
 //
-// Deadline state is sticky and shared: once check() observes the deadline it
-// publishes the fact with release semantics so parallel workers can
-// fast-abort their window via deadline_exceeded() without re-reading the
-// clock, mirroring CancelFlag's request()/requested() pattern.
+// A tripped limit is sticky, and check() is safe from any thread: the
+// campaign's target solves and the fault simulator's passes poll it on
+// whichever pool worker runs them, and the first trip is what every later
+// poll reports.
 
 #include "exec/cancel.hpp"
 #include "exec/outcome.hpp"
@@ -34,7 +34,7 @@ struct BudgetSpec {
 };
 
 /// Live budget for one run. Constructed at run entry; not copyable (shared
-/// by reference between the scheduler and its workers).
+/// by reference between the stage and its workers).
 class Budget {
 public:
     explicit Budget(const BudgetSpec& spec) noexcept;
@@ -50,12 +50,6 @@ public:
     /// status of the first limit tripped. Sticky: after a non-Completed
     /// return every later call returns the same status.
     RunStatus check() noexcept;
-
-    /// Sticky cross-thread view of a tripped limit, safe to read from
-    /// worker threads without touching the clock (acquire).
-    bool deadline_exceeded() const noexcept {
-        return tripped_.load(std::memory_order_acquire) != RunStatus::Completed;
-    }
 
     /// Which limit tripped ("wall-clock deadline" or "item limit") or
     /// nullptr while within budget. For RunOutcome diagnostics.

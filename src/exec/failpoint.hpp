@@ -36,7 +36,7 @@ namespace seqlearn::exec {
 /// the concrete occurrence.
 enum class FailSite : unsigned char {
     WorkItem = 0,     ///< inside a work item (learning batch, ATPG target, fault-sim pass)
-    SpecCommit,       ///< inside an ordered speculation commit (ATPG targets)
+    SpecCommit,       ///< inside an ATPG target commit
     BatchRecompute,   ///< before a learning batch re-simulates units a tie left stale
     FsWrite,          ///< a filesystem write() — armed arrival = short write
     FsFsync,          ///< an fsync()/fdatasync() — armed arrival = EIO

@@ -8,19 +8,9 @@ unsigned Pool::hardware_threads() {
     return std::max(1u, std::thread::hardware_concurrency());
 }
 
-StageExec resolve_stage_exec(Pool* shared, unsigned threads) {
-    const unsigned requested = threads != 0 ? threads : Pool::hardware_threads();
-    StageExec out;
-    if (shared != nullptr) {
-        out.pool = shared;
-        out.workers = std::min(shared->size(), requested);
-    } else if (requested > 1) {
-        out.owned = std::make_unique<Pool>(requested);
-        out.pool = out.owned.get();
-        out.workers = requested;
-    }
-    if (out.workers <= 1) out.pool = nullptr;
-    return out;
+void run(Pool* pool, std::size_t items, TaskView task) {
+    if (pool != nullptr) return pool->run(items, task);
+    for (std::size_t i = 0; i < items; ++i) task(0, i);
 }
 
 Pool::Pool(unsigned threads) {
@@ -63,7 +53,7 @@ void Pool::worker_main(unsigned id) {
         wake_cv_.wait(lock, [&] { return shutdown_ || (generation_ != seen && job_open_); });
         if (shutdown_) return;
         seen = generation_;
-        if (id >= job_workers_) continue;  // capped out of this job
+        if (id >= job_workers_) continue;  // more workers than items
         ++active_;
         const TaskView* task = task_;
         lock.unlock();
@@ -75,12 +65,9 @@ void Pool::worker_main(unsigned id) {
     }
 }
 
-void Pool::run(std::size_t items, TaskView task, unsigned max_workers) {
+void Pool::run(std::size_t items, TaskView task) {
     if (items == 0) return;
-    unsigned workers = size();
-    if (max_workers != 0) workers = std::min(workers, max_workers);
-    workers = static_cast<unsigned>(
-        std::min<std::size_t>(workers, items));
+    const auto workers = static_cast<unsigned>(std::min<std::size_t>(size(), items));
     if (workers <= 1 || threads_.empty()) {
         // Inline path: no helpers, no locking; exceptions propagate directly.
         for (std::size_t i = 0; i < items; ++i) task(0, i);

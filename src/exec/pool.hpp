@@ -1,7 +1,8 @@
 #pragma once
 // A small fixed-size thread pool with a chunked dynamic work queue — the
 // execution engine underneath the parallel fault-simulation and ATPG
-// paths.
+// paths. A stage runs on the pool it is handed: its worker count is the
+// pool's size, and a null pool means the calling thread (exec::run).
 //
 // Design rules that keep N-thread results bit-identical to 1-thread runs:
 //  - work items are indexed; workers claim indices from one atomic counter,
@@ -21,7 +22,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -63,11 +63,11 @@ public:
     unsigned size() const noexcept { return static_cast<unsigned>(threads_.size()) + 1; }
 
     /// Run task(worker, item) for every item in [0, items), distributing
-    /// items dynamically over at most `max_workers` slots (0 = all). Blocks
-    /// until every item completed; the calling thread participates as worker
-    /// 0. The first exception thrown by any item is rethrown here (remaining
-    /// items are abandoned). Not reentrant.
-    void run(std::size_t items, TaskView task, unsigned max_workers = 0);
+    /// items dynamically over at most min(size(), items) slots, so `worker`
+    /// is below both. Blocks until every item completed; the calling thread
+    /// participates as worker 0. The first exception thrown by any item is
+    /// rethrown here (remaining items are abandoned). Not reentrant.
+    void run(std::size_t items, TaskView task);
 
 private:
     void worker_main(unsigned id);
@@ -91,20 +91,8 @@ private:
     unsigned job_workers_ = 0;
 };
 
-/// A stage's resolved execution environment: the pool to run on (null =
-/// serial) and the worker count to cap jobs at. `owned` backs `pool` when
-/// the stage had to build a private pool; keep the StageExec alive for the
-/// duration of the stage.
-struct StageExec {
-    Pool* pool = nullptr;
-    unsigned workers = 1;
-    std::unique_ptr<Pool> owned;
-};
-
-/// The one resolution rule the parallel stages share: run on `shared` when the
-/// caller provides one (workers = min(pool size, threads)), otherwise build
-/// a private pool when more than one thread is requested, otherwise serial.
-/// `threads` = 0 means one worker per hardware thread.
-StageExec resolve_stage_exec(Pool* shared, unsigned threads);
+/// pool->run(items, task), or every item in turn on the calling thread as
+/// worker 0 when `pool` is null.
+void run(Pool* pool, std::size_t items, TaskView task);
 
 }  // namespace seqlearn::exec

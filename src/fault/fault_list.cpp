@@ -26,7 +26,7 @@ FaultList::Counts FaultList::counts() const {
             case FaultStatus::Undetected: ++c.undetected; break;
             case FaultStatus::Detected: ++c.detected; break;
             case FaultStatus::Untestable: ++c.untestable; break;
-            case FaultStatus::UntestableBounded: ++c.untestable; break;
+            case FaultStatus::UntestableBounded: ++c.untestable_bounded; break;
             case FaultStatus::Aborted: ++c.aborted; break;
         }
     }

@@ -15,8 +15,9 @@ enum class FaultStatus : std::uint8_t {
     Untestable,  ///< proven untestable for every sequence length
     Aborted,     ///< ATPG gave up (backtrack limit)
     /// Proven untestable within a bounded frame window (K-frame CNF
-    /// unsatisfiability). Counted as untestable by coverage metrics; the
-    /// frame bound travels in AtpgOutcome's untestable records.
+    /// unsatisfiability) only: a longer sequence may still detect it, so
+    /// coverage metrics count it apart from Untestable. The frame bound
+    /// travels in AtpgOutcome's untestable records.
     UntestableBounded,
 };
 
@@ -49,10 +50,12 @@ public:
     /// Indices with status Aborted (retry queue for a second pass).
     std::vector<std::size_t> aborted() const;
 
+    /// Faults per status; the five counts sum to `total`.
     struct Counts {
         std::size_t total = 0;
         std::size_t detected = 0;
-        std::size_t untestable = 0;
+        std::size_t untestable = 0;          ///< proven for every length
+        std::size_t untestable_bounded = 0;  ///< within a frame bound only
         std::size_t aborted = 0;
         std::size_t undetected = 0;
     };
@@ -61,6 +64,8 @@ public:
     /// Fault coverage: detected / total.
     double fault_coverage() const;
     /// Test coverage: detected / (total - untestable), the paper's metric.
+    /// Only proven untestability leaves the denominator; bounded verdicts
+    /// stay in it.
     double test_coverage() const;
 
 private:

@@ -3,6 +3,7 @@
 #include "logic/pattern.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
 #include <tuple>
@@ -278,9 +279,8 @@ void FaultSimulator::set_good_ties(const std::vector<Val3>* values,
     if (values != nullptr) sched_ = std::make_shared<const Schedule>(*topo_, values, cycles);
 }
 
-void FaultSimulator::set_executor(exec::Pool* pool, unsigned max_workers) {
+void FaultSimulator::set_executor(exec::Pool* pool) {
     executor_ = pool;
-    executor_max_workers_ = max_workers;
     if (pool == nullptr) workers_.clear();
 }
 
@@ -460,61 +460,27 @@ bool FaultSimulator::detects(const sim::InputSequence& seq, const Fault& f) {
 }
 
 std::size_t FaultSimulator::drop_detected(const sim::InputSequence& seq, FaultList& list) {
-    std::size_t dropped = 0;
     const std::vector<std::size_t> todo = list.undetected();
     const std::size_t passes = (todo.size() + kFaultsPerPass - 1) / kFaultsPerPass;
-    if (executor_ != nullptr && passes > 1) {
-        unsigned workers = executor_->size();
-        if (executor_max_workers_ != 0) workers = std::min(workers, executor_max_workers_);
-        if (workers > 1) return drop_detected_parallel(seq, list, todo, passes, workers);
-    }
-    for (std::size_t pos = 0; pos < todo.size(); pos += kFaultsPerPass) {
-        // Pass-boundary governance: stopping between passes keeps the union
-        // of already-dropped faults valid (remaining ones just stay
-        // undetected, which is sound).
-        if ((cancel_ != nullptr && cancel_->requested()) ||
-            (budget_ != nullptr && budget_->check() != exec::RunStatus::Completed))
-            break;
-        if (failpoint_ != nullptr) failpoint_->poll(exec::FailSite::WorkItem);
-        chunk_indices_.clear();
-        chunk_.clear();
-        for (std::size_t k = pos; k < std::min(pos + kFaultsPerPass, todo.size()); ++k) {
-            chunk_indices_.push_back(todo[k]);
-            chunk_.push_back(list.fault(todo[k]));
-        }
-        const PassLanes det = simulate_pass(seq, chunk_);
-        for (std::size_t k = 0; k < chunk_.size(); ++k) {
-            if (lane_bit(det, k + 1)) {
-                list.set_status(chunk_indices_[k], FaultStatus::Detected);
-                ++dropped;
-            }
-        }
-    }
-    return dropped;
-}
-
-std::size_t FaultSimulator::drop_detected_parallel(const sim::InputSequence& seq,
-                                                   FaultList& list,
-                                                   std::span<const std::size_t> todo,
-                                                   std::size_t passes, unsigned workers) {
-    if ((cancel_ != nullptr && cancel_->requested()) ||
-        (budget_ != nullptr && budget_->check() != exec::RunStatus::Completed))
-        return 0;
+    const std::size_t workers =
+        executor_ != nullptr ? std::min<std::size_t>(executor_->size(), passes) : 1;
     // Per-worker clones over the shared snapshot (worker 0 is this
     // simulator); built once and reused across calls, they simulate with
     // this simulator's schedule.
     while (workers_.size() + 1 < workers) workers_.push_back(std::make_unique<FaultSimulator>(*topo_));
-    const Schedule& sched = schedule();
-    for (const std::unique_ptr<FaultSimulator>& w : workers_) {
-        w->sched_ = sched_;
-        // Allocate the clone's scratch on this thread: memory a pool thread
-        // allocates comes from its own malloc arena, which keeps it resident
-        // after the thread (and the pool) is gone.
-        w->narrow_.reserve(sched);
-        w->wide_.reserve(sched);
-        w->cone_lanes_.reserve(kPassWords * topo_->num_components());
-        w->force_order_.reserve(kFaultsPerPass);
-        w->chunk_.reserve(kFaultsPerPass);
+    if (workers > 1) {
+        const Schedule& sched = schedule();
+        for (const std::unique_ptr<FaultSimulator>& w : workers_) {
+            w->sched_ = sched_;
+            // Allocate the clone's scratch on this thread: memory a pool
+            // thread allocates comes from its own malloc arena, which keeps
+            // it resident after the thread (and the pool) is gone.
+            w->narrow_.reserve(sched);
+            w->wide_.reserve(sched);
+            w->cone_lanes_.reserve(kPassWords * topo_->num_components());
+            w->force_order_.reserve(kFaultsPerPass);
+            w->chunk_.reserve(kFaultsPerPass);
+        }
     }
 
     const std::size_t words = (todo.size() + 63) / 64;
@@ -525,15 +491,14 @@ std::size_t FaultSimulator::drop_detected_parallel(const sim::InputSequence& seq
     for (std::size_t w = 0; w < words; ++w)
         detected_bits_[w].store(0, std::memory_order_relaxed);
 
-    auto task = [&](unsigned worker, std::size_t pass) {
-        // Governance lives on the primary simulator; workers read its sticky
-        // flags only (no clock) and skip their pass once a stop is pending.
-        if ((cancel_ != nullptr && cancel_->requested()) ||
-            (budget_ != nullptr && budget_->deadline_exceeded()))
-            return;
+    auto pass = [&](unsigned worker, std::size_t p) {
+        // Pass-boundary governance: a skipped pass only leaves detectable
+        // faults undropped, which is sound, and a stop is sticky, so every
+        // later pass skips too.
+        if (exec::poll_point(cancel_, budget_) != exec::RunStatus::Completed) return;
         if (failpoint_ != nullptr) failpoint_->poll(exec::FailSite::WorkItem);
         FaultSimulator& fs = worker == 0 ? *this : *workers_[worker - 1];
-        const std::size_t begin = pass * kFaultsPerPass;
+        const std::size_t begin = p * kFaultsPerPass;
         const std::size_t end = std::min(begin + kFaultsPerPass, todo.size());
         fs.chunk_.clear();
         for (std::size_t k = begin; k < end; ++k) fs.chunk_.push_back(list.fault(todo[k]));
@@ -545,14 +510,15 @@ std::size_t FaultSimulator::drop_detected_parallel(const sim::InputSequence& seq
             }
         }
     };
-    executor_->run(passes, exec::TaskView(task), workers);
+    exec::run(executor_, passes, exec::TaskView(pass));
 
-    // Merge in fault-index order (todo is index-ordered): identical statuses
-    // to the serial pass — detection is a union, credit order is canonical.
+    // Merge in fault-index order (todo is index-ordered): detection is a
+    // union, and credit order is canonical.
     std::size_t dropped = 0;
-    for (std::size_t k = 0; k < todo.size(); ++k) {
-        if (detected_bits_[k / 64].load(std::memory_order_relaxed) & (1ULL << (k % 64))) {
-            list.set_status(todo[k], FaultStatus::Detected);
+    for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = detected_bits_[w].load(std::memory_order_relaxed); bits != 0;
+             bits &= bits - 1) {
+            list.set_status(todo[w * 64 + std::countr_zero(bits)], FaultStatus::Detected);
             ++dropped;
         }
     }
@@ -562,8 +528,8 @@ std::size_t FaultSimulator::drop_detected_parallel(const sim::InputSequence& seq
 std::size_t FaultSimulator::memory_bytes() const noexcept {
     const auto vec = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
     std::size_t bytes = (sched_ ? sched_->bytes() : 0) + narrow_.bytes() + wide_.bytes() +
-                        vec(cone_lanes_) + vec(force_order_) + vec(chunk_indices_) +
-                        vec(chunk_) + detected_words_ * sizeof(std::uint64_t);
+                        vec(cone_lanes_) + vec(force_order_) + vec(chunk_) +
+                        detected_words_ * sizeof(std::uint64_t);
     for (const auto& w : workers_) {
         // A clone's schedule is this simulator's: count its scratch only.
         if (w) {

@@ -66,12 +66,11 @@ public:
     /// Topology first (or go through api::Session).
     explicit FaultSimulator(const netlist::Topology& topo);
 
-    /// Fan drop_detected() passes out over `pool` (must outlive the
-    /// simulator; null reverts to serial), using at most `max_workers` slots
-    /// (0 = all). Worker clones share this simulator's compiled schedule
-    /// and are built lazily; run() and detects() always execute on the
-    /// calling thread.
-    void set_executor(exec::Pool* pool, unsigned max_workers = 0);
+    /// Run drop_detected() passes on `pool` (must outlive the simulator;
+    /// null = the calling thread), one pass per worker at a time. Worker
+    /// clones share this simulator's compiled schedule and are built
+    /// lazily; run() and detects() always execute on the calling thread.
+    void set_executor(exec::Pool* pool);
 
     /// Attach run-governance hooks for the current stage (all may be null;
     /// the owner clears them when its run ends). drop_detected() polls
@@ -110,16 +109,17 @@ public:
 
     /// Fault-simulate `seq` against every Undetected fault of `list`,
     /// marking newly detected ones Detected. Returns how many were dropped.
-    /// With an executor attached, the passes run in parallel on per-worker
-    /// clones into a shared atomic detected-bitmap, merged into `list` in
-    /// fault-index order — statuses are bit-identical to the serial pass at
-    /// any thread count (detection is a pure union).
+    /// The passes of kFaultsPerPass faults run on the executor's workers
+    /// (inline without one), each polling the governance hooks first, into
+    /// one detected-bitmap merged into `list` in fault-index order, so the
+    /// statuses are the same at any worker count (detection is a pure
+    /// union).
     std::size_t drop_detected(const sim::InputSequence& seq, FaultList& list);
 
     const netlist::Topology& topology() const noexcept { return *topo_; }
 
     /// Approximate heap bytes of the compiled schedule and reusable scratch
-    /// (lane values, state, tie lanes, force tables, chunk buffers, the
+    /// (lane values, state, tie lanes, force tables, the pass buffer, the
     /// detected bitmap), including lazily built worker clones. Excludes the
     /// shared Topology.
     std::size_t memory_bytes() const noexcept;
@@ -166,9 +166,6 @@ private:
     template <std::size_t W>
     PassLanes simulate(Scratch<W>& sc, const sim::InputSequence& seq,
                        std::span<const Fault> faults);
-    std::size_t drop_detected_parallel(const sim::InputSequence& seq, FaultList& list,
-                                       std::span<const std::size_t> todo,
-                                       std::size_t passes, unsigned workers);
 
     const netlist::Topology* topo_;
     // Built lazily (tie-free) or by set_good_ties; shared with clones.
@@ -180,16 +177,14 @@ private:
     std::vector<std::uint64_t> cone_lanes_;
     // Per-pass fault order (index into the pass, sorted by slot and pin).
     std::vector<std::uint32_t> force_order_;
-    // Reused drop_detected() chunk buffers.
-    std::vector<std::size_t> chunk_indices_;
+    // The faults of this simulator's current drop_detected() pass.
     std::vector<Fault> chunk_;
 
-    // Parallel drop_detected: the pool, per-worker clones (lazily built,
-    // sharing *topo_ and the schedule), and the atomic detected-bitmap the
-    // passes merge into (1 bit per todo position; grown on demand, reused
-    // across calls).
+    // drop_detected: the pool (null = the calling thread), per-worker clones
+    // (lazily built, sharing *topo_ and the schedule), and the atomic
+    // detected-bitmap the passes write into (1 bit per todo position; grown
+    // on demand, reused across calls).
     exec::Pool* executor_ = nullptr;
-    unsigned executor_max_workers_ = 0;
     const exec::CancelFlag* cancel_ = nullptr;
     exec::Budget* budget_ = nullptr;
     exec::FailurePoint* failpoint_ = nullptr;

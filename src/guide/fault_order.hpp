@@ -3,9 +3,10 @@
 //
 // The campaign builds one canonical target schedule (the deterministic
 // fault-index queue); a strategy permutes that schedule and nothing else.
-// Parallel runs commit verdicts in schedule order (exec::speculate_ordered),
-// so a given strategy is bit-identical at any thread count — the strategy
-// changes *which* identical run you get, not its determinism.
+// Parallel runs commit verdicts in schedule order (the campaign's window
+// loop in atpg_loop.cpp), so a given strategy is bit-identical at any
+// thread count — the strategy changes *which* identical run you get, not
+// its determinism.
 
 #include "fault/fault_list.hpp"
 #include "guide/testability.hpp"

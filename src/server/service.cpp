@@ -471,6 +471,7 @@ std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
     w.field("design", hex_u64(r.entry.digest)).field("warm", warm);
     w.field("mode", atpg::mode_name(acfg.mode)).field("backend", cnf::backend_name(acfg.backend));
     w.field("total", c.total).field("detected", c.detected).field("untestable", c.untestable);
+    if (c.untestable_bounded > 0) w.field("untestable_bounded", c.untestable_bounded);
     w.field("aborted", c.aborted).field("undetected", c.undetected);
     w.field("test_coverage", report.list.test_coverage(), 4).field("tests", out.tests.size());
     w.field("order", guide::order_name(acfg.order));

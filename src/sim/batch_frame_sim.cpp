@@ -74,11 +74,8 @@ BatchFrameSimulator::BatchFrameSimulator(const TieClosure& closure)
       topo_(&closure.topology()),
       bg_(closure.entries().data()),
       val_(closure.topology().size(), logic::kPatAllX),
-      queued_(closure.topology().size(), 0),
-      scalar_(closure.topology(), closure.gating()) {
+      queued_(closure.topology().size(), 0) {
     buckets_.resize(topo_->max_level() + 1);
-    scalar_.set_equivalences(closure.equivalences());
-    scalar_.set_ties(&closure.tie_values(), &closure.tie_cycles());
 }
 
 void BatchFrameSimulator::reset_frame_scratch() {
@@ -209,7 +206,7 @@ std::uint64_t BatchFrameSimulator::state_diff() const {
 BatchFrameResult& BatchFrameSimulator::run_batch(std::span<const BatchLane> lanes,
                                                  const FrameSimOptions& opt,
                                                  BatchFrameResult& out) {
-    assert(lanes.size() <= 64 && "run_batch is 64 lanes wide; chunk larger spans (run_lanes does)");
+    assert(lanes.size() <= 64 && "run_batch is 64 lanes wide; chunk larger spans");
     if (opt.max_frames > closure_->frames())
         throw std::invalid_argument("run_batch: more frames than the background holds");
     const int n = static_cast<int>(std::min<std::size_t>(lanes.size(), 64));
@@ -343,29 +340,6 @@ BatchFrameResult& BatchFrameSimulator::run_batch(std::span<const BatchLane> lane
     // (and so a bailed-out frame's leftover events are cleaned up).
     reset_frame_scratch();
     return out;
-}
-
-void BatchFrameSimulator::run_lanes(std::span<const BatchLane> lanes, const FrameSimOptions& opt,
-                                    std::span<FrameSimResult> outs) {
-    // Chunk by the 64-lane batch width so oversized spans are handled
-    // instead of silently truncated.
-    for (std::size_t base = 0; base < lanes.size(); base += 64) {
-        const std::size_t n = std::min<std::size_t>(64, lanes.size() - base);
-        const std::span<const BatchLane> chunk = lanes.subspan(base, n);
-        const std::span<FrameSimResult> chunk_outs = outs.subspan(base, n);
-        run_batch(chunk, opt, lanes_scratch_);
-        for (std::size_t l = 0; l < n; ++l) {
-            if ((lanes_scratch_.fallback >> l) & 1) {
-                FrameSimOptions lane_opt = opt;
-                if (chunk[l].max_frames != 0)
-                    lane_opt.max_frames = std::min(chunk[l].max_frames, opt.max_frames);
-                scalar_.run_into(chunk[l].injections, lane_opt, chunk_outs[l]);
-            } else {
-                lanes_scratch_.extract_lane(static_cast<int>(l), chunk_outs[l]);
-            }
-            canonicalize(chunk_outs[l]);
-        }
-    }
 }
 
 }  // namespace seqlearn::sim

@@ -32,12 +32,12 @@
 //  - a lane whose closure turns contradictory (a gate acquiring both binary
 //    values, its own or the background's) is flagged in `fallback` and
 //    retired: its batched events are not usable because the scalar run
-//    aborts mid-propagation at a schedule-dependent point. run_lanes()
-//    re-runs such lanes on an internal scalar FrameSimulator, so callers
-//    always observe bit-identical per-lane semantics; callers that only need
-//    the conflict *verdict* (the single-node learner: an injection that
-//    conflicts proves a stem tie) can consume the flag directly and skip the
-//    re-run.
+//    aborts mid-propagation at a schedule-dependent point. The learning
+//    passes need only the conflict *verdict* (the single-node learner: an
+//    injection that conflicts proves a stem tie) and consume the flag
+//    directly; a caller that wants such a lane's full scalar result re-runs
+//    it on a FrameSimulator configured from the same closure, as the
+//    lane-parity tests do.
 //
 // The event stream holds each lane's divergent values plus the background's
 // values on gates that are neither constant nor tied (emitted in every lane
@@ -45,8 +45,8 @@
 // read — they skip constant and tied gates — and emitting the untied ones
 // keeps a gate that the background implies, but the tie set lacks, visible
 // in both lanes of the next stem, which ties it exactly as before.
-// extract_lane()/run_lanes() add the background's constant and tied values
-// back for callers that want a lane's complete value set.
+// extract_lane() adds the background's constant and tied values back for
+// callers that want a lane's complete value set.
 //
 // Within a frame the batch sweep interleaves all lanes' event schedules, so
 // per-lane discovery order differs from a scalar run's; the per-frame
@@ -54,7 +54,7 @@
 // schedule-independent). Raw extraction keeps the batch order — consumers
 // are expected to be order-insensitive within a frame (the learning
 // extraction is) or to apply sim::canonicalize to both sides before
-// comparing, which run_lanes() does for its callers.
+// comparing.
 
 #include "logic/pattern.hpp"
 #include "sim/frame_sim.hpp"
@@ -118,8 +118,8 @@ struct BatchFrameResult {
     /// not the background's values on constant and tied gates, which the
     /// learning passes skip. Grouped by frame like extract_lane. Fallback
     /// lanes get conflict=true and an empty implied list — callers wanting
-    /// their full scalar result must re-run them (see run_lanes). `outs`
-    /// must hold at least as many results as lanes were simulated.
+    /// their full scalar result must re-run them on a FrameSimulator.
+    /// `outs` must hold at least as many results as lanes were simulated.
     void extract_all(std::span<FrameSimResult> outs) const;
 
 private:
@@ -140,15 +140,6 @@ public:
     /// frames() (std::invalid_argument).
     BatchFrameResult& run_batch(std::span<const BatchLane> lanes, const FrameSimOptions& opt,
                                 BatchFrameResult& out);
-
-    /// Convenience: run the batch and materialize every lane as a
-    /// FrameSimResult equal to canonicalize(scalar run of the same
-    /// scenario) — background values included, fallback lanes re-run on
-    /// the internal scalar simulator, and every lane canonicalized, so the
-    /// output is a pure function of the scenario. More than 64 lanes are
-    /// processed in 64-wide chunks. `outs.size()` must be >= `lanes.size()`.
-    void run_lanes(std::span<const BatchLane> lanes, const FrameSimOptions& opt,
-                   std::span<FrameSimResult> outs);
 
     const Topology& topology() const noexcept { return *topo_; }
 
@@ -204,10 +195,6 @@ private:
     // sorted by gate; the background's carried state is the closure's.
     std::vector<StateEntry> state_;
     std::vector<StateEntry> next_state_;
-
-    // Scalar twin for fallback lanes, configured from the same closure.
-    FrameSimulator scalar_;
-    BatchFrameResult lanes_scratch_;  // run_lanes() working storage
 };
 
 }  // namespace seqlearn::sim

@@ -19,16 +19,21 @@
 //     the solver state intact — the same solve completes afterwards.
 //   * Backend::Sat / Backend::Auto campaigns leave no fault merely Aborted
 //     (every target gets a verdict) and are thread-count invariant.
+//   * Bounded (K-frame) proofs are counted apart from proven untestability
+//     and stay in test coverage's denominator.
 
 #include "cnf/dispatch.hpp"
 #include "cnf/encoder.hpp"
 #include "cnf/sat_learn.hpp"
 #include "cnf/solver.hpp"
 
+#include "api/request.hpp"
+#include "api/session.hpp"
 #include "atpg/atpg_loop.hpp"
 #include "fault/fault_sim.hpp"
 #include "netlist/builder.hpp"
 #include "test_helpers.hpp"
+#include "workload/suite.hpp"
 
 #include <gtest/gtest.h>
 
@@ -336,12 +341,13 @@ TEST(Backends, CampaignsAreThreadCountInvariant) {
         std::vector<std::vector<fault::FaultStatus>> statuses;
         std::vector<std::size_t> test_counts;
         for (const unsigned threads : {1u, 2u, 8u}) {
+            exec::Pool pool(threads);
             fault::FaultList list(fault::fault_universe(nl));
             atpg::AtpgConfig cfg;
             cfg.backend = backend;
             cfg.sat_frames = 4;
             cfg.backtrack_limit = 5;
-            cfg.threads = threads;
+            cfg.executor = &pool;
             const atpg::AtpgOutcome out = atpg::run_atpg(topo, list, cfg);
             ASSERT_TRUE(out.run.ok());
             std::vector<fault::FaultStatus> st(list.size());
@@ -354,6 +360,30 @@ TEST(Backends, CampaignsAreThreadCountInvariant) {
         EXPECT_EQ(test_counts[0], test_counts[1]) << backend_name(backend);
         EXPECT_EQ(test_counts[0], test_counts[2]) << backend_name(backend);
     }
+}
+
+// A bounded proof is not proven untestability: `seqlearn_cli atpg
+// suite:fig1x --backend sat` proves 2 faults untestable (tie gates) and 18
+// only within its frame bound, and test coverage keeps those 18 in its
+// denominator — 47 of 65, not 1.0.
+TEST(Backends, BoundedProofsStayOutOfTestCoverage) {
+    const char* const flags[] = {"--backend", "sat"};
+    const atpg::AtpgConfig cfg = api::atpg_config_from(api::ArgvFields(2, flags));
+    api::Session session(workload::suite_circuit("fig1x"));
+    const api::AtpgReport& report = session.atpg(cfg);
+    ASSERT_TRUE(report.outcome.run.ok());
+    const fault::FaultList::Counts c = report.list.counts();
+    EXPECT_EQ(c.total, 67u);
+    EXPECT_EQ(c.detected, 47u);
+    EXPECT_EQ(c.untestable, 2u);
+    EXPECT_EQ(c.untestable_bounded, 18u);
+    EXPECT_EQ(c.aborted, 0u);
+    EXPECT_EQ(c.undetected, 0u);
+    EXPECT_DOUBLE_EQ(report.list.test_coverage(), 47.0 / 65.0);
+    std::size_t bounded_records = 0;
+    for (const auto& rec : report.outcome.untestable_records)
+        bounded_records += rec.proof == fault::UntestableProof::BoundedCnf;
+    EXPECT_EQ(bounded_records, c.untestable_bounded);
 }
 
 TEST(Backends, ProveFaultHonoursADeadlineBudget) {

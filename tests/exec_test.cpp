@@ -1,10 +1,10 @@
 // Tests for the exec subsystem: pool scheduling (every item exactly once,
-// worker ids in range, caller participation, caps, exceptions), the cancel
-// flag, and ordered speculation's in-order commits.
+// worker ids in range, caller participation, the null pool, exceptions)
+// and the cancel flag. The ATPG campaign's in-order commits are tested
+// through the Session (session_test's AtpgCancellationFlagsOutcome).
 
 #include "exec/cancel.hpp"
 #include "exec/pool.hpp"
-#include "exec/speculate.hpp"
 
 #include <gtest/gtest.h>
 
@@ -42,19 +42,6 @@ TEST(Pool, ReusableAcrossManyRuns) {
     EXPECT_EQ(total.load(), 1700u);
 }
 
-TEST(Pool, MaxWorkersCapsParticipation) {
-    Pool pool(8);
-    std::atomic<unsigned> max_seen{0};
-    auto task = [&](unsigned worker, std::size_t) {
-        unsigned cur = max_seen.load();
-        while (worker > cur && !max_seen.compare_exchange_weak(cur, worker)) {
-        }
-        std::this_thread::yield();
-    };
-    pool.run(500, TaskView(task), /*max_workers=*/2);
-    EXPECT_LT(max_seen.load(), 2u);
-}
-
 TEST(Pool, SingleItemRunsInlineOnCaller) {
     Pool pool(8);
     const std::thread::id caller = std::this_thread::get_id();
@@ -67,6 +54,19 @@ TEST(Pool, SingleItemRunsInlineOnCaller) {
     pool.run(1, TaskView(task));
     EXPECT_EQ(seen, caller);
     EXPECT_EQ(seen_worker, 0u);
+}
+
+TEST(Pool, NullPoolRunsEveryItemInOrderOnCaller) {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    bool off_caller = false;
+    auto task = [&](unsigned worker, std::size_t item) {
+        off_caller |= worker != 0 || std::this_thread::get_id() != caller;
+        order.push_back(item);
+    };
+    run(nullptr, 5, TaskView(task));
+    EXPECT_FALSE(off_caller);
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(Pool, ExceptionsPropagateToCaller) {
@@ -93,43 +93,6 @@ TEST(CancelFlag, RequestResetRoundTrip) {
     EXPECT_TRUE(flag.requested());
     flag.reset();
     EXPECT_FALSE(flag.requested());
-}
-
-TEST(Speculate, NoMutationNeverRetries) {
-    Pool pool(4);
-    std::atomic<std::size_t> computed{0};
-    const SpeculateOptions opt{4, 8};
-    std::vector<std::size_t> slots(opt.window);
-    auto compute = [&](unsigned, std::size_t item, std::size_t slot) {
-        slots[slot] = item;
-        computed.fetch_add(1, std::memory_order_relaxed);
-    };
-    std::size_t committed = 0;
-    auto commit = [&](std::size_t item, std::size_t slot) -> Commit {
-        EXPECT_EQ(item, committed);  // strictly in item order
-        EXPECT_EQ(slots[slot], item);
-        ++committed;
-        return Commit::Done;
-    };
-    speculate_ordered(&pool, 300, opt, compute, commit, 4);
-    EXPECT_EQ(committed, 300u);
-    // Every item is computed exactly once.
-    EXPECT_EQ(computed.load(), 300u);
-}
-
-TEST(Speculate, StopAbandonsTheRest) {
-    Pool pool(4);
-    const SpeculateOptions opt{4, 8};
-    std::vector<std::size_t> slots(opt.window);
-    auto compute = [&](unsigned, std::size_t item, std::size_t slot) { slots[slot] = item; };
-    std::size_t committed = 0;
-    auto commit = [&](std::size_t, std::size_t) -> Commit {
-        if (committed == 10) return Commit::Stop;
-        ++committed;
-        return Commit::Done;
-    };
-    speculate_ordered(&pool, 1000, opt, compute, commit, 4);
-    EXPECT_EQ(committed, 10u);
 }
 
 }  // namespace

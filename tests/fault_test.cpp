@@ -574,7 +574,7 @@ TEST(FaultSim, TieLanesMatchPerFaultReference) {
         for (const unsigned threads : {1u, 4u}) {
             SCOPED_TRACE(threads);
             FaultSimulator dropper(topo);
-            if (threads > 1) dropper.set_executor(&pool, threads);
+            if (threads > 1) dropper.set_executor(&pool);
             dropper.set_good_ties(&ties, &cycles);
             FaultList list(faults);
             for (const InputSequence& seq : seqs) dropper.drop_detected(seq, list);

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -33,13 +34,15 @@ TEST(Governance, DeadlineStopsPromptlyWithUsablePartialResult) {
     using std::chrono::duration_cast;
     using std::chrono::milliseconds;
 
-    // The deadline comes from a full pass measured here: the time to its
-    // first stem (the equivalence phase before it polls no deadline) plus a
-    // quarter of the rest, so it cuts the pass off mid-stream at any build
-    // type and machine speed (a Release pass takes ~25-35 ms). The stop
-    // bound: polling happens at stem boundaries, so the tolerance is one
-    // batch plus scheduling noise; Debug/instrumented builds run ~20x slower
-    // and get a generous allowance.
+    // The deadline comes from full passes measured here: the time to a
+    // pass's first stem (the equivalence phase before it polls no deadline)
+    // plus a quarter of the rest, so it cuts the pass off mid-stream at any
+    // build type and machine speed (a Release pass takes ~25-35 ms). Two
+    // passes are timed and the smaller deadline kept, so one calibration
+    // pass slowed by a busy machine cannot set a deadline the real run
+    // beats. The stop bound: polling happens at stem boundaries, so the
+    // tolerance is one batch plus scheduling noise; Debug/instrumented
+    // builds run ~20x slower and get a generous allowance.
 #ifdef NDEBUG
     constexpr long kToleranceMs = 50;
 #else
@@ -52,12 +55,16 @@ TEST(Governance, DeadlineStopsPromptlyWithUsablePartialResult) {
         if (done == 0) first_stem = Clock::now();
         return true;
     };
-    const Clock::time_point p0 = Clock::now();
-    ASSERT_TRUE(learn(nl, topo, timed).outcome.ok());
-    const Clock::time_point p1 = Clock::now();
-    const long deadline_ms =
-        duration_cast<milliseconds>(first_stem - p0).count() +
-        std::max<long>(1, duration_cast<milliseconds>(p1 - first_stem).count() / 4);
+    long deadline_ms = std::numeric_limits<long>::max();
+    for (int pass = 0; pass < 2; ++pass) {
+        const Clock::time_point p0 = Clock::now();
+        ASSERT_TRUE(learn(nl, topo, timed).outcome.ok());
+        const Clock::time_point p1 = Clock::now();
+        deadline_ms = std::min(
+            deadline_ms,
+            duration_cast<milliseconds>(first_stem - p0).count() +
+                std::max<long>(1, duration_cast<milliseconds>(p1 - first_stem).count() / 4));
+    }
     cfg.budget.deadline = milliseconds(deadline_ms);
 
     const Clock::time_point t0 = Clock::now();

@@ -252,8 +252,9 @@ TEST(FaultOrder, CampaignsBitIdenticalAcrossThreads) {
             std::uint64_t serial_digest = 0;
             fault::FaultList::Counts serial_counts;
             for (const unsigned threads : {1u, 2u, 8u}) {
+                exec::Pool pool(threads);
                 atpg::AtpgConfig cfg;
-                cfg.threads = threads;
+                cfg.executor = &pool;
                 cfg.mode = atpg::LearnMode::None;
                 cfg.identify_untestable = false;
                 cfg.backtrack_limit = 10;
@@ -290,7 +291,6 @@ TEST(RandomTpg, WarmupCompactionReverifiedByFaultSim) {
     const Topology topo(nl);
 
     atpg::AtpgConfig cfg;
-    cfg.threads = 1;
     cfg.mode = atpg::LearnMode::None;
     cfg.identify_untestable = false;
     cfg.backtrack_limit = 10;
@@ -328,7 +328,6 @@ TEST(RandomTpg, CompactionVerifiesMergesBeyondOnePass) {
     const Topology topo(nl);
 
     atpg::AtpgConfig cfg;
-    cfg.threads = 1;
     cfg.identify_untestable = false;
     cfg.backtrack_limit = 10;
     cfg.windows = {1, 2};

@@ -72,8 +72,8 @@ TEST(Integration, ModesAgreeOnTotalAccounting) {
          {LearnMode::None, LearnMode::KnownValue, LearnMode::ForbiddenValue}) {
         const CampaignResult r = campaign(session, mode, 1000);
         EXPECT_EQ(r.counts.total,
-                  r.counts.detected + r.counts.untestable + r.counts.aborted +
-                      r.counts.undetected);
+                  r.counts.detected + r.counts.untestable + r.counts.untestable_bounded +
+                      r.counts.aborted + r.counts.undetected);
     }
 }
 

@@ -126,8 +126,8 @@ TEST(FaultInjection, WorkItemFailureYieldsFailedOutcomeAndCleanRerun) {
     expect_same_result(clean, golden, "clean rerun");
 }
 
-// Learning commits as it goes and has no speculation commit; the site is
-// the ATPG campaign's in-order commit of the targets its workers solved.
+// Learning commits as it goes and has no such site; it is the ATPG
+// campaign's in-order commit of the targets its workers solved.
 TEST(FaultInjection, SpecCommitFailureYieldsFailedOutcome) {
     const netlist::Netlist nl = workload::suite_circuit("s27");
     auto session_for = [&nl](FailurePoint* fp) {

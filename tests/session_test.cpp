@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 namespace seqlearn::api {
 namespace {
@@ -241,20 +242,29 @@ TEST(Session, ExplicitThreadCountsAgreeWithSerial) {
 }
 
 TEST(Session, AtpgCancellationFlagsOutcome) {
-    SessionConfig cfg;
-    std::size_t seen = 0;
-    cfg.progress = [&](const Progress& p) {
-        if (p.stage != Stage::Atpg) return true;
-        return ++seen <= 3;  // allow three faults, then cancel
-    };
-    Session session(workload::suite_circuit("s27"), std::move(cfg));
-    atpg::AtpgConfig acfg;
-    acfg.backtrack_limit = 100;
-    const AtpgReport& report = session.atpg(acfg);
-    EXPECT_TRUE(report.outcome.cancelled);
-    EXPECT_LE(report.outcome.targeted_faults, 3u);
-    // Untouched faults keep their Undetected status.
-    EXPECT_GT(report.list.counts().undetected, 0u);
+    // Commits reach the observer in schedule order on the calling thread
+    // at any worker count, and a false return stops the campaign before
+    // that commit: four workers solve whole windows ahead, yet exactly the
+    // three permitted targets commit.
+    for (const unsigned threads : {1u, 4u}) {
+        SessionConfig cfg;
+        cfg.threads = threads;
+        std::vector<std::size_t> done;
+        cfg.progress = [&](const Progress& p) {
+            if (p.stage != Stage::Atpg) return true;
+            done.push_back(p.done);
+            return done.size() <= 3;  // allow three faults, then cancel
+        };
+        Session session(workload::suite_circuit("s27"), std::move(cfg));
+        atpg::AtpgConfig acfg;
+        acfg.backtrack_limit = 100;
+        const AtpgReport& report = session.atpg(acfg);
+        EXPECT_TRUE(report.outcome.cancelled) << threads;
+        EXPECT_EQ(done, (std::vector<std::size_t>{0, 1, 2, 3})) << threads;
+        EXPECT_EQ(report.outcome.targeted_faults, 3u) << threads;
+        // Untouched faults keep their Undetected status.
+        EXPECT_GT(report.list.counts().undetected, 0u) << threads;
+    }
 }
 
 TEST(Session, FaultSimMatchesNoLearningCampaignDespiteLearnedData) {

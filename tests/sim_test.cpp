@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <vector>
 
 namespace seqlearn::sim {
@@ -633,6 +634,36 @@ void expect_lane_matches_scalar(FrameSimulator& scalar, const FrameSimResult& go
     }
 }
 
+// Run `lanes` in 64-wide batches on `bsim` (built over `closure`) and
+// materialize every lane as canonicalize(scalar run of the same scenario):
+// the background's values added back by extract_lane, and fallback lanes
+// re-run on a FrameSimulator configured from the same closure.
+void run_lanes(BatchFrameSimulator& bsim, const TieClosure& closure,
+               std::span<const BatchLane> lanes, const FrameSimOptions& opt,
+               std::span<FrameSimResult> outs) {
+    FrameSimulator scalar(closure.topology(), closure.gating());
+    scalar.set_equivalences(closure.equivalences());
+    scalar.set_ties(&closure.tie_values(), &closure.tie_cycles());
+    BatchFrameResult res;
+    for (std::size_t base = 0; base < lanes.size(); base += 64) {
+        const std::span<const BatchLane> chunk =
+            lanes.subspan(base, std::min<std::size_t>(64, lanes.size() - base));
+        bsim.run_batch(chunk, opt, res);
+        for (std::size_t l = 0; l < chunk.size(); ++l) {
+            FrameSimResult& out = outs[base + l];
+            if ((res.fallback >> l) & 1) {
+                FrameSimOptions lane_opt = opt;
+                if (chunk[l].max_frames != 0)
+                    lane_opt.max_frames = std::min(chunk[l].max_frames, opt.max_frames);
+                scalar.run_into(chunk[l].injections, lane_opt, out);
+            } else {
+                res.extract_lane(static_cast<int>(l), out);
+            }
+            canonicalize(out);
+        }
+    }
+}
+
 // Random scenarios over generator circuits; a slice of lanes is forced to
 // conflict by contradictory same-frame injections.
 TEST(BatchFrameSim, LaneParityOnRandomCircuits) {
@@ -675,7 +706,7 @@ TEST(BatchFrameSim, LaneParityOnRandomCircuits) {
         FrameSimOptions opt;
         opt.max_frames = 16;
         std::vector<FrameSimResult> outs(64);
-        bsim.run_lanes(lanes, opt, outs);
+        run_lanes(bsim, closure, lanes, opt, outs);
 
         bool saw_conflict = false;
         for (int l = 0; l < 64; ++l) {
@@ -780,7 +811,7 @@ TEST(BatchFrameSim, LaneParityWithTiesEquivalencesAndGating) {
     FrameSimOptions opt;
     opt.max_frames = 12;
     std::vector<FrameSimResult> outs(40);
-    bsim.run_lanes(lanes, opt, outs);
+    run_lanes(bsim, closure, lanes, opt, outs);
     for (int l = 0; l < 40; ++l) {
         expect_lane_matches_scalar(scalar, outs[l], schedules[l], opt.max_frames,
                                    opt.stop_on_state_repeat, l);
@@ -915,7 +946,7 @@ TEST(TieClosure, ExtendedTieByTieEqualsBuiltFromFinalTieSet) {
         }
         opt.stop_on_state_repeat = true;
         std::vector<FrameSimResult> outs(24);
-        bsim.run_lanes(lanes, opt, outs);
+        run_lanes(bsim, extended, lanes, opt, outs);
         for (int l = 0; l < 24; ++l) {
             expect_lane_matches_scalar(scalar, outs[l], schedules[l], opt.max_frames,
                                        opt.stop_on_state_repeat, l);
