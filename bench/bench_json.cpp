@@ -295,10 +295,11 @@ Row bench_learn_resume(const Netlist& nl, const netlist::Topology& topo) {
             const core::LearnResult partial = core::learn(nl, topo, budgeted);
             const double stopped_s = t.seconds();
             std::stringstream ss;
-            core::save_checkpoint(ss, nl, core::make_checkpoint(nl, partial));
-            const core::LearnCheckpoint ckpt = core::load_checkpoint(ss, nl);
+            core::save_checkpoint(ss, nl, partial);
+            core::LearnResult ckpt = core::load_checkpoint(ss, nl);
             const double checkpoint_s = t.seconds() - stopped_s;
-            const core::LearnResult resumed = core::resume_learn(nl, topo, base, ckpt);
+            const core::LearnResult resumed =
+                core::resume_learn(nl, topo, base, std::move(ckpt));
             const double s = t.seconds();
             split_s += s;
             split_min = std::min(split_min, s);
@@ -327,28 +328,29 @@ Row bench_learn_resume(const Netlist& nl, const netlist::Topology& topo) {
 
 Row bench_multi_session_atpg(const Netlist& nl) {
     // The serving pattern of the Design/Session split: K concurrent
-    // Sessions over ONE shared immutable Design carrying ONE frozen
-    // LearnedSnapshot, each running an independent ATPG campaign on its own
+    // Sessions over ONE shared immutable Design, each adopting ONE frozen
+    // LearnedSnapshot and running an independent ATPG campaign on its own
     // thread (campaigns capped at kCap targeted faults via the progress
     // observer so a rep stays bounded). Items = faults targeted across all
     // sessions; on a 1-core box the threads serialize and the row measures
     // the sharing overhead, on real hardware it fans out.
     constexpr unsigned kSessions = 4;
     constexpr std::size_t kCap = 32;
-    api::Session learner{Netlist(nl)};
-    const api::DesignPtr design =
-        api::DesignBuilder(Netlist(nl)).learned(learner.freeze_learned()).build();
+    const api::DesignPtr design = api::DesignBuilder(Netlist(nl)).build();
+    api::Session learner(design);
+    const std::shared_ptr<const core::LearnedSnapshot> snap = learner.freeze_learned();
     Row row = measure("multi_session_atpg", kSessions * kCap, g_min_seconds, [&] {
         std::vector<std::thread> threads;
         threads.reserve(kSessions);
         for (unsigned t = 0; t < kSessions; ++t) {
-            threads.emplace_back([&design] {
+            threads.emplace_back([&design, &snap] {
                 api::SessionConfig cfg;
                 cfg.threads = 1;
                 cfg.progress = [](const api::Progress& p) {
                     return !(p.stage == api::Stage::Atpg && p.done >= kCap);
                 };
                 api::Session session(design, std::move(cfg));
+                session.use_learned(snap);
                 atpg::AtpgConfig acfg;
                 acfg.mode = atpg::LearnMode::ForbiddenValue;
                 acfg.backtrack_limit = 30;

@@ -21,11 +21,12 @@ int main(int argc, char** argv) {
         static_cast<std::uint32_t>(argc > 2 ? std::atoi(argv[2]) : 30);
 
     // The paper flow is one-producer/many-consumers: learn once, then let
-    // every campaign consume the frozen result. Compile the circuit into an
-    // immutable Design, learn in a throwaway Session, and freeze the result
-    // into a second Design that all the mode campaigns below share — each
-    // campaign gets its own cheap Session (they could run on N threads).
-    api::Session learner(workload::suite_circuit(name));
+    // every campaign consume the frozen result. Compile the circuit into one
+    // immutable Design, learn in a Session over it, and hand the frozen
+    // result to each mode campaign below — each gets its own cheap Session
+    // over the same Design (they could run on N threads).
+    const api::DesignPtr design = api::DesignBuilder(workload::suite_circuit(name)).build();
+    api::Session learner(design);
     std::printf("%s: %zu gates, %zu FFs, %zu collapsed faults (%zu uncollapsed)\n",
                 name.c_str(), learner.netlist().counts().combinational,
                 learner.netlist().seq_elements().size(), learner.collapsed_faults().size(),
@@ -36,9 +37,7 @@ int main(int argc, char** argv) {
                 learned.stats.ff_ff_relations, learned.stats.gate_ff_relations,
                 learned.ties.count(), learned.stats.cpu_seconds);
 
-    const api::DesignPtr design = api::DesignBuilder(workload::suite_circuit(name))
-                                      .learned(learner.freeze_learned())
-                                      .build();
+    const std::shared_ptr<const core::LearnedSnapshot> snap = learner.freeze_learned();
 
     std::printf("%-18s | %8s %8s %8s %8s | %9s %10s\n", "mode", "detected", "untest",
                 "aborted", "undet", "coverage", "CPU (s)");
@@ -50,10 +49,11 @@ int main(int argc, char** argv) {
                             ModeRow{"forbidden values", atpg::LearnMode::ForbiddenValue},
                             ModeRow{"known values", atpg::LearnMode::KnownValue}}) {
         // A fresh Session per campaign: construction is O(1) against the
-        // shared Design (no re-levelization), and LearnMode::None stays a
-        // true no-learning baseline — the snapshot is only wired into modes
-        // that ask for learned data.
+        // shared Design (no re-levelization), and adopting the snapshot
+        // copies nothing. LearnMode::None stays a true no-learning baseline
+        // — the snapshot is only wired into modes that ask for learned data.
         api::Session session(design);
+        session.use_learned(snap);
         atpg::AtpgConfig cfg;
         cfg.mode = m.mode;
         cfg.backtrack_limit = backtrack_limit;

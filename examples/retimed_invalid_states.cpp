@@ -8,7 +8,6 @@
 #include "api/session.hpp"
 #include "core/invalid_state.hpp"
 #include "workload/circuit_gen.hpp"
-#include "workload/reachability.hpp"
 #include "workload/retime.hpp"
 
 #include <cstdio>

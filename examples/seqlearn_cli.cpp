@@ -164,7 +164,8 @@ void print_json(api::Session& session, const netlist::Diagnostics& diags,
         w.field("multi_relations", s.learn.multi_relations);
         w.field("stems_processed", s.learn.stems_processed);
         w.field("sat_probes", s.learn.sat_probes).field("sat_ties", s.learn.sat_ties);
-        w.field("sat_relations", s.learn.sat_relations).field("cancelled", s.learn.cancelled);
+        w.field("sat_relations", s.learn.sat_relations)
+            .field("cancelled", !s.learn_outcome.ok());
         w.field("cpu_seconds", s.learn.cpu_seconds, 3);
         server::write_outcome(w.key("outcome"), s.learn_outcome);
         w.end_object();
@@ -218,7 +219,6 @@ void print_json(api::Session& session, const netlist::Diagnostics& diags,
     w.field("netlist_bytes", s.memory.design.netlist_bytes);
     w.field("topology_bytes", s.memory.design.topology_bytes);
     w.field("faults_bytes", s.memory.design.faults_bytes);
-    w.field("design_learned_bytes", s.memory.design.learned_bytes);
     w.field("learned_bytes", s.memory.learned_bytes);
     w.field("scratch_bytes", s.memory.scratch_bytes).field("total_bytes", s.memory.total());
     w.end_object().end_object();
@@ -298,7 +298,7 @@ int cmd_stats(api::Session& session, const netlist::Diagnostics& diags, bool jso
 int cmd_learn(api::Session& session, const netlist::Diagnostics& diags, const LearnArgs& a,
               bool json) {
     // --limit-stems budgets the pass to its first N work items (LimitReached;
-    // partial results are kept and stats.cancelled is set) — bounds learn
+    // partial results are kept and the outcome says why) — bounds learn
     // time on huge circuits without a special-cased fast path.
     const core::LearnResult& r =
         a.resume ? session.resume_learn(*a.resume) : session.learn(a.cfg);

@@ -1,21 +1,17 @@
 #include "api/design.hpp"
 
-#include "core/db_io.hpp"
-
 #include <fstream>
-#include <stdexcept>
 #include <utility>
 
 namespace seqlearn::api {
 
-Design::Design(netlist::Netlist nl, std::shared_ptr<const core::LearnedSnapshot> learned)
+Design::Design(netlist::Netlist nl)
     : nl_(std::move(nl)),
       topo_(nl_),  // levelized exactly once, here
       classes_(netlist::clock_classes(nl_)),
       faults_(fault::collapse(nl_)),
       stems_(nl_.stems()),
-      testability_(topo_),
-      learned_(std::move(learned)) {}
+      testability_(topo_) {}
 
 Design::MemoryFootprint Design::memory_footprint() const noexcept {
     MemoryFootprint m;
@@ -24,36 +20,10 @@ Design::MemoryFootprint Design::memory_footprint() const noexcept {
     m.faults_bytes = faults_.memory_bytes() + stems_.capacity() * sizeof(netlist::GateId) +
                      classes_.capacity() * sizeof(netlist::ClockClass);
     m.testability_bytes = testability_.memory_bytes();
-    if (learned_) m.learned_bytes = learned_->memory_bytes();
     return m;
 }
 
-DesignBuilder& DesignBuilder::learned(std::shared_ptr<const core::LearnedSnapshot> snap) {
-    learned_ = std::move(snap);
-    return *this;
-}
-
-DesignBuilder& DesignBuilder::learned(core::LearnResult result) {
-    learned_ = core::freeze_learned(std::move(result));
-    return *this;
-}
-
-DesignBuilder& DesignBuilder::load_db(std::istream& in) {
-    core::LoadedSnapshot loaded = core::load_snapshot(in, nl_);
-    learned_ = std::move(loaded.snapshot);
-    db_skipped_ = loaded.skipped_lines;
-    return *this;
-}
-
-DesignBuilder& DesignBuilder::load_db(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("DesignBuilder::load_db: cannot read " + path);
-    return load_db(in);
-}
-
-DesignPtr DesignBuilder::build() {
-    return DesignPtr(new Design(std::move(nl_), std::move(learned_)));
-}
+DesignPtr DesignBuilder::build() { return DesignPtr(new Design(std::move(nl_))); }
 
 DesignLoad load_design(std::istream& in, std::string name) {
     DesignLoad out;

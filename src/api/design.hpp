@@ -2,29 +2,27 @@
 // The immutable, thread-safe circuit artifact every Session consumes.
 //
 // The paper's flow is one-producer/many-consumers: a circuit is compiled
-// once (parse, levelize, partition clocks, collapse faults, optionally
-// attach pre-learned knowledge), then any number of learning / ATPG /
-// fault-simulation runs consume that frozen structure. A Design is exactly
-// that artifact: everything in it is computed at build time and const
-// afterwards, so a `std::shared_ptr<const Design>` can be handed to any
-// number of threads, each constructing its own cheap api::Session over it,
-// with no locking and bit-identical results to a serial run.
+// once (parse, levelize, partition clocks, collapse faults), then any
+// number of learning / ATPG / fault-simulation runs consume that frozen
+// structure. A Design is exactly that artifact: everything in it is
+// computed at build time and const afterwards, so a
+// `std::shared_ptr<const Design>` can be handed to any number of threads,
+// each constructing its own cheap api::Session over it, with no locking and
+// bit-identical results to a serial run.
 //
 //     auto load = api::load_design("big.bench");      // streaming reader
 //     if (!load.design) { /* inspect load.diagnostics */ }
 //     api::Session s(load.design);                     // microseconds
 //
-//     // or assemble explicitly:
-//     auto design = api::DesignBuilder(std::move(nl))
-//                       .learned(session.freeze_learned())  // optional
-//                       .build();
+//     // or compile a netlist you already hold:
+//     auto design = api::DesignBuilder(std::move(nl)).build();
 //
 // Ownership: Design owns the Netlist, the one CSR Topology (levelized
-// once), the clock classes and the collapsed fault universe. The optional
-// LearnedSnapshot is held by shared_ptr so learned knowledge can also be
-// shared across Designs (e.g. mild netlist edits reusing a saved DB).
+// once), the clock classes, the collapsed fault universe and the SCOAP
+// analysis. It holds no learned data: learned knowledge lives in a
+// shared core::LearnedSnapshot that each Session over the Design adopts
+// (Session::use_learned) or produces (Session::learn).
 
-#include "core/learned_snapshot.hpp"
 #include "fault/collapse.hpp"
 #include "guide/testability.hpp"
 #include "netlist/bench_io.hpp"
@@ -54,12 +52,6 @@ public:
     /// (fault ordering, guided search, backend routing).
     const guide::Testability& testability() const noexcept { return testability_; }
 
-    /// Pre-learned knowledge attached at build time, or nullptr.
-    const core::LearnedSnapshot* learned() const noexcept { return learned_.get(); }
-    std::shared_ptr<const core::LearnedSnapshot> learned_ptr() const noexcept {
-        return learned_;
-    }
-
     /// Fanout stems in id order, precomputed for stats/reporting and for
     /// consumers sizing progress totals (the learning pass derives its own
     /// per-clock-class schedule internally).
@@ -72,11 +64,9 @@ public:
         std::size_t topology_bytes = 0;
         std::size_t faults_bytes = 0;
         std::size_t testability_bytes = 0;  ///< SCOAP cost arrays
-        std::size_t learned_bytes = 0;      ///< attached snapshot, 0 when none
 
         std::size_t total() const noexcept {
-            return netlist_bytes + topology_bytes + faults_bytes + testability_bytes +
-                   learned_bytes;
+            return netlist_bytes + topology_bytes + faults_bytes + testability_bytes;
         }
     };
     MemoryFootprint memory_footprint() const noexcept;
@@ -84,7 +74,7 @@ public:
 
 private:
     friend class DesignBuilder;
-    Design(netlist::Netlist nl, std::shared_ptr<const core::LearnedSnapshot> learned);
+    explicit Design(netlist::Netlist nl);
 
     netlist::Netlist nl_;
     netlist::Topology topo_;
@@ -92,41 +82,23 @@ private:
     fault::CollapsedFaults faults_;
     std::vector<netlist::GateId> stems_;
     guide::Testability testability_;
-    std::shared_ptr<const core::LearnedSnapshot> learned_;
 };
 
 /// How Designs are shared: immutable, reference-counted.
 using DesignPtr = std::shared_ptr<const Design>;
 
-/// Assembles a Design from a Netlist plus optional learned knowledge.
-/// Compilation (levelization, clock classes, fault collapsing) happens once
-/// in build(); the returned Design is frozen.
+/// Compiles a Netlist into a Design. Compilation (levelization, clock
+/// classes, fault collapsing, SCOAP) happens once in build(); the returned
+/// Design is frozen.
 class DesignBuilder {
 public:
     explicit DesignBuilder(netlist::Netlist nl) : nl_(std::move(nl)) {}
-
-    /// Attach a frozen learned snapshot (shared; may feed other Designs).
-    DesignBuilder& learned(std::shared_ptr<const core::LearnedSnapshot> snap);
-    /// Freeze and attach a learn() result.
-    DesignBuilder& learned(core::LearnResult result);
-
-    /// Load a saved implication DB + tie set (core::db_io — text or binary,
-    /// sniffed by magic) as the Design's learned snapshot. Text entries
-    /// naming gates absent from the netlist are skipped (count via
-    /// db_skipped()); a binary file must match the netlist digest exactly.
-    /// Throws std::runtime_error on malformed input or an unreadable path.
-    DesignBuilder& load_db(std::istream& in);
-    DesignBuilder& load_db(const std::string& path);
-    /// Entries skipped by the last load_db() call.
-    std::size_t db_skipped() const noexcept { return db_skipped_; }
 
     /// Compile and freeze. The builder is consumed (netlist moved out).
     DesignPtr build();
 
 private:
     netlist::Netlist nl_;
-    std::shared_ptr<const core::LearnedSnapshot> learned_;
-    std::size_t db_skipped_ = 0;
 };
 
 /// Result of loading a .bench file into a Design: the design (null when the

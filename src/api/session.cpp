@@ -38,33 +38,25 @@ atpg::Engine& Session::engine() {
 }
 
 const core::LearnResult& Session::learn() {
-    // Only a complete cached result satisfies the no-arg call: returning a
+    // Only a complete held result satisfies the no-arg call: returning a
     // partial (cancelled / budget-stopped / failed) result as if it were
     // final would silently starve every downstream stage of relations. A
     // caller who wants the partial data reads it through the learn(cfg)
     // return value, save_db(), or resume_learn().
-    if (const core::LearnResult* active = active_learned()) {
-        if (active->outcome.ok()) return *active;
-    }
+    if (learned_ && learned_->result().outcome.ok()) return learned_->result();
     return learn(cfg_.learn);
 }
 
 const core::LearnResult& Session::learn(const core::LearnConfig& lcfg) {
-    return run_learn(lcfg, nullptr);
-}
-
-const core::LearnResult& Session::resume_learn(const core::LearnCheckpoint& ckpt) {
-    return run_learn(cfg_.learn, &ckpt);
-}
-
-const core::LearnResult& Session::resume_learn(const core::LearnCheckpoint& ckpt,
-                                               const core::LearnConfig& lcfg) {
-    return run_learn(lcfg, &ckpt);
+    const core::LearnConfig cfg = governed(lcfg);
+    return hold(core::learn(design_->netlist(), design_->topology(), cfg));
 }
 
 const core::LearnResult& Session::resume_learn(std::istream& in) {
-    const core::LearnCheckpoint ckpt = core::load_checkpoint(in, netlist());
-    return run_learn(cfg_.learn, &ckpt);
+    core::LearnResult partial = core::load_checkpoint(in, netlist());
+    const core::LearnConfig cfg = governed(cfg_.learn);
+    return hold(core::resume_learn(design_->netlist(), design_->topology(), cfg,
+                                   std::move(partial)));
 }
 
 const core::LearnResult& Session::resume_learn(const std::string& path) {
@@ -74,9 +66,9 @@ const core::LearnResult& Session::resume_learn(const std::string& path) {
 }
 
 void Session::save_checkpoint(std::ostream& out) {
-    if (!learned_ || !learned_->cursor.valid)
+    if (!learned_ || !learned_->result().cursor.valid)
         throw std::logic_error("Session::save_checkpoint: no resumable learn result");
-    core::save_checkpoint(out, netlist(), core::make_checkpoint(netlist(), *learned_));
+    core::save_checkpoint(out, netlist(), learned_->result());
 }
 
 void Session::save_checkpoint(const std::string& path) {
@@ -89,8 +81,7 @@ void Session::save_checkpoint(const std::string& path) {
         throw std::runtime_error("Session::save_checkpoint: " + error);
 }
 
-const core::LearnResult& Session::run_learn(const core::LearnConfig& lcfg,
-                                            const core::LearnCheckpoint* ckpt) {
+core::LearnConfig Session::governed(const core::LearnConfig& lcfg) {
     core::LearnConfig cfg = lcfg;
     if (cfg_.progress && !cfg.on_stem) {
         cfg.on_stem = [this](std::size_t done, std::size_t total) {
@@ -103,38 +94,25 @@ const core::LearnResult& Session::run_learn(const core::LearnConfig& lcfg,
     cfg.cancel = cancel_.get();
     if (!cfg.budget.any()) cfg.budget = cfg_.budget;
     if (cfg.failpoint == nullptr) cfg.failpoint = cfg_.failpoint;
-    replace_learned(std::make_unique<core::LearnResult>(
-        ckpt != nullptr
-            ? core::resume_learn(design_->netlist(), design_->topology(), cfg, *ckpt)
-            : core::learn(design_->netlist(), design_->topology(), cfg)));
-    return *learned_;
+    return cfg;
+}
+
+const core::LearnResult& Session::hold(core::LearnResult result) {
+    use_learned(core::freeze_learned(std::move(result)));
+    return learned_->result();
 }
 
 std::shared_ptr<const core::LearnedSnapshot> Session::freeze_learned() {
-    // When the active learned data already IS a shared snapshot (no
-    // session-local result shadowing it), hand out that handle instead of
-    // deep-copying an O(relations) database.
-    if (!learned_) {
-        if (snapshot_) return snapshot_;
-        if (design_->learned() != nullptr) return design_->learned_ptr();
-    }
-    return core::freeze_learned(learn());
+    learn();
+    return learned_;
 }
 
 void Session::use_learned(std::shared_ptr<const core::LearnedSnapshot> snap) {
-    // Drop any session-local result so the snapshot becomes the active data;
-    // replace_learned also detaches the fault simulator from the previous
-    // result's ties.
-    replace_learned(nullptr);
-    snapshot_ = std::move(snap);
-}
-
-void Session::replace_learned(std::unique_ptr<core::LearnResult> next) {
-    // The fault simulator may still carry the previous result's ties:
-    // drop them so nothing simulates against stale facts. Facade paths
-    // re-set ties on use.
+    // The fault simulator may still carry the previous data's ties: drop
+    // them so nothing simulates against stale facts. Facade paths re-set
+    // ties on use.
     if (fsim_) fsim_->set_good_ties(nullptr, nullptr);
-    learned_ = std::move(next);
+    learned_ = std::move(snap);
 }
 
 const AtpgReport& Session::atpg() {
@@ -146,11 +124,10 @@ const AtpgReport& Session::atpg() {
 }
 
 const AtpgReport& Session::atpg(atpg::AtpgConfig acfg) {
-    // Modes that consume learned data get this session's active learned
-    // data wired in (the Design snapshot when present, learning on demand
-    // otherwise); an explicit cfg.learned — e.g. data brought in through
-    // load_db on another session — is respected as-is. Mode None stays a
-    // true no-learning baseline.
+    // Modes that consume learned data get this session's held learned data
+    // wired in (learning on demand when it holds none); an explicit
+    // cfg.learned — e.g. data brought in through load_db on another session
+    // — is respected as-is. Mode None stays a true no-learning baseline.
     if (acfg.mode != atpg::LearnMode::None && acfg.learned == nullptr) {
         acfg.learned = &learn();
     }
@@ -246,7 +223,6 @@ FaultSimReport Session::fault_sim(std::span<const sim::InputSequence> tests,
     // The Budget above is stack-local: the simulator must not keep pointing
     // at it past this call.
     fsim.set_governance(nullptr, nullptr, nullptr);
-    report.cancelled = !report.outcome.ok();
     const fault::FaultList::Counts c = list.counts();
     report.total = c.total;
     report.detected = c.detected;
@@ -280,11 +256,7 @@ SessionStats Session::stats() {
         s.atpg_outcome = atpg_->outcome.run;
     }
     s.memory.design = design_->memory_footprint();
-    if (learned_) {
-        s.memory.learned_bytes = learned_->memory_bytes();
-    } else if (snapshot_) {
-        s.memory.learned_bytes = snapshot_->memory_bytes();
-    }
+    if (learned_) s.memory.learned_bytes = learned_->memory_bytes();
     if (fsim_) s.memory.scratch_bytes += fsim_->memory_bytes();
     if (atpg_) {
         s.memory.scratch_bytes += atpg_->list.size() * (sizeof(fault::Fault) + 1) +
@@ -298,7 +270,7 @@ SessionStats Session::stats() {
 }
 
 void Session::save_db(std::ostream& out) {
-    // Use the active result even when partial — every relation and tie a
+    // Use the held result even when partial — every relation and tie a
     // stopped run committed is sound, and forcing a re-run here would throw
     // away exactly the work the caller is trying to persist.
     const core::LearnResult* active = active_learned();
@@ -332,10 +304,10 @@ void Session::save_db_binary(const std::string& path) {
 
 std::size_t Session::load_db(std::istream& in) {
     core::LoadedLearned loaded = core::load_learned_any(in, netlist());
-    auto result = std::make_unique<core::LearnResult>(netlist().size());
-    result->db = std::move(loaded.db);
-    result->ties = std::move(loaded.ties);
-    replace_learned(std::move(result));
+    core::LearnResult result(netlist().size());
+    result.db = std::move(loaded.db);
+    result.ties = std::move(loaded.ties);
+    hold(std::move(result));
     return loaded.skipped_lines;
 }
 

@@ -4,12 +4,13 @@
 // The pipeline is a single arc — learn an implication database, feed it to
 // ATPG, validate with fault simulation. The immutable circuit structure
 // lives in an api::Design (one CSR Topology, levelized once, plus clock
-// classes, collapsed faults and optionally a frozen LearnedSnapshot); a
-// Session adds only the mutable per-run state: lazily-built stage engines,
-// a thread pool, a cancel flag and cached results. Constructing a Session
-// from a shared Design costs microseconds, so N Sessions over one Design
-// can serve N concurrent requests — each produces results bit-identical to
-// a serial run, because everything they share is const.
+// classes and collapsed faults); a Session adds only the per-run state:
+// lazily-built stage engines, a thread pool, a cancel flag, cached results
+// and its learned data — one shared, immutable core::LearnedSnapshot.
+// Constructing a Session from a shared Design costs microseconds, so N
+// Sessions over one Design can serve N concurrent requests — each produces
+// results bit-identical to a serial run, because everything they share is
+// const.
 //
 //     api::DesignPtr design = api::DesignBuilder(std::move(nl)).build();
 //     api::Session session(design);
@@ -18,11 +19,9 @@
 //     api::FaultSimReport v = session.fault_sim();   // independent check
 //     session.save_db("circuit.learned");
 //
-//     // promote the learned result into a Design other Sessions share:
-//     auto learned_design =
-//         api::DesignBuilder(netlist::Netlist(session.netlist()))
-//             .learned(session.freeze_learned())
-//             .build();
+//     // hand the learned result to other Sessions over the same Design:
+//     api::Session other(design);
+//     other.use_learned(session.freeze_learned());   // no copy, no learning
 //
 // Results are cached: learn() and atpg() run once and return the stored
 // result on later calls; the config-taking overloads force a re-run. A
@@ -32,6 +31,7 @@
 
 #include "api/design.hpp"
 #include "atpg/atpg_loop.hpp"
+#include "core/learned_snapshot.hpp"
 #include "core/seq_learn.hpp"
 #include "exec/budget.hpp"
 #include "exec/cancel.hpp"
@@ -67,7 +67,7 @@ struct Progress {
 };
 
 /// Stage observer; return false to cancel the running stage (partial
-/// results are kept; learn/ATPG outcomes carry a cancelled flag). Whatever
+/// results are kept; the stage's outcome says Cancelled). Whatever
 /// the stage's thread count, callbacks are delivered serialized on the
 /// thread that called the stage method, in canonical unit order — an
 /// observer needs no locking of its own. A false return raises the
@@ -125,9 +125,6 @@ struct FaultSimReport {
     /// On any early stop the counts above cover only the sequences fully
     /// simulated before the cut — a sound lower bound on coverage.
     exec::RunOutcome outcome;
-    /// Convenience flag: true whenever validation ended early, i.e.
-    /// !outcome.ok() (kept for report printers).
-    bool cancelled = false;
 };
 
 /// Aggregate view over everything the Session has computed so far.
@@ -159,14 +156,13 @@ struct SessionStats {
     exec::RunOutcome atpg_outcome;
 
     /// Approximate heap footprint: the shared Design's components (charged
-    /// once however many Sessions share it) plus this Session's own learned
-    /// data and engine scratch — what a serving cache and its session pool
-    /// account against a memory cap.
+    /// once however many Sessions share it) plus the learned snapshot this
+    /// Session holds and its engine scratch — what a serving cache and its
+    /// session pool account against a memory cap.
     struct Memory {
         Design::MemoryFootprint design;  ///< shared, charged per Design
-        std::size_t learned_bytes = 0;   ///< session-local learned data (0 when
-                                         ///< the Design snapshot is the active one
-                                         ///< — that's in design.learned_bytes)
+        std::size_t learned_bytes = 0;   ///< the held snapshot (0 when none);
+                                         ///< shared with every Session holding it
         std::size_t scratch_bytes = 0;   ///< this Session's engine scratch
         std::size_t total() const noexcept {
             return design.total() + learned_bytes + scratch_bytes;
@@ -209,66 +205,56 @@ public:
     atpg::Engine& engine();
 
     // --- the flow ---------------------------------------------------------
-    /// Learned data, session-local results first: this session's learn() /
-    /// load_db() result if any, else the Design's frozen snapshot, else
-    /// run learning with cfg.learn (caching the result). Only a *complete*
-    /// cached result satisfies this call: when the cached run ended early
-    /// (cancelled / budget / failed), learning re-runs from scratch — a
-    /// cancelled Session stays reusable. Use resume_learn() to continue a
-    /// budgeted run instead of restarting, and save_db() to persist a
-    /// partial result without triggering a re-run. Never throws for
-    /// run-time failures: inspect LearnResult::outcome.
+    /// The held learned data, learning with cfg.learn first when the
+    /// Session holds none. Only a *complete* held result satisfies this
+    /// call: when it ended early (cancelled / budget / failed), learning
+    /// re-runs from scratch — a cancelled Session stays reusable. Use
+    /// resume_learn() to continue a budgeted run instead of restarting, and
+    /// save_db() to persist a partial result without triggering a re-run.
+    /// Never throws for run-time failures: inspect LearnResult::outcome.
     const core::LearnResult& learn();
-    /// Re-run learning with an explicit config; replaces the cached result
-    /// (the Design snapshot, if any, is shadowed, never modified).
+    /// Re-run learning with an explicit config. The result replaces the
+    /// held snapshot in this Session only; other holders of the old
+    /// snapshot keep it unchanged.
     const core::LearnResult& learn(const core::LearnConfig& lcfg);
-    /// True when learned data is available without running learn(): a
-    /// session-local result, an injected snapshot (use_learned), or the
-    /// Design's snapshot.
-    bool has_learned() const noexcept {
-        return learned_ != nullptr || snapshot_ != nullptr ||
-               design_->learned() != nullptr;
-    }
+    /// True when the Session holds learned data (from learn(),
+    /// resume_learn(), load_db() or use_learned()), complete or not.
+    bool has_learned() const noexcept { return learned_ != nullptr; }
 
-    /// Freeze the active learned data (learning first if needed) into a
-    /// shareable snapshot — the promotion path into DesignBuilder::learned.
-    /// The session keeps its own copy and stays usable. When the active
-    /// data is already the Design's snapshot, that handle is returned
-    /// directly (no copy).
+    /// The held learned data as a shareable snapshot, learning first only
+    /// when the Session holds none or holds an incomplete result. Returns
+    /// the held pointer itself (no copy): pass it to use_learned() on other
+    /// Sessions over the same Design.
     std::shared_ptr<const core::LearnedSnapshot> freeze_learned();
 
-    /// Resume a budget-interrupted learning run from a checkpoint, caching
-    /// the (possibly again partial) result like learn() does. The config —
-    /// cfg.learn for the first overload — must have the same result-affecting
-    /// fields as the run that produced the checkpoint (execution fields:
-    /// budget / cancel / callbacks may differ freely); throws
-    /// std::invalid_argument otherwise. A resumed run completes to the same
-    /// final db/ties the uninterrupted run would have produced.
-    const core::LearnResult& resume_learn(const core::LearnCheckpoint& ckpt);
-    const core::LearnResult& resume_learn(const core::LearnCheckpoint& ckpt,
-                                          const core::LearnConfig& lcfg);
-    /// Load a serialized checkpoint (core::db_io text format) and resume.
-    /// Throws std::runtime_error on malformed input or an unreadable path.
+    /// Load a serialized checkpoint (core::db_io text format) and resume it
+    /// with cfg.learn, holding the (possibly again partial) result like
+    /// learn() does. cfg.learn must have the same result-affecting fields as
+    /// the run that produced the checkpoint (execution fields: budget /
+    /// cancel / callbacks may differ freely) and the Design's circuit must be
+    /// the checkpoint's; throws std::invalid_argument otherwise. A resumed
+    /// run completes to the same final db/ties the uninterrupted run would
+    /// have produced. Throws std::runtime_error on malformed input or an
+    /// unreadable path.
     const core::LearnResult& resume_learn(std::istream& in);
     const core::LearnResult& resume_learn(const std::string& path);
 
-    /// Serialize this session's partial learn() result for a later
-    /// resume_learn(). Throws std::logic_error when the session holds no
-    /// resumable result (no learn() run, a complete one, or a Failed one —
-    /// after an unwind the exact stop point is unknown).
+    /// Serialize the held partial result for a later resume_learn(). Throws
+    /// std::logic_error when the session holds no resumable result (no
+    /// learned data, a complete result, or a Failed one — after an unwind
+    /// the exact stop point is unknown).
     void save_checkpoint(std::ostream& out);
     void save_checkpoint(const std::string& path);
 
     /// Run the ATPG campaign once (cached) with cfg.atpg. Modes that use
-    /// learned data trigger learn() automatically (which prefers the
-    /// Design's snapshot — the learn-once / ATPG-many flow). Like learn(),
+    /// learned data trigger learn() automatically (which serves the held
+    /// snapshot — the learn-once / ATPG-many flow). Like learn(),
     /// a cached campaign that ended early does not satisfy this call — the
     /// campaign re-runs. Never throws for run-time failures: inspect
     /// AtpgOutcome::run.
     const AtpgReport& atpg();
     /// Re-run the campaign with an explicit config; replaces the cache.
     const AtpgReport& atpg(atpg::AtpgConfig acfg);
-    bool has_atpg() const noexcept { return atpg_.has_value(); }
 
     /// Fault-simulate the last campaign's test set (running atpg() first if
     /// needed) against a fresh fault list — the independent validation step.
@@ -289,7 +275,7 @@ public:
     void request_cancel() noexcept { cancel_->request(); }
 
     // --- learned-data persistence (core::db_io) ---------------------------
-    /// Save the active learned data (learning first if needed) in the
+    /// Save the held learned data (learning first if there is none) in the
     /// name-keyed text format — archival, diffable, robust across mild
     /// netlist edits. A partial result from an interrupted run is saved
     /// as-is — every relation and tie in it is sound — without triggering a
@@ -302,34 +288,29 @@ public:
     void save_db_binary(std::ostream& out);
     void save_db_binary(const std::string& path);
     /// Load a saved DB — either format, sniffed by magic — as this session's
-    /// learned data (replacing any learn() result and shadowing the Design
-    /// snapshot); returns the number of skipped entries naming unknown gates
-    /// (always 0 for binary files, which reject mismatches wholesale).
-    /// Throws std::runtime_error on malformed input or an unreadable path.
+    /// learned data (replacing what it held); returns the number of skipped
+    /// entries naming unknown gates (always 0 for binary files, which reject
+    /// mismatches wholesale). Throws std::runtime_error on malformed input
+    /// or an unreadable path.
     std::size_t load_db(std::istream& in);
     std::size_t load_db(const std::string& path);
 
-    /// Adopt a frozen snapshot as this session's active learned data without
-    /// copying it (shadowing any learn() result and the Design's own
-    /// snapshot). This is how a serving cache attaches knowledge learned by
-    /// one request to later Sessions over the same cached Design — no Design
-    /// rebuild, no O(relations) copy. Pass nullptr to drop back to the
-    /// Design snapshot / fresh-learn behaviour.
+    /// Hold `snap` as this session's learned data without copying it
+    /// (replacing what it held). This is how learned knowledge reaches other
+    /// Sessions over the same Design — a serving cache's later requests, or
+    /// N concurrent campaigns — with no Design rebuild and no O(relations)
+    /// copy. Pass nullptr to drop the held data (the next learn() learns).
     void use_learned(std::shared_ptr<const core::LearnedSnapshot> snap);
 
 private:
-    /// Session-local learned result, else the injected snapshot, else the
-    /// Design snapshot, else null.
     const core::LearnResult* active_learned() const noexcept {
-        if (learned_) return learned_.get();
-        if (snapshot_) return &snapshot_->result();
-        if (const core::LearnedSnapshot* s = design_->learned()) return &s->result();
-        return nullptr;
+        return learned_ ? &learned_->result() : nullptr;
     }
     FaultSimReport fault_sim(std::span<const sim::InputSequence> tests, bool with_ties);
-    const core::LearnResult& run_learn(const core::LearnConfig& lcfg,
-                                       const core::LearnCheckpoint* ckpt);
-    void replace_learned(std::unique_ptr<core::LearnResult> next);
+    /// cfg_'s progress observer, cancel flag, budget and failpoint wired
+    /// into `lcfg`, with the cancel flag re-armed.
+    core::LearnConfig governed(const core::LearnConfig& lcfg);
+    const core::LearnResult& hold(core::LearnResult result);
     /// The Session's pool of cfg_.threads workers, built on first use.
     exec::Pool* pool();
 
@@ -337,12 +318,9 @@ private:
     SessionConfig cfg_;
     std::optional<fault::FaultSimulator> fsim_;
     std::optional<atpg::Engine> engine_;
-    // Heap-allocated so the tie vectors the fault simulator may point at
-    // keep a stable address across Session moves.
-    std::unique_ptr<core::LearnResult> learned_;
-    // Injected via use_learned(): shared learned data adopted without a copy
-    // (shadowed by learned_, shadows the Design snapshot).
-    std::shared_ptr<const core::LearnedSnapshot> snapshot_;
+    // The one home of this Session's learned data: produced by learn() /
+    // resume_learn() / load_db(), or adopted from elsewhere by use_learned().
+    std::shared_ptr<const core::LearnedSnapshot> learned_;
     std::optional<AtpgReport> atpg_;
     // The pool ATPG and fault simulation run on (built once, on first use)
     // and the stage cancel flag; both heap-allocated so pointers handed to

@@ -399,7 +399,6 @@ AtpgOutcome run_atpg(Engine& engine, fault::FaultSimulator& fsim, fault::FaultLi
         out.run = exec::RunOutcome::failed(e.what());
     }
     fsim.set_governance(nullptr, nullptr, nullptr);
-    out.cancelled = !out.run.ok();
     out.cpu_seconds = timer.seconds();
     for (const sim::InputSequence& t : out.tests) out.pattern_frames += t.size();
     return out;

@@ -157,9 +157,6 @@ struct AtpgOutcome {
     /// before the stop) are valid; Failed means an exception was captured
     /// with the committed state intact. Never throws past run_atpg.
     exec::RunOutcome run;
-    /// Convenience flag: true whenever the campaign ended early, i.e.
-    /// !run.ok() (kept for report printers).
-    bool cancelled = false;
 };
 
 /// Run a campaign over `list` (statuses updated in place) reusing the

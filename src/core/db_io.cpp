@@ -71,16 +71,12 @@ void save_learned(std::ostream& out, const Netlist& nl, const ImplicationDB& db,
     write_relations_and_ties(out, nl, db, ties);
 }
 
-void save_learned(std::ostream& out, const Netlist& nl, const LearnedSnapshot& snap) {
-    save_learned(out, nl, snap.db(), snap.ties());
-}
-
-LoadedSnapshot load_snapshot(std::istream& in, const Netlist& nl) {
+std::shared_ptr<const LearnedSnapshot> load_snapshot(std::istream& in, const Netlist& nl) {
     LoadedLearned loaded = load_learned_any(in, nl);
     LearnResult result(nl.size());
     result.db = std::move(loaded.db);
     result.ties = std::move(loaded.ties);
-    return {freeze_learned(std::move(result)), loaded.skipped_lines};
+    return freeze_learned(std::move(result));
 }
 
 LoadedLearned load_learned(std::istream& in, const Netlist& nl, Diagnostics& diags) {
@@ -170,23 +166,24 @@ LoadedLearned load_learned(std::istream& in, const Netlist& nl) {
     return out;
 }
 
-void save_checkpoint(std::ostream& out, const Netlist& nl, const LearnCheckpoint& ckpt) {
-    if (!ckpt.cursor.valid)
-        throw std::logic_error("save_checkpoint: checkpoint has no resume cursor");
+void save_checkpoint(std::ostream& out, const Netlist& nl, const LearnResult& partial) {
+    const LearnCursor& cursor = partial.cursor;
+    if (!cursor.valid)
+        throw std::logic_error("save_checkpoint: learn result has no resume cursor");
+    const LearnStats& st = partial.stats;
     out << "# seqlearn-checkpoint v1 "
-        << (ckpt.circuit.empty() ? nl.name() : ckpt.circuit) << "\n";
-    out << "cursor " << ckpt.cursor.class_index << ' '
-        << (ckpt.cursor.in_multi ? "multi" : "single") << ' ' << ckpt.cursor.unit << ' '
-        << ckpt.cursor.config_digest << "\n";
-    out << "progress " << ckpt.stems_processed << ' ' << ckpt.multi_targets << ' '
-        << ckpt.multi_relations << ' ' << ckpt.multi_ties << "\n";
-    out << "cap " << ckpt.records.cap() << "\n";
-    write_relations_and_ties(out, nl, ckpt.db, ckpt.ties);
+        << (cursor.circuit.empty() ? nl.name() : cursor.circuit) << "\n";
+    out << "cursor " << cursor.class_index << ' ' << (cursor.in_multi ? "multi" : "single")
+        << ' ' << cursor.unit << ' ' << cursor.config_digest << "\n";
+    out << "progress " << st.stems_processed << ' ' << st.multi_targets << ' '
+        << st.multi_relations << ' ' << st.multi_ties << "\n";
+    out << "cap " << partial.records.cap() << "\n";
+    write_relations_and_ties(out, nl, partial.db, partial.ties);
     // Stem records in deterministic key order; per-key record order is the
     // insertion order, which the loader reproduces by re-adding in file
     // order — a resumed multi pass sees byte-identical record vectors.
-    for (const Literal key : ckpt.records.targets(1)) {
-        for (const StemRecord& r : ckpt.records.records_for(key)) {
+    for (const Literal key : partial.records.targets(1)) {
+        for (const StemRecord& r : partial.records.records_for(key)) {
             out << "rec " << nl.name_of(key.gate) << ' '
                 << (key.value == Val3::One ? 1 : 0) << ' ' << nl.name_of(r.stem.gate)
                 << ' ' << (r.stem.value == Val3::One ? 1 : 0) << ' ' << r.offset << "\n";
@@ -194,8 +191,8 @@ void save_checkpoint(std::ostream& out, const Netlist& nl, const LearnCheckpoint
     }
 }
 
-LearnCheckpoint load_checkpoint(std::istream& in, const Netlist& nl, Diagnostics& diags) {
-    LearnCheckpoint ckpt(nl.size());
+LearnResult load_checkpoint(std::istream& in, const Netlist& nl, Diagnostics& diags) {
+    LearnResult ckpt(nl.size());
     bool have_header = false;
     bool have_cursor = false;
     bool have_cap = false;
@@ -225,7 +222,7 @@ LearnCheckpoint load_checkpoint(std::istream& in, const Netlist& nl, Diagnostics
                     diags.error(line_no, "unsupported checkpoint version");
                     continue;
                 }
-                if (tok.size() >= 4) ckpt.circuit = std::string(tok[3]);
+                if (tok.size() >= 4) ckpt.cursor.circuit = std::string(tok[3]);
                 have_header = true;
             }
             continue;
@@ -256,10 +253,10 @@ LearnCheckpoint load_checkpoint(std::istream& in, const Netlist& nl, Diagnostics
                 diags.error(line_no, "malformed progress record");
                 continue;
             }
-            ckpt.stems_processed = static_cast<std::size_t>(v[0]);
-            ckpt.multi_targets = static_cast<std::size_t>(v[1]);
-            ckpt.multi_relations = static_cast<std::size_t>(v[2]);
-            ckpt.multi_ties = static_cast<std::size_t>(v[3]);
+            ckpt.stats.stems_processed = static_cast<std::size_t>(v[0]);
+            ckpt.stats.multi_targets = static_cast<std::size_t>(v[1]);
+            ckpt.stats.multi_relations = static_cast<std::size_t>(v[2]);
+            ckpt.stats.multi_ties = static_cast<std::size_t>(v[3]);
         } else if (tok[0] == "cap") {
             std::uint64_t cap = 0;
             if (tok.size() != 2 || !parse_uint(tok[1], cap)) {
@@ -325,9 +322,9 @@ LearnCheckpoint load_checkpoint(std::istream& in, const Netlist& nl, Diagnostics
     return ckpt;
 }
 
-LearnCheckpoint load_checkpoint(std::istream& in, const Netlist& nl) {
+LearnResult load_checkpoint(std::istream& in, const Netlist& nl) {
     Diagnostics diags;
-    LearnCheckpoint ckpt = load_checkpoint(in, nl, diags);
+    LearnResult ckpt = load_checkpoint(in, nl, diags);
     if (!diags.ok()) throw_first_error("load_checkpoint", diags);
     return ckpt;
 }

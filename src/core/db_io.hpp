@@ -11,8 +11,9 @@
 //     rel <lhs-gate> <0|1> <rhs-gate> <0|1> <frame>
 //     tie <gate> <0|1> <cycle>
 //
-// A learning *checkpoint* — the partial database of a budget-interrupted
-// run plus the cursor needed to resume it — extends the same format:
+// A learning *checkpoint* — a budget-interrupted LearnResult: its partial
+// database plus the cursor, progress counters and stem records needed to
+// resume it — extends the same format:
 //
 //     # seqlearn-checkpoint v1 <circuit-name>
 //     cursor <class-index> <single|multi> <unit> <config-digest>
@@ -43,10 +44,6 @@ namespace seqlearn::core {
 void save_learned(std::ostream& out, const netlist::Netlist& nl, const ImplicationDB& db,
                   const TieSet& ties);
 
-/// Write a frozen snapshot for `nl`.
-void save_learned(std::ostream& out, const netlist::Netlist& nl,
-                  const LearnedSnapshot& snap);
-
 struct LoadedLearned {
     ImplicationDB db;
     TieSet ties;
@@ -69,31 +66,34 @@ LoadedLearned load_learned(std::istream& in, const netlist::Netlist& nl,
 /// message and line number. Unknown-gate entries stay non-fatal skips.
 LoadedLearned load_learned(std::istream& in, const netlist::Netlist& nl);
 
-/// Result of loading a saved database directly into a shareable snapshot.
-struct LoadedSnapshot {
-    std::shared_ptr<const LearnedSnapshot> snapshot;
-    std::size_t skipped_lines = 0;  ///< entries naming unknown gates
-};
+/// load_learned_any straight into a frozen shareable snapshot — the path a
+/// serving cache uses to re-attach stored learned data that many Sessions
+/// then adopt with Session::use_learned. Entries naming unknown gates are
+/// skipped, as in load_learned.
+std::shared_ptr<const LearnedSnapshot> load_snapshot(std::istream& in,
+                                                     const netlist::Netlist& nl);
 
-/// load_learned straight into a frozen shareable snapshot — the path a
-/// DesignBuilder uses to attach pre-learned data many Sessions then share.
-/// Accepts both the text format and the binary v2 format (sniffed by magic).
-LoadedSnapshot load_snapshot(std::istream& in, const netlist::Netlist& nl);
-
-/// Serialize a resumable learning checkpoint (see make_checkpoint). Throws
-/// std::logic_error when `ckpt` carries no valid cursor.
+/// Serialize the stopped run `partial` as a resumable checkpoint: its
+/// cursor (the circuit name goes in the header), progress counters, DB,
+/// ties and stem records. Throws std::logic_error when `partial` carries no
+/// valid cursor (a completed or failed run).
 void save_checkpoint(std::ostream& out, const netlist::Netlist& nl,
-                     const LearnCheckpoint& ckpt);
+                     const LearnResult& partial);
 
-/// Read a checkpoint back against `nl`, collecting diagnostics. Checkpoints
-/// must round-trip exactly, so here unknown gate names are *errors*, not
-/// skips (resuming against a different circuit would silently diverge). On
-/// any error the returned checkpoint's cursor is invalid (not resumable).
-LearnCheckpoint load_checkpoint(std::istream& in, const netlist::Netlist& nl,
-                                netlist::Diagnostics& diags);
+/// Read a checkpoint back against `nl` as the stopped LearnResult that
+/// core::resume_learn continues, collecting diagnostics. The file holds the
+/// cursor (its circuit name from the header), the progress counters, the
+/// DB, the ties and the stem records; the rest of the result is default
+/// (the outcome is not stored and reads Completed — the result is input to
+/// resume_learn, not a finished run).
+/// Checkpoints must round-trip exactly, so here unknown gate names are
+/// *errors*, not skips (resuming against a different circuit would silently
+/// diverge). On any error the returned cursor is invalid (not resumable).
+LearnResult load_checkpoint(std::istream& in, const netlist::Netlist& nl,
+                            netlist::Diagnostics& diags);
 
 /// Throwing wrapper: std::runtime_error on the first error.
-LearnCheckpoint load_checkpoint(std::istream& in, const netlist::Netlist& nl);
+LearnResult load_checkpoint(std::istream& in, const netlist::Netlist& nl);
 
 // --- binary snapshot format (v2) -------------------------------------------
 //

@@ -206,15 +206,6 @@ std::span<const ImplicationDB::Edge> ImplicationDB::edges_of(Literal lhs) const 
     return adj_[key];
 }
 
-std::span<const Literal> ImplicationDB::implied_by(Literal lhs) const {
-    scratch_.clear();
-    const auto key = lit_key(lhs);
-    if (key < adj_.size()) {
-        for (const Edge& e : adj_[key]) scratch_.push_back(e.to);
-    }
-    return scratch_;
-}
-
 std::vector<Relation> ImplicationDB::relations() const {
     std::vector<Relation> out;
     out.reserve(relation_count_);
@@ -269,8 +260,7 @@ std::uint64_t relation_hash(const ImplicationDB& db) {
 }
 
 std::size_t ImplicationDB::memory_bytes() const noexcept {
-    std::size_t bytes = adj_.capacity() * sizeof(adj_[0]) +
-                        scratch_.capacity() * sizeof(Literal);
+    std::size_t bytes = adj_.capacity() * sizeof(adj_[0]);
     for (const auto& edges : adj_) bytes += edges.capacity() * sizeof(Edge);
     return bytes;
 }

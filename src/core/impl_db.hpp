@@ -47,8 +47,7 @@ public:
     };
 
     /// All consequences of `lhs` with their frame tags, sorted by target
-    /// literal key. The span stays valid until the database is modified —
-    /// safe under reentrant queries, unlike implied_by().
+    /// literal key. The span stays valid until the database is modified.
     std::span<const Edge> edges_of(Literal lhs) const;
 
     /// Low-level restore API for the binary snapshot loader, used in pairs.
@@ -70,10 +69,6 @@ public:
     void set_edges(Literal lhs, std::span<const Edge> edges);
     void set_edges(Literal lhs, std::vector<Edge>&& edges);
     void seal();
-
-    /// All literals directly implied by `lhs` in the same frame. Uses a
-    /// shared scratch buffer: the span is invalidated by the next call.
-    std::span<const Literal> implied_by(Literal lhs) const;
 
     /// Number of distinct relations (each counted once, not per direction).
     std::size_t size() const noexcept { return relation_count_; }
@@ -105,8 +100,6 @@ private:
     // Both directions are always stored, so "edge present" is exactly
     // "relation present" — no separate membership structure needed.
     std::vector<std::vector<Edge>> adj_;
-    // Scratch return buffer for implied_by (rebuilt per call).
-    mutable std::vector<Literal> scratch_;
     std::size_t relation_count_ = 0;
     // Closure-hash accumulators for the set_edges()/seal() restore path.
     std::uint64_t restore_fwd_sum_ = 0;

@@ -4,10 +4,11 @@
 // Learning is a pre-processing step (paper Section 2): its output — the
 // implication database and the tie set — is computed once and consumed by
 // many later ATPG and validation runs. A LearnedSnapshot freezes a
-// LearnResult behind a const interface with a stable address, so it can sit
-// inside a shared immutable api::Design (or be passed around on its own via
-// shared_ptr) and feed any number of concurrent consumers: every accessor
-// is const and the underlying result is never mutated after construction.
+// LearnResult behind a const interface with a stable address. It is the one
+// home of learned data in a Session (api::Session::learn / use_learned) and
+// is passed around by shared_ptr — to other Sessions over the same Design,
+// or into a serving cache — feeding any number of concurrent consumers: the
+// underlying result is never mutated after construction.
 
 #include "core/seq_learn.hpp"
 
@@ -18,12 +19,8 @@ namespace seqlearn::core {
 
 class LearnedSnapshot {
 public:
-    /// Freeze `result` (moved in; copy first to keep the original).
+    /// Freeze `result` (moved in).
     explicit LearnedSnapshot(LearnResult result) : result_(std::move(result)) {}
-
-    const ImplicationDB& db() const noexcept { return result_.db; }
-    const TieSet& ties() const noexcept { return result_.ties; }
-    const LearnStats& stats() const noexcept { return result_.stats; }
 
     /// The frozen result, for consumers wired via `const LearnResult*`
     /// (e.g. atpg::AtpgConfig::learned). Address-stable for the snapshot's
@@ -39,15 +36,9 @@ private:
     LearnResult result_;
 };
 
-/// Freeze a copy of `r` into a shared snapshot (the promotion path from
-/// Session::learn() / load_db() into a reusable Design ingredient).
-inline std::shared_ptr<const LearnedSnapshot> freeze_learned(const LearnResult& r) {
-    return std::make_shared<const LearnedSnapshot>(LearnedSnapshot(r));
-}
-
 /// Freeze `r` by move (no copy) into a shared snapshot.
 inline std::shared_ptr<const LearnedSnapshot> freeze_learned(LearnResult&& r) {
-    return std::make_shared<const LearnedSnapshot>(LearnedSnapshot(std::move(r)));
+    return std::make_shared<const LearnedSnapshot>(std::move(r));
 }
 
 }  // namespace seqlearn::core

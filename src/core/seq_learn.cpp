@@ -31,11 +31,10 @@ void finalize_stats(LearnResult& result, const Netlist& nl, const util::Timer& t
     result.stats.ties_combinational = result.ties.count_combinational();
     result.stats.ties_sequential = result.ties.count_sequential();
     result.stats.cpu_seconds = timer.seconds();
-    result.stats.cancelled = !result.outcome.ok();
 }
 
 LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
-                       const LearnConfig& cfg, const LearnCheckpoint* ckpt) {
+                       const LearnConfig& cfg, LearnResult* partial) {
     const util::Timer timer;
     LearnResult result(nl.size());
 
@@ -48,16 +47,16 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
     std::size_t start_class = 0;
     std::size_t start_unit = 0;
     bool start_in_multi = false;
-    if (ckpt != nullptr) {
-        result.db = ckpt->db;
-        result.ties = ckpt->ties;
-        result.stats.stems_processed = ckpt->stems_processed;
-        result.stats.multi_targets = ckpt->multi_targets;
-        result.stats.multi_relations = ckpt->multi_relations;
-        result.stats.multi_ties = ckpt->multi_ties;
-        start_class = ckpt->cursor.class_index;
-        start_unit = ckpt->cursor.unit;
-        start_in_multi = ckpt->cursor.in_multi;
+    if (partial != nullptr) {
+        result.db = std::move(partial->db);
+        result.ties = std::move(partial->ties);
+        result.stats.stems_processed = partial->stats.stems_processed;
+        result.stats.multi_targets = partial->stats.multi_targets;
+        result.stats.multi_relations = partial->stats.multi_relations;
+        result.stats.multi_ties = partial->stats.multi_ties;
+        start_class = partial->cursor.class_index;
+        start_unit = partial->cursor.unit;
+        start_in_multi = partial->cursor.in_multi;
     }
 
     try {
@@ -108,9 +107,9 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
             // Resuming mid-class restores that class's records and skips the
             // already-processed schedule prefix; the carried ties/db make the
             // remaining stems see exactly the state the interrupted run left.
-            const bool resuming_here = ckpt != nullptr && ci == start_class;
+            const bool resuming_here = partial != nullptr && ci == start_class;
             StemRecords records(kRecordCap);
-            if (resuming_here) records = ckpt->records;
+            if (resuming_here) records = std::move(partial->records);
             const bool skip_single = resuming_here && start_in_multi;
             const std::size_t first_stem = (resuming_here && !start_in_multi) ? start_unit : 0;
 
@@ -119,7 +118,7 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
             auto stop_at = [&](const PassOutcome& pass, bool in_multi) {
                 if (pass.stop == exec::RunStatus::Completed) return false;
                 result.outcome = exec::outcome_from(pass.stop, budget_ptr);
-                result.cursor = {true, ci, in_multi, pass.next_index, digest};
+                result.cursor = {true, ci, in_multi, pass.next_index, digest, nl.name()};
                 result.records = std::move(records);
                 return true;
             };
@@ -206,39 +205,24 @@ std::uint64_t learn_config_digest(const LearnConfig& cfg) {
     return h;
 }
 
-LearnCheckpoint make_checkpoint(const Netlist& nl, const LearnResult& result) {
-    if (!result.cursor.valid)
-        throw std::logic_error("make_checkpoint: learn result has no resume cursor");
-    LearnCheckpoint ckpt(nl.size());
-    ckpt.cursor = result.cursor;
-    ckpt.db = result.db;
-    ckpt.ties = result.ties;
-    ckpt.records = result.records;
-    ckpt.stems_processed = result.stats.stems_processed;
-    ckpt.multi_targets = result.stats.multi_targets;
-    ckpt.multi_relations = result.stats.multi_relations;
-    ckpt.multi_ties = result.stats.multi_ties;
-    ckpt.circuit = nl.name();
-    return ckpt;
-}
-
 LearnResult learn(const Netlist& nl, const netlist::Topology& topo, const LearnConfig& cfg) {
     return learn_impl(nl, topo, cfg, nullptr);
 }
 
 LearnResult resume_learn(const Netlist& nl, const netlist::Topology& topo,
-                         const LearnConfig& cfg, const LearnCheckpoint& ckpt) {
-    if (!ckpt.cursor.valid)
+                         const LearnConfig& cfg, LearnResult partial) {
+    const LearnCursor& cursor = partial.cursor;
+    if (!cursor.valid)
         throw std::invalid_argument("resume_learn: checkpoint has no resume cursor");
-    if (!ckpt.circuit.empty() && ckpt.circuit != nl.name())
+    if (!cursor.circuit.empty() && cursor.circuit != nl.name())
         throw std::invalid_argument("resume_learn: checkpoint is for circuit '" +
-                                    ckpt.circuit + "', not '" + nl.name() + "'");
-    if (ckpt.ties.dense().size() != nl.size())
+                                    cursor.circuit + "', not '" + nl.name() + "'");
+    if (partial.ties.dense().size() != nl.size())
         throw std::invalid_argument("resume_learn: checkpoint gate count mismatch");
-    if (ckpt.cursor.config_digest != learn_config_digest(cfg))
+    if (cursor.config_digest != learn_config_digest(cfg))
         throw std::invalid_argument(
             "resume_learn: checkpoint was taken under a different learning config");
-    return learn_impl(nl, topo, cfg, &ckpt);
+    return learn_impl(nl, topo, cfg, &partial);
 }
 
 }  // namespace seqlearn::core

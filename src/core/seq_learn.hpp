@@ -26,7 +26,7 @@
 namespace seqlearn::core {
 
 /// Progress observer: (units done, total units). Return false to cancel the
-/// running pass; partial results are kept and flagged cancelled.
+/// running pass; partial results are kept and their outcome says Cancelled.
 using ProgressFn = std::function<bool(std::size_t done, std::size_t total)>;
 
 /// Learning runs on the calling thread: a tie learned at one stem is a
@@ -84,26 +84,29 @@ struct LearnStats {
     std::size_t sat_ties = 0;
     std::size_t sat_relations = 0;
     double cpu_seconds = 0.0;
-    /// True whenever the run ended before completing the full schedule —
-    /// i.e. `LearnResult::outcome.ok()` is false (kept as a plain flag for
-    /// report printers).
-    bool cancelled = false;
 };
 
 /// Where an interrupted learning run stopped, in terms of the deterministic
 /// serial schedule: clock class `class_index`, single-node or multiple-node
 /// phase, next unprocessed stem/target index. Only meaningful when `valid`
 /// (a Completed or Failed run has no cursor). `config_digest` fingerprints
-/// the result-affecting LearnConfig fields so a resume under a different
-/// configuration is rejected instead of silently diverging.
+/// the result-affecting LearnConfig fields and `circuit` names the netlist
+/// the run learned, so a resume under a different configuration or on a
+/// different circuit is rejected instead of silently diverging.
 struct LearnCursor {
     bool valid = false;
     std::size_t class_index = 0;
     bool in_multi = false;
     std::size_t unit = 0;
     std::uint64_t config_digest = 0;
+    std::string circuit;
 };
 
+/// The learned data of one run. A stopped run's result is also its
+/// checkpoint: the cursor, the interrupted class's stem records and the
+/// progress counters in `stats` (stems_processed, multi_targets,
+/// multi_relations, multi_ties) are everything resume_learn needs besides
+/// the DB and the ties; core::db_io serializes exactly those fields.
 struct LearnResult {
     ImplicationDB db;
     TieSet ties;
@@ -130,33 +133,11 @@ struct LearnResult {
     }
 };
 
-/// Everything needed to continue an interrupted run: the cursor plus the
-/// partial learned state at that point. Serializable via core::db_io
-/// (save_checkpoint / load_checkpoint). `circuit` guards against resuming
-/// on a different netlist.
-struct LearnCheckpoint {
-    LearnCursor cursor;
-    ImplicationDB db;
-    TieSet ties;
-    StemRecords records{0};
-    std::size_t stems_processed = 0;
-    std::size_t multi_targets = 0;
-    std::size_t multi_relations = 0;
-    std::size_t multi_ties = 0;
-    std::string circuit;
-
-    explicit LearnCheckpoint(std::size_t num_gates) : db(num_gates), ties(num_gates) {}
-};
-
 /// Digest of the LearnConfig fields that affect learning *results* (depth,
 /// passes, SAT frames). Execution-only fields — cancel, budget, failpoint,
 /// callbacks — are excluded: results are bit-identical across them, so a
 /// checkpoint taken under one is resumable under another.
 std::uint64_t learn_config_digest(const LearnConfig& cfg);
-
-/// Package an interrupted result for resumption. Throws std::logic_error
-/// when `result` has no valid cursor (completed or failed runs).
-LearnCheckpoint make_checkpoint(const netlist::Netlist& nl, const LearnResult& result);
 
 /// Run the full learning pipeline on `nl` over a caller-provided CSR
 /// snapshot — the primary entry point. A Session passes its shared Topology
@@ -166,12 +147,14 @@ LearnCheckpoint make_checkpoint(const netlist::Netlist& nl, const LearnResult& r
 LearnResult learn(const netlist::Netlist& nl, const netlist::Topology& topo,
                   const LearnConfig& cfg = {});
 
-/// Continue an interrupted run from `ckpt`. The combined run (original up
-/// to the cursor, then this) produces bit-identical results to a single
+/// Continue the stopped run `partial` (a learn() result with a valid
+/// cursor, or one read back by core::load_checkpoint); its DB, ties and
+/// records are moved in, not copied. The combined run (original up to the
+/// cursor, then this) produces bit-identical results to a single
 /// uninterrupted learn() with the same config. Throws
-/// std::invalid_argument when the checkpoint does not match the netlist or
-/// the config digest.
+/// std::invalid_argument when `partial` has no cursor or does not match the
+/// netlist (name or size) or the config digest.
 LearnResult resume_learn(const netlist::Netlist& nl, const netlist::Topology& topo,
-                         const LearnConfig& cfg, const LearnCheckpoint& ckpt);
+                         const LearnConfig& cfg, LearnResult partial);
 
 }  // namespace seqlearn::core

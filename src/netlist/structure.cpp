@@ -40,19 +40,6 @@ std::vector<GateId> fanin_cone(const Netlist& nl, GateId start, bool through_seq
     return cone(nl, start, through_seq, /*forward=*/false);
 }
 
-std::vector<GateId> comb_support(const Netlist& nl, GateId id) {
-    std::vector<GateId> support;
-    for (const GateId g : fanin_cone(nl, id, /*through_seq=*/false)) {
-        const GateType t = nl.type(g);
-        if (t == GateType::Input || t == GateType::Const0 || t == GateType::Const1 ||
-            is_sequential(t)) {
-            support.push_back(g);
-        }
-    }
-    std::sort(support.begin(), support.end());
-    return support;
-}
-
 std::size_t sequential_depth(const Topology& topo, std::size_t cap) {
     // Same wave relaxation as the Netlist overload, with the combinational
     // fanin support gathered by a backward walk over the CSR fanin spans
@@ -105,7 +92,7 @@ std::size_t sequential_depth(const Netlist& nl, std::size_t cap) {
         changed = false;
         for (const GateId ff : nl.seq_elements()) {
             std::size_t d = 1;  // the element itself is one stage
-            for (const GateId s : comb_support(nl, ff)) {
+            for (const GateId s : fanin_cone(nl, ff, /*through_seq=*/false)) {
                 if (is_sequential(nl.type(s))) d = std::max(d, depth[s] + 1);
             }
             d = std::min(d, cap);

@@ -17,10 +17,6 @@ std::vector<GateId> fanout_cone(const Netlist& nl, GateId start, bool through_se
 /// sequential-element rule as fanout_cone.
 std::vector<GateId> fanin_cone(const Netlist& nl, GateId start, bool through_seq);
 
-/// The combinational support of `id`: all Input/Const/sequential-element
-/// sources feeding it through combinational logic only.
-std::vector<GateId> comb_support(const Netlist& nl, GateId id);
-
 /// Sequential depth: the longest distance, counted in sequential elements,
 /// from any primary input to any output/element, capped at `cap` to stay
 /// finite on cyclic state machines.

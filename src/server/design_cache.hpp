@@ -8,7 +8,9 @@
 // cache entry, whatever path or client it came from. Entries also carry an
 // optional learned snapshot (attached by the first `learn` request), so a
 // warm entry answers snapshot-backed learn/stats requests in microseconds
-// where a cold load costs a full parse.
+// where a cold load costs a full parse. The snapshot sits beside the
+// Design, not in it (a Design holds no learned data): each request's
+// Session adopts it with Session::use_learned, without a copy.
 //
 // Eviction is LRU by real memory accounting: each entry is charged
 // Design::memory_bytes() plus its snapshot's memory_bytes(), and inserting

@@ -345,9 +345,8 @@ Service::Resolved Service::resolve(const JsonValue& req, std::string_view cmd,
             if (out.entry.design && !out.entry.learned) {
                 try {
                     std::istringstream in(stored->learned);
-                    const core::LoadedSnapshot snap =
-                        core::load_snapshot(in, out.entry.design->netlist());
-                    cache_.attach_learned(*digest, snap.snapshot);
+                    cache_.attach_learned(
+                        *digest, core::load_snapshot(in, out.entry.design->netlist()));
                     out.entry = cache_.find(*digest);
                 } catch (const std::exception&) {
                     st->quarantine(*digest);  // deep validation failed
@@ -589,7 +588,7 @@ std::string Service::cmd_stats(const JsonValue& req, const std::string& id) {
         w.field("netlist_bytes", s.memory.design.netlist_bytes);
         w.field("topology_bytes", s.memory.design.topology_bytes);
         w.field("faults_bytes", s.memory.design.faults_bytes);
-        w.field("learned_bytes", s.memory.design.learned_bytes + s.memory.learned_bytes);
+        w.field("learned_bytes", s.memory.learned_bytes);
         w.field("total_bytes", s.memory.total());
         w.end_object();
         if (r.entry.learned) {

@@ -18,7 +18,7 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
 
 }  // namespace
 
-void Rng::reseed(std::uint64_t seed) noexcept {
+Rng::Rng(std::uint64_t seed) noexcept {
     std::uint64_t sm = seed;
     for (auto& word : s_) word = splitmix64(sm);
 }

@@ -15,10 +15,7 @@ namespace seqlearn::util {
 class Rng {
 public:
     /// Construct with a 64-bit seed; equal seeds give equal streams.
-    explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept { reseed(seed); }
-
-    /// Re-initialize the state from `seed` (same mixing as the constructor).
-    void reseed(std::uint64_t seed) noexcept;
+    explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
 
     /// Next uniformly distributed 64-bit value.
     std::uint64_t next_u64() noexcept;

@@ -31,12 +31,6 @@ std::vector<std::string_view> split(std::string_view s, std::string_view seps) {
     return out;
 }
 
-std::string to_upper(std::string_view s) {
-    std::string out(s);
-    for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-    return out;
-}
-
 bool iequals(std::string_view a, std::string_view b) noexcept {
     if (a.size() != b.size()) return false;
     for (std::size_t i = 0; i < a.size(); ++i) {

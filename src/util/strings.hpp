@@ -13,9 +13,6 @@ std::string_view trim(std::string_view s) noexcept;
 /// Split on any character in `seps`, dropping empty tokens and trimming each.
 std::vector<std::string_view> split(std::string_view s, std::string_view seps);
 
-/// ASCII upper-case copy.
-std::string to_upper(std::string_view s);
-
 /// Case-insensitive ASCII equality.
 bool iequals(std::string_view a, std::string_view b) noexcept;
 

@@ -79,8 +79,10 @@ TEST(ImplDB, ImpliedByListsDirectConsequences) {
     const Literal a{1, Val3::One};
     db.add(a, {2, Val3::Zero}, 1);
     db.add(a, {3, Val3::One}, 1);
-    const auto implied = db.implied_by(a);
-    EXPECT_EQ(implied.size(), 2u);
+    const auto implied = db.edges_of(a);
+    ASSERT_EQ(implied.size(), 2u);
+    EXPECT_EQ(implied[0].to, (Literal{2, Val3::Zero}));
+    EXPECT_EQ(implied[1].to, (Literal{3, Val3::One}));
 }
 
 // --- StemRecords ------------------------------------------------------------

@@ -238,24 +238,23 @@ TEST(DbIo, SessionLoadDbBadPathThrows) {
 }
 
 TEST(DbIo, SnapshotSaveLoadRoundTrip) {
-    // db_io straight onto the shareable LearnedSnapshot: save a frozen
-    // snapshot, load it back as a snapshot, byte-identical re-save.
+    // db_io straight onto the shareable LearnedSnapshot: load a saved DB
+    // back as a snapshot, byte-identical re-save.
     const Netlist nl = testing::random_circuit(55, 6, 5, 40);
-    const LearnedSnapshot original(testing::learn(nl));
-    ASSERT_GT(original.db().size(), 0u);
+    const LearnResult original = testing::learn(nl);
+    ASSERT_GT(original.db.size(), 0u);
 
     std::ostringstream first;
-    save_learned(first, nl, original);
+    save_learned(first, nl, original.db, original.ties);
 
     std::istringstream in(first.str());
-    const LoadedSnapshot loaded = load_snapshot(in, nl);
-    EXPECT_EQ(loaded.skipped_lines, 0u);
-    ASSERT_NE(loaded.snapshot, nullptr);
-    EXPECT_EQ(canonical(loaded.snapshot->db()), canonical(original.db()));
-    EXPECT_EQ(loaded.snapshot->ties().count(), original.ties().count());
+    const std::shared_ptr<const LearnedSnapshot> loaded = load_snapshot(in, nl);
+    ASSERT_NE(loaded, nullptr);
+    EXPECT_EQ(canonical(loaded->result().db), canonical(original.db));
+    EXPECT_EQ(loaded->result().ties.count(), original.ties.count());
 
     std::ostringstream second;
-    save_learned(second, nl, *loaded.snapshot);
+    save_learned(second, nl, loaded->result().db, loaded->result().ties);
     EXPECT_EQ(first.str(), second.str());
 }
 
@@ -315,7 +314,7 @@ TEST(DbIoCorpus, CheckpointWithoutCursorIsNotResumable) {
     const Netlist nl = testing::random_circuit(21, 6, 5, 30);
     std::ifstream in = open_corpus("corrupt_checkpoint_no_cursor.txt");
     netlist::Diagnostics diags;
-    const LearnCheckpoint ckpt = load_checkpoint(in, nl, diags);
+    const LearnResult ckpt = load_checkpoint(in, nl, diags);
     EXPECT_FALSE(diags.ok());
     EXPECT_EQ(diags.error_count(), 1u);
     EXPECT_NE(diags.records()[0].message.find("missing cursor"), std::string::npos);
@@ -326,7 +325,7 @@ TEST(DbIoCorpus, CheckpointVersionMismatchIsRejected) {
     const Netlist nl = testing::random_circuit(21, 6, 5, 30);
     std::ifstream in = open_corpus("corrupt_checkpoint_bad_version.txt");
     netlist::Diagnostics diags;
-    const LearnCheckpoint ckpt = load_checkpoint(in, nl, diags);
+    const LearnResult ckpt = load_checkpoint(in, nl, diags);
     EXPECT_FALSE(diags.ok());
     EXPECT_FALSE(ckpt.cursor.valid);
     bool version_reported = false;
@@ -343,7 +342,7 @@ TEST(DbIoCorpus, CheckpointForeignGatesAreErrorsNotSkips) {
     const Netlist nl = testing::random_circuit(21, 6, 5, 30);
     std::ifstream in = open_corpus("corrupt_checkpoint_foreign_gates.txt");
     netlist::Diagnostics diags;
-    const LearnCheckpoint ckpt = load_checkpoint(in, nl, diags);
+    const LearnResult ckpt = load_checkpoint(in, nl, diags);
     EXPECT_EQ(lines_with(diags, netlist::Severity::Error),
               (std::vector<std::uint32_t>{5, 7}));
     EXPECT_EQ(diags.warning_count(), 0u);
@@ -365,25 +364,25 @@ TEST(DbIoCorpus, CheckpointRoundTripPreservesEveryField) {
     const Netlist nl = testing::random_circuit(21, 6, 5, 30);
     core::LearnConfig cfg;
     cfg.budget.max_items = 9;
-    const LearnResult partial = testing::learn(nl, cfg);
-    ASSERT_TRUE(partial.cursor.valid);
-    const LearnCheckpoint ckpt = make_checkpoint(nl, partial);
+    const LearnResult ckpt = testing::learn(nl, cfg);
+    ASSERT_TRUE(ckpt.cursor.valid);
+    EXPECT_EQ(ckpt.cursor.circuit, nl.name());
 
     std::stringstream ss;
     save_checkpoint(ss, nl, ckpt);
     netlist::Diagnostics diags;
-    const LearnCheckpoint loaded = load_checkpoint(ss, nl, diags);
+    const LearnResult loaded = load_checkpoint(ss, nl, diags);
     EXPECT_TRUE(diags.ok()) << diags.to_string("checkpoint");
 
-    EXPECT_EQ(loaded.circuit, nl.name());
+    EXPECT_EQ(loaded.cursor.circuit, nl.name());
     EXPECT_EQ(loaded.cursor.class_index, ckpt.cursor.class_index);
     EXPECT_EQ(loaded.cursor.in_multi, ckpt.cursor.in_multi);
     EXPECT_EQ(loaded.cursor.unit, ckpt.cursor.unit);
     EXPECT_EQ(loaded.cursor.config_digest, ckpt.cursor.config_digest);
-    EXPECT_EQ(loaded.stems_processed, ckpt.stems_processed);
-    EXPECT_EQ(loaded.multi_targets, ckpt.multi_targets);
-    EXPECT_EQ(loaded.multi_relations, ckpt.multi_relations);
-    EXPECT_EQ(loaded.multi_ties, ckpt.multi_ties);
+    EXPECT_EQ(loaded.stats.stems_processed, ckpt.stats.stems_processed);
+    EXPECT_EQ(loaded.stats.multi_targets, ckpt.stats.multi_targets);
+    EXPECT_EQ(loaded.stats.multi_relations, ckpt.stats.multi_relations);
+    EXPECT_EQ(loaded.stats.multi_ties, ckpt.stats.multi_ties);
     EXPECT_EQ(canonical(loaded.db), canonical(ckpt.db));
     EXPECT_EQ(loaded.ties.count(), ckpt.ties.count());
     EXPECT_EQ(loaded.records.cap(), ckpt.records.cap());

@@ -112,29 +112,37 @@ std::uint64_t campaign_digest(const netlist::Netlist& nl, atpg::LearnMode mode,
     return api::campaign_digest(report);
 }
 
-TEST(AtpgDeterminism, CampaignDigestsMatchPrePortGoldens) {
-    struct Golden {
-        const char* circuit;
-        atpg::LearnMode mode;
-        std::uint32_t backtrack_limit;
-        std::uint64_t digest;
-    };
-    // Recorded from the pre-Topology-port engines (see header comment).
-    const Golden goldens[] = {
-        {"s27", atpg::LearnMode::None, 100, 18111582773122034168ULL},
-        {"s27", atpg::LearnMode::ForbiddenValue, 100, 18111582773122034168ULL},
-        {"s27", atpg::LearnMode::KnownValue, 100, 18111582773122034168ULL},
-        {"fig1x", atpg::LearnMode::ForbiddenValue, 200, 10825201447926129470ULL},
-        {"rt510a", atpg::LearnMode::ForbiddenValue, 30, 8688592942972918127ULL},
-    };
-    for (const Golden& g : goldens) {
-        const netlist::Netlist nl = workload::suite_circuit(g.circuit);
-        for (const unsigned threads : {1u, 2u, 8u}) {
-            EXPECT_EQ(campaign_digest(nl, g.mode, g.backtrack_limit, threads), g.digest)
-                << g.circuit << " mode " << static_cast<int>(g.mode)
-                << " threads " << threads;
-        }
+// Recorded from the pre-Topology-port engines (see header comment).
+struct CampaignGolden {
+    const char* circuit;
+    atpg::LearnMode mode;
+    std::uint32_t backtrack_limit;
+    std::uint64_t digest;
+};
+
+void expect_campaign_golden(const CampaignGolden& g) {
+    const netlist::Netlist nl = workload::suite_circuit(g.circuit);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        EXPECT_EQ(campaign_digest(nl, g.mode, g.backtrack_limit, threads), g.digest)
+            << g.circuit << " mode " << static_cast<int>(g.mode) << " threads " << threads;
     }
+}
+
+TEST(AtpgDeterminism, CampaignDigestsMatchPrePortGoldens) {
+    for (const CampaignGolden& g : {
+             CampaignGolden{"s27", atpg::LearnMode::None, 100, 18111582773122034168ULL},
+             CampaignGolden{"s27", atpg::LearnMode::ForbiddenValue, 100, 18111582773122034168ULL},
+             CampaignGolden{"s27", atpg::LearnMode::KnownValue, 100, 18111582773122034168ULL},
+             CampaignGolden{"fig1x", atpg::LearnMode::ForbiddenValue, 200,
+                            10825201447926129470ULL},
+         })
+        expect_campaign_golden(g);
+}
+
+// The rt510a campaign is its own test so that the ThreadSanitizer job, where
+// it takes most of the suite's time, can filter it out (`*Rt510a*`).
+TEST(AtpgDeterminism, CampaignDigestsMatchPrePortGoldensRt510a) {
+    expect_campaign_golden({"rt510a", atpg::LearnMode::ForbiddenValue, 30, 8688592942972918127ULL});
 }
 
 // K concurrent Sessions over ONE shared immutable Design must each produce
@@ -200,13 +208,14 @@ TEST(AtpgDeterminism, ConcurrentSessionsOverSharedDesignMatchSerial) {
 }
 
 // The same concurrency contract with a shared LearnedSnapshot: the learning
-// producer's result is frozen into the Design, and K concurrent consumer
-// Sessions run campaigns straight off the snapshot (no learning at all) —
-// digests must match a serial session that learned locally.
+// producer's result is frozen once, and K concurrent consumer Sessions over
+// the producer's Design adopt it and run campaigns straight off the snapshot
+// (no learning at all) — digests must match a serial session that learned
+// locally.
 TEST(AtpgDeterminism, ConcurrentSessionsSharingOneLearnedSnapshot) {
     // fig1x keeps this affordable under ThreadSanitizer (rt510a-sized
-    // campaigns push the TSan job past its budget; the serial rt510a digest
-    // is already pinned by CampaignDigestsMatchPrePortGoldens above).
+    // campaigns push the TSan job past its budget; the rt510a digest is
+    // already pinned by CampaignDigestsMatchPrePortGoldensRt510a above).
     const netlist::Netlist nl = workload::suite_circuit("fig1x");
     api::SessionConfig pcfg;
     pcfg.threads = 1;
@@ -214,9 +223,8 @@ TEST(AtpgDeterminism, ConcurrentSessionsSharingOneLearnedSnapshot) {
     const std::uint64_t golden = session_campaign_digest(
         producer, atpg::LearnMode::ForbiddenValue, 200);
 
-    const api::DesignPtr design = api::DesignBuilder(netlist::Netlist(nl))
-                                      .learned(producer.freeze_learned())
-                                      .build();
+    const api::DesignPtr& design = producer.design_ptr();
+    const std::shared_ptr<const core::LearnedSnapshot> snap = producer.freeze_learned();
     for (const unsigned k : {2u, 8u}) {
         std::vector<std::uint64_t> digests(k, 0);
         std::vector<std::thread> threads;
@@ -226,6 +234,7 @@ TEST(AtpgDeterminism, ConcurrentSessionsSharingOneLearnedSnapshot) {
                 api::SessionConfig cfg;
                 cfg.threads = 1;
                 api::Session session(design, std::move(cfg));
+                session.use_learned(snap);
                 digests[t] = session_campaign_digest(session,
                                                      atpg::LearnMode::ForbiddenValue, 200);
             });
@@ -239,8 +248,8 @@ TEST(AtpgDeterminism, ConcurrentSessionsSharingOneLearnedSnapshot) {
 // Fault-simulation validation through the Session must report identical
 // coverage at every thread count (drop_detected statuses are a pure union
 // merged in fault-index order).
-TEST(FaultSimDeterminism, ValidationMatchesAcrossThreadCounts) {
-    const netlist::Netlist nl = workload::suite_circuit("rt510a");
+void expect_validation_thread_invariant(const char* circuit) {
+    const netlist::Netlist nl = workload::suite_circuit(circuit);
     std::optional<api::FaultSimReport> serial;
     for (const unsigned threads : {1u, 2u, 8u}) {
         api::SessionConfig scfg;
@@ -260,6 +269,14 @@ TEST(FaultSimDeterminism, ValidationMatchesAcrossThreadCounts) {
         EXPECT_EQ(report.sequences, serial->sequences) << "threads=" << threads;
         EXPECT_EQ(report.fault_coverage, serial->fault_coverage) << "threads=" << threads;
     }
+}
+
+TEST(FaultSimDeterminism, ValidationMatchesAcrossThreadCounts) {
+    expect_validation_thread_invariant("fig1x");
+}
+
+TEST(FaultSimDeterminism, ValidationMatchesAcrossThreadCountsRt510a) {
+    expect_validation_thread_invariant("rt510a");
 }
 
 // A circuit large enough to exercise batch re-forming after tie discoveries

@@ -77,10 +77,8 @@ TEST(Governance, DeadlineStopsPromptlyWithUsablePartialResult) {
     EXPECT_EQ(r.outcome.diagnostic, "wall-clock deadline");
     EXPECT_LE(elapsed.count(), deadline_ms + kToleranceMs);
 
-    // The partial result is usable: a sound prefix with a resume cursor,
-    // flagged for report printers.
+    // The partial result is usable: a sound prefix with a resume cursor.
     EXPECT_TRUE(r.cursor.valid);
-    EXPECT_TRUE(r.stats.cancelled);
     EXPECT_GT(r.stats.stems_processed, 0u);
     EXPECT_LT(r.stats.stems_processed, r.stats.stems);
 }
@@ -126,8 +124,7 @@ TEST(Governance, ItemLimitInsideMultipleNodePassStopsAtThePinnedTarget) {
         EXPECT_EQ(partial.stats.multi_ties, want.ties) << ctx;
         EXPECT_EQ(partial.db.size(), want.relations) << ctx;
 
-        const LearnResult resumed =
-            resume_learn(nl, topo, LearnConfig{}, make_checkpoint(nl, partial));
+        const LearnResult resumed = resume_learn(nl, topo, LearnConfig{}, partial);
         EXPECT_TRUE(resumed.outcome.ok()) << ctx;
         EXPECT_EQ(relation_hash(resumed.db), 0x8b380d1c4636e54aULL) << ctx;
         EXPECT_EQ(testing::tie_digest(resumed.ties), 1073545694368701090ULL) << ctx;
@@ -154,15 +151,14 @@ TEST(Governance, BudgetedRunPlusResumeMatchesOneShotAcrossExecConfigs) {
     // processed count is at most the item count.
     EXPECT_LE(partial.stats.stems_processed, 300u);
     EXPECT_GT(partial.stats.stems_processed, 0u);
-    const LearnCheckpoint ckpt = make_checkpoint(nl, partial);
 
     // The resume goes through the full text round trip (db_io_test proves
     // field fidelity, this proves result fidelity at scale).
     std::stringstream ss;
-    save_checkpoint(ss, nl, ckpt);
-    const LearnCheckpoint reloaded = load_checkpoint(ss, nl);
+    save_checkpoint(ss, nl, partial);
+    LearnResult reloaded = load_checkpoint(ss, nl);
 
-    const LearnResult resumed = resume_learn(nl, topo, LearnConfig{}, reloaded);
+    const LearnResult resumed = resume_learn(nl, topo, LearnConfig{}, std::move(reloaded));
     EXPECT_TRUE(resumed.outcome.ok());
     EXPECT_EQ(relation_hash(resumed.db), relation_hash(golden.db));
     EXPECT_EQ(resumed.db.size(), golden.db.size());

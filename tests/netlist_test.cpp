@@ -298,24 +298,6 @@ TEST(Structure, FanoutConeThroughSequential) {
     EXPECT_TRUE(in(open, "G9"));
 }
 
-TEST(Structure, CombSupportOfS27G9) {
-    const Netlist nl = make_s27();
-    const auto support = comb_support(nl, nl.find("G9"));
-    auto has = [&](const char* n) {
-        const GateId id = nl.find(n);
-        return std::find(support.begin(), support.end(), id) != support.end();
-    };
-    // G9 = NAND(G16, G15); G16 = OR(G3, G8); G15 = OR(G12, G8);
-    // G8 = AND(G14, G6); G14 = NOT(G0); G12 = NOR(G1, G7).
-    EXPECT_TRUE(has("G3"));
-    EXPECT_TRUE(has("G0"));
-    EXPECT_TRUE(has("G1"));
-    EXPECT_TRUE(has("G6"));
-    EXPECT_TRUE(has("G7"));
-    EXPECT_FALSE(has("G2"));
-    EXPECT_FALSE(has("G5"));
-}
-
 TEST(Structure, SequentialDepthOfPipelineAndFsm) {
     // Pipeline of 3 DFFs -> depth 3.
     NetlistBuilder b("pipe");

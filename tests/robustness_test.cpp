@@ -113,7 +113,6 @@ TEST(FaultInjection, WorkItemFailureYieldsFailedOutcomeAndCleanRerun) {
     EXPECT_EQ(r.outcome.status, RunStatus::Failed);
     EXPECT_FALSE(r.outcome.diagnostic.empty());
     EXPECT_FALSE(r.cursor.valid);  // unwound: stop point unknown
-    EXPECT_TRUE(r.stats.cancelled);
     // The committed prefix is sound: every relation it holds appears in the
     // complete run's database.
     const auto all = golden.db.relations();
@@ -204,7 +203,6 @@ TEST(FaultInjection, AtpgCampaignFailureIsCapturedWithStateIntact) {
         fp.arm(FailSite::WorkItem, 2);
         const api::AtpgReport& broken = session.atpg(acfg);
         EXPECT_EQ(broken.outcome.run.status, RunStatus::Failed) << "threads=" << threads;
-        EXPECT_TRUE(broken.outcome.cancelled) << "threads=" << threads;
 
         // The session survives: the no-arg call re-runs (stale early-ended
         // campaign) with the point disarmed and completes cleanly.
@@ -227,7 +225,6 @@ TEST(FaultInjection, FaultSimValidationFailureIsCaptured) {
     fp.arm(FailSite::WorkItem, 1);
     const api::FaultSimReport broken = session.fault_sim();
     EXPECT_EQ(broken.outcome.status, RunStatus::Failed);
-    EXPECT_TRUE(broken.cancelled);
     EXPECT_EQ(broken.sequences, 0u);
 
     // Governance hooks were cleared after the failed run (the Budget they
@@ -258,7 +255,6 @@ TEST(SessionReuse, CancelledLearnIsRerunNotServedStale) {
 
     const core::LearnResult& partial = session.learn();
     EXPECT_EQ(partial.outcome.status, RunStatus::Cancelled);
-    EXPECT_TRUE(partial.stats.cancelled);
     EXPECT_LT(partial.stats.stems_processed, golden.stats.stems_processed);
 
     // Before the fix this returned the cancelled partial result unchanged.
@@ -331,8 +327,7 @@ TEST(Checkpoint, ResumeConvergesToOneShotAtEveryStopBoundary) {
         ASSERT_TRUE(partial.cursor.valid) << "limit=" << limit;
         hit_multi_phase = hit_multi_phase || partial.cursor.in_multi;
 
-        const LearnCheckpoint ckpt = make_checkpoint(nl, partial);
-        const LearnResult resumed = resume_learn(nl, topo, base, ckpt);
+        const LearnResult resumed = resume_learn(nl, topo, base, partial);
         EXPECT_TRUE(resumed.outcome.ok()) << "limit=" << limit;
         expect_same_result(resumed, golden, "limit=" + std::to_string(limit));
     }
@@ -349,18 +344,17 @@ TEST(Checkpoint, TextRoundTripPreservesTheResumeExactly) {
 
     LearnConfig budgeted = base;
     budgeted.budget.max_items = 9;
-    const LearnResult partial = core::learn(nl, topo, budgeted);
-    ASSERT_TRUE(partial.cursor.valid);
-    const LearnCheckpoint ckpt = make_checkpoint(nl, partial);
+    const LearnResult ckpt = core::learn(nl, topo, budgeted);
+    ASSERT_TRUE(ckpt.cursor.valid);
 
     std::stringstream ss;
     save_checkpoint(ss, nl, ckpt);
-    const LearnCheckpoint loaded = load_checkpoint(ss, nl);
+    const LearnResult loaded = load_checkpoint(ss, nl);
     EXPECT_EQ(loaded.cursor.class_index, ckpt.cursor.class_index);
     EXPECT_EQ(loaded.cursor.in_multi, ckpt.cursor.in_multi);
     EXPECT_EQ(loaded.cursor.unit, ckpt.cursor.unit);
     EXPECT_EQ(loaded.cursor.config_digest, ckpt.cursor.config_digest);
-    EXPECT_EQ(loaded.stems_processed, ckpt.stems_processed);
+    EXPECT_EQ(loaded.stats.stems_processed, ckpt.stats.stems_processed);
     EXPECT_EQ(relation_hash(loaded.db), relation_hash(ckpt.db));
     EXPECT_EQ(loaded.ties.dense(), ckpt.ties.dense());
     EXPECT_EQ(loaded.records.total_records(), ckpt.records.total_records());
@@ -379,12 +373,11 @@ TEST(Checkpoint, ResumeUnderDifferentExecutionConfigMatchesGolden) {
     budgeted.budget.max_items = 11;
     const LearnResult partial = core::learn(nl, topo, budgeted);
     ASSERT_TRUE(partial.cursor.valid);
-    const LearnCheckpoint ckpt = make_checkpoint(nl, partial);
 
     // The deadline and the item limit are execution-only: the digest admits
     // a resume under a different deadline and no item limit, and the
     // resumed result is still bit-identical.
-    const LearnResult resumed = resume_learn(nl, topo, exec_cfg(8), ckpt);
+    const LearnResult resumed = resume_learn(nl, topo, exec_cfg(8), partial);
     expect_same_result(resumed, golden, "resumed under an 8-hour deadline");
 }
 
@@ -395,12 +388,12 @@ TEST(Checkpoint, MismatchesAreRejected) {
 
     // A completed run is not checkpointable.
     const LearnResult complete = core::learn(nl, topo, base);
-    EXPECT_THROW(make_checkpoint(nl, complete), std::logic_error);
+    std::stringstream sink;
+    EXPECT_THROW(save_checkpoint(sink, nl, complete), std::logic_error);
 
     LearnConfig budgeted = base;
     budgeted.budget.max_items = 5;
-    const LearnResult partial = core::learn(nl, topo, budgeted);
-    const LearnCheckpoint ckpt = make_checkpoint(nl, partial);
+    const LearnResult ckpt = core::learn(nl, topo, budgeted);
 
     // Result-affecting config change: rejected.
     LearnConfig deeper = base;
@@ -448,8 +441,8 @@ TEST(Checkpoint, FilesFromAnEarlierReleaseResumeToOneShot) {
     for (const char* name : {"checkpoint_fig1x_single.txt", "checkpoint_fig1x_multi.txt"}) {
         std::ifstream in(std::string(SEQLEARN_TEST_DATA_DIR) + "/" + name);
         ASSERT_TRUE(in) << name;
-        const LearnCheckpoint ckpt = load_checkpoint(in, nl);
-        const LearnResult resumed = resume_learn(nl, topo, LearnConfig{}, ckpt);
+        LearnResult ckpt = load_checkpoint(in, nl);
+        const LearnResult resumed = resume_learn(nl, topo, LearnConfig{}, std::move(ckpt));
         EXPECT_TRUE(resumed.outcome.ok()) << name;
         expect_same_result(resumed, golden, name);
     }
@@ -475,7 +468,7 @@ TEST(Checkpoint, ResumedProgressCountsOnFromTheCursor) {
         done.push_back(d);
         return true;
     };
-    const LearnResult resumed = resume_learn(nl, topo, observed, make_checkpoint(nl, partial));
+    const LearnResult resumed = resume_learn(nl, topo, observed, partial);
     ASSERT_TRUE(resumed.outcome.ok());
     ASSERT_FALSE(done.empty());
     EXPECT_EQ(done.front(), 40u);
@@ -496,9 +489,9 @@ TEST(Checkpoint, CursorPastTheLastStemResumesAsThePassEnd) {
     ASSERT_TRUE(partial.cursor.valid);
     ASSERT_FALSE(partial.cursor.in_multi);
 
-    LearnCheckpoint at_end = make_checkpoint(nl, partial);
+    LearnResult at_end = partial;
     at_end.cursor.unit = nl.stems().size();
-    LearnCheckpoint past_end = at_end;
+    LearnResult past_end = at_end;
     past_end.cursor.unit = 99999;
     const LearnResult want = resume_learn(nl, topo, exec_cfg(1), at_end);
     const LearnResult got = resume_learn(nl, topo, exec_cfg(1), past_end);

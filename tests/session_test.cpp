@@ -73,22 +73,24 @@ TEST(Design, NullDesignIsRejected) {
 
 TEST(Design, FrozenSnapshotFeedsSessionsWithoutRelearning) {
     const Netlist nl = workload::suite_circuit("s27");
-    Session producer{Netlist(nl)};
+    const DesignPtr design = DesignBuilder(Netlist(nl)).build();
+    Session producer{design};
     const std::size_t relations = producer.learn().db.size();
     ASSERT_GT(relations, 0u);
+    // Freezing hands out the held result itself, not a copy of it.
+    const std::shared_ptr<const core::LearnedSnapshot> snap = producer.freeze_learned();
+    EXPECT_EQ(&snap->result(), &producer.learn());
 
-    const DesignPtr design =
-        DesignBuilder(Netlist(nl)).learned(producer.freeze_learned()).build();
-    ASSERT_NE(design->learned(), nullptr);
     Session consumer{design};
+    EXPECT_FALSE(consumer.has_learned());
+    consumer.use_learned(snap);
     // Learned data is available without running learning, and learn()
-    // returns the frozen snapshot's result (stable address inside the
-    // shared Design, not a session-local copy).
+    // returns the adopted snapshot's result (not a session-local copy).
     EXPECT_TRUE(consumer.has_learned());
-    EXPECT_EQ(&consumer.learn(), &design->learned()->result());
+    EXPECT_EQ(&consumer.learn(), &snap->result());
     EXPECT_EQ(consumer.learn().db.size(), relations);
-    // Re-freezing shares the existing handle instead of deep-copying.
-    EXPECT_EQ(consumer.freeze_learned().get(), design->learned());
+    // Re-freezing shares the held handle instead of deep-copying.
+    EXPECT_EQ(consumer.freeze_learned(), snap);
 
     // An ATPG campaign through the snapshot matches one through a fresh
     // session-local learn() on the same circuit.
@@ -103,33 +105,34 @@ TEST(Design, FrozenSnapshotFeedsSessionsWithoutRelearning) {
     EXPECT_EQ(via_snapshot.outcome.tests.size(), via_learn.outcome.tests.size());
 }
 
-TEST(Design, SessionLocalLearnShadowsTheDesignSnapshot) {
-    const Netlist nl = workload::suite_circuit("s27");
-    Session producer{Netlist(nl)};
-    const DesignPtr design =
-        DesignBuilder(Netlist(nl)).learned(producer.freeze_learned()).build();
+TEST(Design, LearnReplacesTheAdoptedSnapshotInOneSessionOnly) {
+    const DesignPtr design = DesignBuilder(workload::suite_circuit("s27")).build();
+    Session producer(design);
+    const std::shared_ptr<const core::LearnedSnapshot> snap = producer.freeze_learned();
     Session session(design);
+    session.use_learned(snap);
     core::LearnConfig shallow;
     shallow.max_frames = 2;
     const core::LearnResult& local = session.learn(shallow);
-    EXPECT_NE(&local, &design->learned()->result());
-    EXPECT_EQ(&session.learn(), &local);  // local result wins from now on
+    EXPECT_NE(&local, &snap->result());
+    EXPECT_EQ(&session.learn(), &local);  // the new result is held from now on
+    EXPECT_EQ(&producer.learn(), &snap->result());  // other holders keep theirs
 }
 
-TEST(Design, BuilderLoadDbAttachesASharedSnapshot) {
-    const Netlist nl = workload::suite_circuit("s27");
-    Session producer{Netlist(nl)};
+TEST(Design, LoadDbHoldsASnapshotOtherSessionsAdopt) {
+    const DesignPtr design = DesignBuilder(workload::suite_circuit("s27")).build();
+    Session producer(design);
     std::ostringstream saved;
     producer.save_db(saved);
 
+    Session loader(design);
     std::istringstream in(saved.str());
-    DesignBuilder builder{Netlist(nl)};
-    builder.load_db(in);
-    EXPECT_EQ(builder.db_skipped(), 0u);
-    const DesignPtr design = builder.build();
-    ASSERT_NE(design->learned(), nullptr);
-    EXPECT_EQ(design->learned()->db().size(), producer.learn().db.size());
-    EXPECT_EQ(design->learned()->ties().count(), producer.learn().ties.count());
+    EXPECT_EQ(loader.load_db(in), 0u);
+    const std::shared_ptr<const core::LearnedSnapshot> snap = loader.freeze_learned();
+    // The loaded data is held as is: freezing it learns nothing.
+    EXPECT_EQ(snap->result().stats.stems_processed, 0u);
+    EXPECT_EQ(snap->result().db.size(), producer.learn().db.size());
+    EXPECT_EQ(snap->result().ties.count(), producer.learn().ties.count());
 }
 
 TEST(Design, LoadDesignStreamsBenchWithDiagnostics) {
@@ -183,7 +186,7 @@ TEST(Session, LearnCancellationKeepsPartialResults) {
     };
     Session session(workload::suite_circuit("rt510a"), std::move(cfg));
     const core::LearnResult& r = session.learn();
-    EXPECT_TRUE(r.stats.cancelled);
+    EXPECT_EQ(r.outcome.status, exec::RunStatus::Cancelled);
     // At most the two permitted stems were processed.
     EXPECT_LE(r.stats.stems_processed, 2u);
 }
@@ -200,7 +203,7 @@ TEST(Session, CancelMidParallelLearnKeepsPartialResults) {
     };
     Session session(workload::suite_circuit("rt510a"), std::move(cfg));
     const core::LearnResult& r = session.learn();
-    EXPECT_TRUE(r.stats.cancelled);
+    EXPECT_EQ(r.outcome.status, exec::RunStatus::Cancelled);
     EXPECT_LE(r.stats.stems_processed, 5u);
 }
 
@@ -222,7 +225,7 @@ TEST(Session, RequestCancelFromAnotherThreadStopsTheStage) {
     Session session(workload::suite_circuit("rt510a"), std::move(cfg));
     session_ptr = &session;
     const core::LearnResult& r = session.learn();
-    EXPECT_TRUE(r.stats.cancelled);
+    EXPECT_EQ(r.outcome.status, exec::RunStatus::Cancelled);
     EXPECT_LE(r.stats.stems_processed, 3u);
 }
 
@@ -259,7 +262,7 @@ TEST(Session, AtpgCancellationFlagsOutcome) {
         atpg::AtpgConfig acfg;
         acfg.backtrack_limit = 100;
         const AtpgReport& report = session.atpg(acfg);
-        EXPECT_TRUE(report.outcome.cancelled) << threads;
+        EXPECT_EQ(report.outcome.run.status, exec::RunStatus::Cancelled) << threads;
         EXPECT_EQ(done, (std::vector<std::size_t>{0, 1, 2, 3})) << threads;
         EXPECT_EQ(report.outcome.targeted_faults, 3u) << threads;
         // Untouched faults keep their Undetected status.
@@ -291,7 +294,7 @@ TEST(Session, FaultSimCancellationIsFlagged) {
     acfg.backtrack_limit = 1000;
     session.atpg(acfg);
     const FaultSimReport report = session.fault_sim();
-    EXPECT_TRUE(report.cancelled);
+    EXPECT_EQ(report.outcome.status, exec::RunStatus::Cancelled);
     EXPECT_EQ(report.sequences, 1u);
 }
 

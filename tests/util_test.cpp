@@ -23,15 +23,6 @@ TEST(Rng, DifferentSeedsDiverge) {
     EXPECT_LT(equal, 2);
 }
 
-TEST(Rng, ReseedRestartsStream) {
-    Rng a(7);
-    const auto x0 = a.next_u64();
-    const auto x1 = a.next_u64();
-    a.reseed(7);
-    EXPECT_EQ(a.next_u64(), x0);
-    EXPECT_EQ(a.next_u64(), x1);
-}
-
 TEST(Rng, BelowStaysInBounds) {
     Rng rng(3);
     for (std::uint64_t bound : {1ULL, 2ULL, 3ULL, 10ULL, 1000ULL}) {
@@ -109,7 +100,6 @@ TEST(Strings, SplitEmptyInput) {
 }
 
 TEST(Strings, CaseHelpers) {
-    EXPECT_EQ(to_upper("NaNd"), "NAND");
     EXPECT_TRUE(iequals("DFF", "dff"));
     EXPECT_FALSE(iequals("DFF", "df"));
     EXPECT_TRUE(starts_with("OUTPUT(x)", "OUTPUT"));

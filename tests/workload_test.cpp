@@ -12,7 +12,6 @@
 #include "workload/circuit_gen.hpp"
 #include "workload/fires.hpp"
 #include "workload/paper_circuits.hpp"
-#include "workload/reachability.hpp"
 #include "workload/retime.hpp"
 #include "workload/suite.hpp"
 #include "test_helpers.hpp"
@@ -186,7 +185,7 @@ TEST(PaperCircuits, LearnedRelationsExhaustivelySound) {
         const auto inputs = nl.inputs();
         const std::uint64_t n_inputs = 1ULL << inputs.size();
         for (const core::Relation& rel : r.db.relations()) {
-            const std::vector<bool> valid = image_set(nl, rel.frame);
+            const std::vector<bool> valid = testing::image_set(nl, rel.frame);
             for (std::uint64_t s = 0; s < (1ULL << seq.size()); ++s) {
                 if (!valid[s]) continue;
                 for (std::uint64_t u = 0; u < n_inputs; ++u) {
