@@ -2,6 +2,7 @@
 
 #include "core/db_io.hpp"
 #include "util/atomic_file.hpp"
+#include "util/bytes.hpp"
 
 #include <fstream>
 #include <sstream>
@@ -30,11 +31,6 @@ fault::FaultSimulator& Session::fault_simulator() {
         fsim_->set_executor(pool());
     }
     return *fsim_;
-}
-
-atpg::Engine& Session::engine() {
-    if (!engine_) engine_.emplace(design_->topology());
-    return *engine_;
 }
 
 const core::LearnResult& Session::learn() {
@@ -146,26 +142,22 @@ const AtpgReport& Session::atpg(atpg::AtpgConfig acfg) {
     if (acfg.testability == nullptr) acfg.testability = &design_->testability();
     acfg.executor = pool();
     fault::FaultList list(design_->collapsed_faults().representatives());
-    atpg::AtpgOutcome outcome = run_atpg(engine(), fault_simulator(), list, acfg);
+    atpg::AtpgOutcome outcome = run_atpg(fault_simulator(), list, acfg);
     atpg_.emplace(
         AtpgReport{std::move(list), std::move(outcome), acfg.learned != nullptr});
     return *atpg_;
 }
 
 std::uint64_t campaign_digest(const AtpgReport& report) {
-    std::uint64_t h = 1469598103934665603ULL;
-    const auto mix = [&h](std::uint64_t x) {
-        h ^= x;
-        h *= 1099511628211ULL;
-    };
+    util::Fnv1a h;
     for (std::size_t i = 0; i < report.list.size(); ++i)
-        mix(static_cast<std::uint64_t>(report.list.status(i)));
+        h.mix(static_cast<std::uint64_t>(report.list.status(i)));
     for (const sim::InputSequence& t : report.outcome.tests) {
-        mix(t.size());
+        h.mix(t.size());
         for (const sim::InputFrame& fr : t)
-            for (const logic::Val3 v : fr) mix(static_cast<std::uint64_t>(v));
+            for (const logic::Val3 v : fr) h.mix(static_cast<std::uint64_t>(v));
     }
-    return h;
+    return h.value;
 }
 
 FaultSimReport Session::fault_sim() {

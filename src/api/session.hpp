@@ -4,9 +4,10 @@
 // The pipeline is a single arc — learn an implication database, feed it to
 // ATPG, validate with fault simulation. The immutable circuit structure
 // lives in an api::Design (one CSR Topology, levelized once, plus clock
-// classes and collapsed faults); a Session adds only the per-run state:
-// lazily-built stage engines, a thread pool, a cancel flag, cached results
-// and its learned data — one shared, immutable core::LearnedSnapshot.
+// classes and collapsed faults); a Session adds only the per-run state: a
+// lazily-built fault simulator (ATPG solves are free functions over the
+// Topology), a thread pool, a cancel flag, cached results and its learned
+// data — one shared, immutable core::LearnedSnapshot.
 // Constructing a Session from a shared Design costs microseconds, so N
 // Sessions over one Design can serve N concurrent requests — each produces
 // results bit-identical to a serial run, because everything they share is
@@ -157,13 +158,13 @@ struct SessionStats {
 
     /// Approximate heap footprint: the shared Design's components (charged
     /// once however many Sessions share it) plus the learned snapshot this
-    /// Session holds and its engine scratch — what a serving cache and its
+    /// Session holds and its own scratch — what a serving cache and its
     /// session pool account against a memory cap.
     struct Memory {
         Design::MemoryFootprint design;  ///< shared, charged per Design
         std::size_t learned_bytes = 0;   ///< the held snapshot (0 when none);
                                          ///< shared with every Session holding it
-        std::size_t scratch_bytes = 0;   ///< this Session's engine scratch
+        std::size_t scratch_bytes = 0;   ///< fault simulator + cached ATPG report
         std::size_t total() const noexcept {
             return design.total() + learned_bytes + scratch_bytes;
         }
@@ -174,7 +175,7 @@ struct SessionStats {
 class Session {
 public:
     /// Attach to a shared immutable Design — the cheap constructor (no
-    /// levelization, no analysis; engines are built lazily on first use).
+    /// levelization, no analysis; the fault simulator is built on first use).
     /// Any number of Sessions may share one Design concurrently. Throws
     /// std::invalid_argument on a null design.
     explicit Session(DesignPtr design, SessionConfig cfg = {});
@@ -200,9 +201,9 @@ public:
         return design_->collapsed_faults();
     }
 
-    // --- lazily-built stage engines (all over the shared Topology) --------
+    // --- the lazily-built fault simulator (over the shared Topology) ------
+    /// ATPG validates on it and its per-worker clones.
     fault::FaultSimulator& fault_simulator();
-    atpg::Engine& engine();
 
     // --- the flow ---------------------------------------------------------
     /// The held learned data, learning with cfg.learn first when the
@@ -317,14 +318,13 @@ private:
     DesignPtr design_;
     SessionConfig cfg_;
     std::optional<fault::FaultSimulator> fsim_;
-    std::optional<atpg::Engine> engine_;
     // The one home of this Session's learned data: produced by learn() /
     // resume_learn() / load_db(), or adopted from elsewhere by use_learned().
     std::shared_ptr<const core::LearnedSnapshot> learned_;
     std::optional<AtpgReport> atpg_;
     // The pool ATPG and fault simulation run on (built once, on first use)
     // and the stage cancel flag; both heap-allocated so pointers handed to
-    // stage engines stay stable across Session moves.
+    // the stages stay stable across Session moves.
     std::unique_ptr<exec::Pool> pool_;
     std::unique_ptr<exec::CancelFlag> cancel_;
 };

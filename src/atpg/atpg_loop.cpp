@@ -2,6 +2,7 @@
 
 #include "atpg/redundancy.hpp"
 #include "netlist/structure.hpp"
+#include "util/bytes.hpp"
 #include "util/timer.hpp"
 
 #include <algorithm>
@@ -23,23 +24,19 @@ constexpr std::size_t kWarmupLength = 24;
 // where settings of earlier releases were mixed, keeping every stream as it
 // was.
 std::uint64_t config_seed(const AtpgConfig& cfg) {
-    std::uint64_t h = 1469598103934665603ULL;
-    auto mix = [&](std::uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ULL;
-    };
-    mix(static_cast<std::uint64_t>(cfg.rand_warmup));
-    mix(kWarmupLength);
-    mix(static_cast<std::uint64_t>(cfg.backtrack_limit));
-    mix(kMaxDecisions);
-    mix(static_cast<std::uint64_t>(cfg.sat_frames));
-    mix(static_cast<std::uint64_t>(cfg.backend));
-    mix(static_cast<std::uint64_t>(cfg.mode));
-    mix(static_cast<std::uint64_t>(cfg.order));
-    mix(cfg.order_seed);
-    mix(static_cast<std::uint64_t>(cfg.guidance));
-    mix(static_cast<std::uint64_t>(cfg.fill));
-    return h;
+    return util::Fnv1a{}
+        .mix(static_cast<std::uint64_t>(cfg.rand_warmup))
+        .mix(kWarmupLength)
+        .mix(static_cast<std::uint64_t>(cfg.backtrack_limit))
+        .mix(kMaxDecisions)
+        .mix(static_cast<std::uint64_t>(cfg.sat_frames))
+        .mix(static_cast<std::uint64_t>(cfg.backend))
+        .mix(static_cast<std::uint64_t>(cfg.mode))
+        .mix(static_cast<std::uint64_t>(cfg.order))
+        .mix(cfg.order_seed)
+        .mix(static_cast<std::uint64_t>(cfg.guidance))
+        .mix(static_cast<std::uint64_t>(cfg.fill))
+        .value;
 }
 
 std::vector<std::uint32_t> default_windows(const netlist::Topology& topo) {
@@ -53,10 +50,10 @@ std::vector<std::uint32_t> default_windows(const netlist::Topology& topo) {
 }
 
 // Outcome of one deterministic target: everything the solve attempt decided
-// plus the counters it accumulated. Computing this touches only the engine,
-// the validating simulator, and the fault itself — never the fault list —
-// which is what makes a window of targets safe to solve in parallel ahead
-// of their commits.
+// plus the counters it accumulated. Computing this touches only the
+// validating simulator and the fault itself — never the fault list — which
+// is what makes a window of targets safe to solve in parallel ahead of
+// their commits.
 struct TargetVerdict {
     enum class Kind : std::uint8_t { Skipped, Untestable, Test, Aborted, Exhausted };
     Kind kind = Kind::Skipped;
@@ -66,14 +63,14 @@ struct TargetVerdict {
     std::size_t invalid_tests = 0;
 };
 
-TargetVerdict solve_target(Engine& engine, fault::FaultSimulator& fsim,
-                           const fault::Fault& f, const EngineConfig& ecfg,
-                           const AtpgConfig& cfg,
+TargetVerdict solve_target(fault::FaultSimulator& fsim, const fault::Fault& f,
+                           const EngineConfig& ecfg, const AtpgConfig& cfg,
                            std::span<const std::uint32_t> windows) {
+    const netlist::Topology& topo = fsim.topology();
     TargetVerdict v;
     if (cfg.identify_untestable) {
         const RedundancyResult verdict =
-            prove_redundancy(engine, f, ecfg, cfg.redundancy_effort);
+            prove_redundancy(topo, f, ecfg, cfg.redundancy_effort);
         if (verdict.proof != fault::UntestableProof::None) {
             v.kind = TargetVerdict::Kind::Untestable;
             return v;
@@ -81,7 +78,7 @@ TargetVerdict solve_target(Engine& engine, fault::FaultSimulator& fsim,
     }
     for (const std::uint32_t w : windows) {
         ++v.gen_calls;
-        const EngineResult r = engine.solve(f, w, ecfg);
+        const EngineResult r = solve(topo, f, w, ecfg);
         v.backtracks += r.backtracks;
         if (r.status == EngineResult::Status::Aborted) {
             v.kind = TargetVerdict::Kind::Aborted;
@@ -134,9 +131,9 @@ void apply_verdict(TargetVerdict&& v, std::size_t fault_index, fault::FaultList&
 // The campaign body; every early stop records out.run and returns. Exceptions
 // escape to run_atpg's catch (commit walks run on the calling thread with no
 // window in flight, so unwinding cannot deadlock or tear shared state).
-void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList& list,
-                  const AtpgConfig& cfg, exec::Budget* budget, AtpgOutcome& out) {
-    const netlist::Topology& topo = engine.topology();
+void run_campaign(fault::FaultSimulator& fsim, fault::FaultList& list, const AtpgConfig& cfg,
+                  exec::Budget* budget, AtpgOutcome& out) {
+    const netlist::Topology& topo = fsim.topology();
 
     if (cfg.learned != nullptr) {
         // Tie-augmented good simulation: keeps validation in step with the
@@ -157,7 +154,7 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
     // Testability: use the Design-cached analysis when the caller provided
     // one, otherwise compute locally iff a SCOAP consumer needs it. The
     // object is immutable after construction, so the parallel campaign's
-    // per-worker engines share it read-only.
+    // workers share it read-only.
     const bool needs_scoap = cfg.guidance == guide::Guidance::Scoap ||
                              cfg.order == guide::OrderStrategy::ScoapHardFirst;
     std::unique_ptr<guide::Testability> owned_tst;
@@ -287,25 +284,14 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
     };
 
     // Target solves run on the campaign's pool, at most one worker per
-    // target, each worker on its own engine and simulator (worker 0 on the
-    // caller's). A solve depends only on the fault — never on the list —
-    // so it is never stale; the only wasted work is solving a target that
-    // a test committed just before it drops.
+    // target, worker w validating on the simulator's clone w (worker 0 on
+    // the simulator itself; drop_detected's passes run on the same clones,
+    // never while a window solves). A solve depends only on the fault —
+    // never on the list — so it is never stale; the only wasted work is
+    // solving a target that a test committed just before it drops.
     const unsigned workers = static_cast<unsigned>(std::clamp<std::size_t>(
         targets.size(), 1, cfg.executor != nullptr ? cfg.executor->size() : 1));
-    struct WorkerCtx {
-        Engine engine;
-        fault::FaultSimulator fsim;
-    };
-    std::vector<WorkerCtx> ctxs;  // worker w > 0 solves on ctxs[w - 1]
-    ctxs.reserve(workers - 1);
-    for (unsigned w = 1; w < workers; ++w) {
-        WorkerCtx& ctx = ctxs.emplace_back(WorkerCtx{Engine(topo), fault::FaultSimulator(topo)});
-        if (cfg.learned != nullptr) {
-            ctx.fsim.set_good_ties(&cfg.learned->ties.dense(),
-                                   &cfg.learned->ties.dense_cycles());
-        }
-    }
+    fsim.prepare_clones(workers);
 
     // Solve into slots[s] the target at schedule position base + s.
     std::vector<TargetVerdict> slots(workers == 1 ? 1 : 2 * static_cast<std::size_t>(workers));
@@ -328,9 +314,7 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
             return;
         }
         if (cfg.failpoint != nullptr) cfg.failpoint->poll(exec::FailSite::WorkItem);
-        Engine& eng = worker == 0 ? engine : ctxs[worker - 1].engine;
-        fault::FaultSimulator& fs = worker == 0 ? fsim : ctxs[worker - 1].fsim;
-        v = solve_target(eng, fs, list.fault(i), ecfg, cfg, windows);
+        v = solve_target(fsim.clone(worker), list.fault(i), ecfg, cfg, windows);
     };
     // Commit the verdict in `slot` on the calling thread; false stops the
     // campaign.
@@ -369,7 +353,7 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
 
 }  // namespace
 
-AtpgOutcome run_atpg(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList& list,
+AtpgOutcome run_atpg(fault::FaultSimulator& fsim, fault::FaultList& list,
                      const AtpgConfig& cfg) {
     const util::Timer timer;
     AtpgOutcome out;
@@ -381,7 +365,7 @@ AtpgOutcome run_atpg(Engine& engine, fault::FaultSimulator& fsim, fault::FaultLi
     exec::Budget* budget_ptr = cfg.budget.any() ? &budget : nullptr;
     fsim.set_governance(cfg.cancel, budget_ptr, cfg.failpoint);
     try {
-        run_campaign(engine, fsim, list, cfg, budget_ptr, out);
+        run_campaign(fsim, list, cfg, budget_ptr, out);
         // Static compaction runs only over a complete campaign: a stopped
         // run keeps its raw tests so partial results stay exactly what was
         // committed. Compaction reads the list but never writes it — final
@@ -399,6 +383,7 @@ AtpgOutcome run_atpg(Engine& engine, fault::FaultSimulator& fsim, fault::FaultLi
         out.run = exec::RunOutcome::failed(e.what());
     }
     fsim.set_governance(nullptr, nullptr, nullptr);
+    fsim.release_unused_clones();
     out.cpu_seconds = timer.seconds();
     for (const sim::InputSequence& t : out.tests) out.pattern_frames += t.size();
     return out;
@@ -406,10 +391,9 @@ AtpgOutcome run_atpg(Engine& engine, fault::FaultSimulator& fsim, fault::FaultLi
 
 AtpgOutcome run_atpg(const netlist::Topology& topo, fault::FaultList& list,
                      const AtpgConfig& cfg) {
-    Engine engine(topo);
     fault::FaultSimulator fsim(topo);
     fsim.set_executor(cfg.executor);
-    return run_atpg(engine, fsim, list, cfg);
+    return run_atpg(fsim, list, cfg);
 }
 
 }  // namespace seqlearn::atpg

@@ -31,10 +31,11 @@ namespace seqlearn::atpg {
 struct AtpgConfig {
     /// The pool the campaign's target solves run on (a Session hands over
     /// its one pool); null = the calling thread. Its size is the worker
-    /// count: targets are solved a window at a time on per-worker
-    /// Engine/FaultSimulator clones and committed in schedule order with
-    /// first-detection credit, so a campaign's result is the same at any
-    /// worker count. One worker solves and commits each target in turn.
+    /// count: targets are solved a window at a time, worker w validating
+    /// its tests on the fault simulator's clone w, and committed in
+    /// schedule order with first-detection credit, so a campaign's result
+    /// is the same at any worker count. One worker solves and commits each
+    /// target in turn.
     exec::Pool* executor = nullptr;
     /// Optional cooperative stop switch, polled at target boundaries on the
     /// calling thread; request() is safe from any thread.
@@ -159,15 +160,15 @@ struct AtpgOutcome {
     exec::RunOutcome run;
 };
 
-/// Run a campaign over `list` (statuses updated in place) reusing the
-/// caller's engine and fault simulator — the zero-rebuild path a Session
-/// uses. Both must be built over the same Topology. The simulator's
-/// good-machine ties are (re)configured from cfg.learned.
-AtpgOutcome run_atpg(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList& list,
+/// Run a campaign over `list` (statuses updated in place) on the Topology
+/// of the caller's fault simulator, reusing the simulator and its clones —
+/// the zero-rebuild path a Session uses. The simulator's good-machine ties
+/// are (re)configured from cfg.learned.
+AtpgOutcome run_atpg(fault::FaultSimulator& fsim, fault::FaultList& list,
                      const AtpgConfig& cfg);
 
-/// Convenience: build the engine and fault simulator over `topo` and run;
-/// the simulator's passes also run on cfg.executor.
+/// Convenience: build a fault simulator over `topo` and run; its passes
+/// also run on cfg.executor.
 AtpgOutcome run_atpg(const netlist::Topology& topo, fault::FaultList& list,
                      const AtpgConfig& cfg);
 

@@ -18,11 +18,8 @@ using netlist::Topology;
 constexpr int kGood = 0;
 constexpr int kFaulty = 1;
 
-}  // namespace
-
-// All per-solve state lives here; the Engine object only caches the shared
-// CSR topology across solves.
-struct Engine::Search {
+// All per-solve state lives here; only the CSR topology outlives a solve.
+struct Search {
     const Topology& topo;
     Ila ila;
     fault::Fault fault;
@@ -842,11 +839,11 @@ struct Engine::Search {
     }
 };
 
-Engine::Engine(const netlist::Topology& topo) : topo_(&topo) {}
+}  // namespace
 
-EngineResult Engine::solve(const fault::Fault& f, std::uint32_t frames,
-                           const EngineConfig& cfg) {
-    Search search(*topo_, f, frames, cfg);
+EngineResult solve(const netlist::Topology& topo, const fault::Fault& f, std::uint32_t frames,
+                   const EngineConfig& cfg) {
+    Search search(topo, f, frames, cfg);
     EngineResult result = search.run();
     // Count decisions also when a test was found.
     result.decisions = search.decisions;

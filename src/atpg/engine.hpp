@@ -27,7 +27,6 @@
 #include "sim/comb_engine.hpp"
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -82,28 +81,12 @@ struct EngineResult {
     std::uint32_t decisions = 0;
 };
 
-/// One engine instance per circuit; solve() may be called repeatedly and
-/// carries no state between calls — a given (fault, window, config) solves
-/// identically on any instance over the same Topology, which is what lets
-/// the parallel ATPG campaign fan targets out over per-worker clones.
-/// All structural walks (frontier expansion, cone tracing, implication
-/// hooks) read the flat CSR Topology.
-class Engine {
-public:
-    /// Share an existing CSR snapshot (must outlive the engine) — a Session
-    /// hands every engine the same Topology so the circuit is levelized
-    /// exactly once. To solve straight from a Netlist, build a Topology
-    /// first (or go through api::Session).
-    explicit Engine(const netlist::Topology& topo);
-
-    /// Try to generate a test for `f` within a `frames`-frame window.
-    EngineResult solve(const fault::Fault& f, std::uint32_t frames, const EngineConfig& cfg);
-
-    const netlist::Topology& topology() const noexcept { return *topo_; }
-
-private:
-    struct Search;  // defined in engine.cpp
-    const netlist::Topology* topo_;
-};
+/// Try to generate a test for `f` within a `frames`-frame window over the
+/// flat CSR `topo`, which every structural walk (frontier expansion, cone
+/// tracing, implication hooks) reads. A solve keeps no state between calls:
+/// a given (fault, window, config) solves identically on any thread, which
+/// is what lets the ATPG campaign solve a window of targets on its pool.
+EngineResult solve(const netlist::Topology& topo, const fault::Fault& f, std::uint32_t frames,
+                   const EngineConfig& cfg);
 
 }  // namespace seqlearn::atpg

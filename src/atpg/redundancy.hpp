@@ -29,7 +29,7 @@ struct RedundancyResult {
 /// Run the combinational redundancy proof for `f`. `cfg` supplies the
 /// learning mode and data (ties make more proofs succeed); the window, the
 /// backtrack limit and `redundancy_proof` are overridden internally.
-RedundancyResult prove_redundancy(Engine& engine, const fault::Fault& f,
+RedundancyResult prove_redundancy(const netlist::Topology& topo, const fault::Fault& f,
                                   EngineConfig cfg, std::uint32_t effort_backtracks);
 
 }  // namespace seqlearn::atpg

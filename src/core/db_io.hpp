@@ -22,9 +22,15 @@
 //     rel ... / tie ...                       (as above)
 //     rec <node-gate> <0|1> <stem-gate> <0|1> <offset>
 //
-// Both loaders come in two flavors: a Diagnostics-collecting one that
-// reports every problem with its line number in a single pass (the way the
-// .bench reader does) and a legacy throwing wrapper that raises
+// One record reader parses both: every record type is parsed, validated and
+// inserted by the same code, relations through one ImplicationDB::add_batch.
+// The checkpoint header and the cursor, progress, cap and rec records are
+// accepted only in a checkpoint (in a DB they are unknown record types),
+// and the one policy difference is an unknown gate name: a warning and a
+// skipped entry in a DB, an error in a checkpoint. Both loaders come in two
+// flavors: a Diagnostics-collecting one that reports every problem with its
+// line number in a single pass (the way the .bench reader does) and never
+// throws on bad input, and a throwing wrapper that raises
 // std::runtime_error on the first error.
 
 #include "core/impl_db.hpp"
@@ -53,17 +59,18 @@ struct LoadedLearned {
 };
 
 /// Read a file produced by save_learned back against `nl`, collecting
-/// line-numbered diagnostics instead of throwing: malformed records are
-/// errors (the line is skipped and the scan continues, so one pass surfaces
-/// every problem); entries naming gates absent from `nl` are warnings and
-/// counted in `skipped_lines` (a database stays reusable across mild
-/// netlist edits). The returned data reflects exactly the well-formed,
-/// known-gate entries — usable when diags.ok(), partial otherwise.
+/// line-numbered diagnostics instead of throwing: malformed records (a tie
+/// statement written as a rel record included) are errors (the line is
+/// skipped and the scan continues, so one pass surfaces every problem);
+/// entries naming gates absent from `nl` are warnings and counted in
+/// `skipped_lines` (a database stays reusable across mild netlist edits).
+/// The returned data reflects exactly the well-formed, known-gate entries —
+/// usable when diags.ok(), partial otherwise.
 LoadedLearned load_learned(std::istream& in, const netlist::Netlist& nl,
                            netlist::Diagnostics& diags);
 
-/// Legacy wrapper: throws std::runtime_error carrying the first error's
-/// message and line number. Unknown-gate entries stay non-fatal skips.
+/// Throwing wrapper: std::runtime_error carrying the first error's message
+/// and line number. Unknown-gate entries stay non-fatal skips.
 LoadedLearned load_learned(std::istream& in, const netlist::Netlist& nl);
 
 /// load_learned_any straight into a frozen shareable snapshot — the path a
@@ -102,8 +109,8 @@ LearnResult load_checkpoint(std::istream& in, const netlist::Netlist& nl);
 // load speed — it stores the ImplicationDB's adjacency lists directly, in
 // their in-memory sorted order, so loading is one exact-sized copy per list
 // plus a linear closure check: no name lookups, no sorting, no dedup. All
-// fields are little-endian, guarded by a netlist digest so a file can never
-// be applied to a different circuit:
+// fields are little-endian (util/bytes.hpp), guarded by a netlist digest so
+// a file can never be applied to a different circuit:
 //
 //     offset  size  field
 //          0     8  magic "SEQLNDB2"
@@ -121,6 +128,11 @@ LearnResult load_checkpoint(std::istream& in, const netlist::Netlist& nl);
 //          +     8  tie count T, little-endian u64
 //          +  12*T  ties: (gate, value, proof cycle) u32 triples, in
 //                   TieSet::tied_gates() id order
+//
+// The blob is the whole file: a header of any other size, or bytes after
+// the tie records, make it invalid. One walk over these sections validates
+// the structure (probe_binary_db); load_learned_binary runs the same walk
+// and then the checks that need the netlist.
 //
 // Storing both directions of every relation (forward + contrapositive)
 // costs ~30% more bytes than a canonical-relation list, but it is what
@@ -146,10 +158,13 @@ void save_learned_binary(std::ostream& out, const netlist::Netlist& nl,
 /// stream must be seekable (files and string streams are).
 bool is_binary_db(std::istream& in);
 
-/// Load a binary v2 file against `nl`. Unlike the text loader there is no
-/// skip-and-continue: ids are only meaningful for the exact circuit the file
-/// was saved from, so a digest or gate-count mismatch, bad magic/version, or
-/// truncation throws std::runtime_error.
+/// Load a binary v2 file (the rest of `in`, read into one buffer) against
+/// `nl`. Unlike the text loader there is no skip-and-continue: ids are only
+/// meaningful for the exact circuit the file was saved from. Anything
+/// probe_binary_db rejects, a gate-count or digest mismatch, and a list
+/// that breaks ImplicationDB::set_edges / seal (unsorted or out-of-range
+/// targets, adjacency not closed under contraposition) throw
+/// std::runtime_error.
 LoadedLearned load_learned_binary(std::istream& in, const netlist::Netlist& nl);
 
 /// Sniff the format (binary magic vs text header) and dispatch to
@@ -165,13 +180,15 @@ struct BinaryDbInfo {
     std::uint64_t ties = 0;
 };
 
-/// Structurally validate an in-memory binary v2 blob without a netlist:
-/// magic, version, and that the header's section counts walk the byte
-/// range *exactly* — a blob truncated at (or inside) any section, or with
-/// trailing garbage, returns nullopt. This is the cheap integrity check a
-/// snapshot store's recovery scan runs per entry; the expensive
-/// digest-vs-netlist and contraposition-closure checks still run in
-/// load_learned_binary when the blob is actually attached.
+/// Structurally validate an in-memory binary v2 blob without a netlist —
+/// the walk load_learned_binary also runs: magic, version, header size, and
+/// that the header's section counts walk the byte range *exactly*, with
+/// adjacency keys strictly increasing and in range, no empty list, tie
+/// gates strictly increasing and in range and tie values 0 or 1. A blob
+/// truncated at (or inside) any section, or with trailing garbage, returns
+/// nullopt. This is the cheap integrity check a snapshot store's recovery
+/// scan runs per entry; the digest-vs-netlist and contraposition-closure
+/// checks run in load_learned_binary when the blob is actually attached.
 std::optional<BinaryDbInfo> probe_binary_db(std::string_view bytes);
 
 }  // namespace seqlearn::core

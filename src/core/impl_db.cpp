@@ -1,5 +1,7 @@
 #include "core/impl_db.hpp"
 
+#include "util/bytes.hpp"
+
 #include <algorithm>
 #include <stdexcept>
 #include <tuple>
@@ -137,8 +139,7 @@ std::uint64_t edge_mix(std::uint64_t src, std::uint64_t dst, std::uint64_t frame
 
 }  // namespace
 
-std::vector<ImplicationDB::Edge>& ImplicationDB::checked_restore_list(
-    Literal lhs, std::span<const Edge> edges) {
+void ImplicationDB::set_edges(Literal lhs, std::vector<Edge>&& edges) {
     const std::uint64_t key = lit_key(lhs);
     if (key >= adj_.size())
         throw std::invalid_argument("ImplicationDB::set_edges: lhs out of range");
@@ -163,15 +164,7 @@ std::vector<ImplicationDB::Edge>& ImplicationDB::checked_restore_list(
             edge_mix(lit_key(negate(edges[i].to)), not_lhs_key, edges[i].frame);
     }
     restore_edge_count_ += edges.size();
-    return list;
-}
-
-void ImplicationDB::set_edges(Literal lhs, std::span<const Edge> edges) {
-    checked_restore_list(lhs, edges).assign(edges.begin(), edges.end());
-}
-
-void ImplicationDB::set_edges(Literal lhs, std::vector<Edge>&& edges) {
-    checked_restore_list(lhs, edges) = std::move(edges);
+    list = std::move(edges);
 }
 
 void ImplicationDB::seal() {
@@ -246,17 +239,13 @@ std::uint64_t relation_hash(const ImplicationDB& db) {
         return std::tuple(lit_key(a.lhs), lit_key(a.rhs), a.frame) <
                std::tuple(lit_key(b.lhs), lit_key(b.rhs), b.frame);
     });
-    std::uint64_t h = 1469598103934665603ULL;
-    const auto mix = [&h](std::uint64_t x) {
-        h ^= x;
-        h *= 1099511628211ULL;
-    };
-    for (const Relation& r : rels) {
-        mix(lit_key(r.lhs));
-        mix(lit_key(r.rhs));
-        mix(r.frame);
-    }
-    return h;
+    util::Fnv1a h;
+    for (const Relation& r : rels) h.mix(lit_key(r.lhs)).mix(lit_key(r.rhs)).mix(r.frame);
+    return h.value;
+}
+
+void ImplicationDB::shrink_to_fit() {
+    for (std::vector<Edge>& list : adj_) list.shrink_to_fit();
 }
 
 std::size_t ImplicationDB::memory_bytes() const noexcept {

@@ -51,24 +51,25 @@ public:
     std::span<const Edge> edges_of(Literal lhs) const;
 
     /// Low-level restore API for the binary snapshot loader, used in pairs.
-    /// set_edges() installs the complete adjacency list for `lhs` verbatim
-    /// (one exact-sized allocation); edges must be strictly sorted by target
-    /// key, target gates must be in range and differ from lhs's. Each list
-    /// may be installed at most once. seal() then checks the whole install
-    /// sequence for closure under contraposition — every edge's mirror
-    /// present with the same frame, verified by an order-independent mirror
-    /// hash accumulated during set_edges() (a corrupt file escapes only on a
-    /// ~2^-64 collision) — and recomputes size(). Use the pair only on a
-    /// database populated exclusively through set_edges(); queries between
-    /// the two calls are safe but size() is stale until seal() runs. Both
-    /// throw std::invalid_argument on violation: a file that fails here was
-    /// not written by save_learned_binary.
-    /// The vector overload moves the list in instead of copying it — the
-    /// binary loader decodes each list into an exact-sized vector and hands
-    /// it over without a second pass over the bytes.
-    void set_edges(Literal lhs, std::span<const Edge> edges);
+    /// set_edges() moves in the complete adjacency list for `lhs` (the
+    /// loader decodes each list into an exact-sized vector); edges must be
+    /// strictly sorted by target key, target gates must be in range and
+    /// differ from lhs's. Each list may be installed at most once. seal()
+    /// then checks the whole install sequence for closure under
+    /// contraposition — every edge's mirror present with the same frame,
+    /// verified by an order-independent mirror hash accumulated during
+    /// set_edges() (a corrupt file escapes only on a ~2^-64 collision) — and
+    /// recomputes size(). Use the pair only on a database populated
+    /// exclusively through set_edges(); queries between the two calls are
+    /// safe but size() is stale until seal() runs. Both throw
+    /// std::invalid_argument on violation: a file that fails here was not
+    /// written by save_learned_binary.
     void set_edges(Literal lhs, std::vector<Edge>&& edges);
     void seal();
+
+    /// Drop the growth slack add() leaves in the adjacency lists, so a
+    /// finished database holds exactly what its binary-loaded twin does.
+    void shrink_to_fit();
 
     /// Number of distinct relations (each counted once, not per direction).
     std::size_t size() const noexcept { return relation_count_; }
@@ -107,9 +108,6 @@ private:
     std::size_t restore_edge_count_ = 0;
 
     const Edge* find_edge(Literal lhs, Literal rhs) const;
-    // Shared set_edges validation + hash accumulation; returns the (empty)
-    // destination list for the caller to fill.
-    std::vector<Edge>& checked_restore_list(Literal lhs, std::span<const Edge> edges);
 };
 
 /// Order-independent FNV-1a digest of a database's canonical relation set:

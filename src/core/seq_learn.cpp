@@ -2,6 +2,7 @@
 
 #include "cnf/sat_learn.hpp"
 #include "netlist/clock_class.hpp"
+#include "util/bytes.hpp"
 #include "util/timer.hpp"
 
 #include <stdexcept>
@@ -21,6 +22,9 @@ constexpr std::size_t kRecordCap = 64;
 // they are pure functions of the accumulated db/ties, so they stay correct
 // on any prefix.
 void finalize_stats(LearnResult& result, const Netlist& nl, const util::Timer& timer) {
+    // The result outlives the run (a Session and the daemon's cache hold
+    // it), so it keeps no growth slack.
+    result.db.shrink_to_fit();
     const ImplicationDB::Counts seq_counts = result.db.counts(nl, /*min_frame=*/1);
     const ImplicationDB::Counts all_counts = result.db.counts(nl, /*min_frame=*/0);
     result.stats.ff_ff_relations = seq_counts.ff_ff;
@@ -181,28 +185,24 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
 }  // namespace
 
 std::uint64_t learn_config_digest(const LearnConfig& cfg) {
-    std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ULL;
-    };
     // Fixed values stand where earlier releases mixed settings callers could
     // change, in their old order, so checkpoints those releases wrote still
     // resume.
-    mix(cfg.max_frames);
-    mix(1);  // stop a stem's run on a repeated state
-    mix(cfg.multiple_node ? 1 : 0);
-    mix(cfg.use_equivalences ? 1 : 0);
-    mix(1);  // one pass per clock class
-    mix(cfg.sat_frames);
-    mix(kRecordCap);
-    mix(kMinTargetRecords);
-    mix(0);  // no cap on multiple-node targets
-    mix(kSignatureRounds);
-    mix(kSupportCap);
-    mix(kMaxBucket);
-    mix(kSignatureSeed);
-    return h;
+    return util::Fnv1a{}
+        .mix(cfg.max_frames)
+        .mix(1)  // stop a stem's run on a repeated state
+        .mix(cfg.multiple_node ? 1 : 0)
+        .mix(cfg.use_equivalences ? 1 : 0)
+        .mix(1)  // one pass per clock class
+        .mix(cfg.sat_frames)
+        .mix(kRecordCap)
+        .mix(kMinTargetRecords)
+        .mix(0)  // no cap on multiple-node targets
+        .mix(kSignatureRounds)
+        .mix(kSupportCap)
+        .mix(kMaxBucket)
+        .mix(kSignatureSeed)
+        .value;
 }
 
 LearnResult learn(const Netlist& nl, const netlist::Topology& topo, const LearnConfig& cfg) {

@@ -281,7 +281,28 @@ void FaultSimulator::set_good_ties(const std::vector<Val3>* values,
 
 void FaultSimulator::set_executor(exec::Pool* pool) {
     executor_ = pool;
-    if (pool == nullptr) workers_.clear();
+    if (pool == nullptr) {
+        workers_.clear();
+        pass_clones_ = 0;
+    }
+}
+
+void FaultSimulator::prepare_clones(std::size_t workers) {
+    if (workers <= 1) return;
+    while (workers_.size() + 1 < workers)
+        workers_.push_back(std::make_unique<FaultSimulator>(*topo_));
+    const Schedule& sched = schedule();
+    for (const std::unique_ptr<FaultSimulator>& w : workers_) {
+        w->sched_ = sched_;
+        // Allocate the clone's scratch on this thread: memory a pool thread
+        // allocates comes from its own malloc arena, which keeps it
+        // resident after the thread (and the pool) is gone.
+        w->narrow_.reserve(sched);
+        w->wide_.reserve(sched);
+        w->cone_lanes_.reserve(kPassWords * topo_->num_components());
+        w->force_order_.reserve(kFaultsPerPass);
+        w->chunk_.reserve(kFaultsPerPass);
+    }
 }
 
 template <std::size_t W>
@@ -464,24 +485,8 @@ std::size_t FaultSimulator::drop_detected(const sim::InputSequence& seq, FaultLi
     const std::size_t passes = (todo.size() + kFaultsPerPass - 1) / kFaultsPerPass;
     const std::size_t workers =
         executor_ != nullptr ? std::min<std::size_t>(executor_->size(), passes) : 1;
-    // Per-worker clones over the shared snapshot (worker 0 is this
-    // simulator); built once and reused across calls, they simulate with
-    // this simulator's schedule.
-    while (workers_.size() + 1 < workers) workers_.push_back(std::make_unique<FaultSimulator>(*topo_));
-    if (workers > 1) {
-        const Schedule& sched = schedule();
-        for (const std::unique_ptr<FaultSimulator>& w : workers_) {
-            w->sched_ = sched_;
-            // Allocate the clone's scratch on this thread: memory a pool
-            // thread allocates comes from its own malloc arena, which keeps
-            // it resident after the thread (and the pool) is gone.
-            w->narrow_.reserve(sched);
-            w->wide_.reserve(sched);
-            w->cone_lanes_.reserve(kPassWords * topo_->num_components());
-            w->force_order_.reserve(kFaultsPerPass);
-            w->chunk_.reserve(kFaultsPerPass);
-        }
-    }
+    prepare_clones(workers);
+    if (workers > 1) pass_clones_ = std::max(pass_clones_, workers - 1);
 
     const std::size_t words = (todo.size() + 63) / 64;
     if (detected_words_ < words) {
@@ -497,7 +502,7 @@ std::size_t FaultSimulator::drop_detected(const sim::InputSequence& seq, FaultLi
         // later pass skips too.
         if (exec::poll_point(cancel_, budget_) != exec::RunStatus::Completed) return;
         if (failpoint_ != nullptr) failpoint_->poll(exec::FailSite::WorkItem);
-        FaultSimulator& fs = worker == 0 ? *this : *workers_[worker - 1];
+        FaultSimulator& fs = clone(worker);
         const std::size_t begin = p * kFaultsPerPass;
         const std::size_t end = std::min(begin + kFaultsPerPass, todo.size());
         fs.chunk_.clear();

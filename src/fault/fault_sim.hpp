@@ -61,16 +61,32 @@ struct WideLanes {
 class FaultSimulator {
 public:
     /// Share an existing CSR snapshot (must outlive the simulator) — a
-    /// Session hands every engine the same Topology so the circuit is
-    /// levelized exactly once. To simulate straight from a Netlist, build a
-    /// Topology first (or go through api::Session).
+    /// Session hands its simulator and its ATPG solves the same Topology so
+    /// the circuit is levelized exactly once. To simulate straight from a
+    /// Netlist, build a Topology first (or go through api::Session).
     explicit FaultSimulator(const netlist::Topology& topo);
 
     /// Run drop_detected() passes on `pool` (must outlive the simulator;
-    /// null = the calling thread), one pass per worker at a time. Worker
-    /// clones share this simulator's compiled schedule and are built
-    /// lazily; run() and detects() always execute on the calling thread.
+    /// null = the calling thread), one pass per worker at a time, worker w
+    /// on clone(w); run() and detects() execute on the thread that calls
+    /// them.
     void set_executor(exec::Pool* pool);
+
+    /// Make clones 1..workers-1 ready for a stage that fans out over
+    /// `workers` workers: built, handed this simulator's compiled schedule
+    /// and their scratch reserved, all on the calling thread. Clones persist
+    /// across calls. drop_detected() prepares its own; the ATPG campaign
+    /// prepares them before its pool validates tests on them.
+    void prepare_clones(std::size_t workers);
+
+    /// Worker w's simulator: this one for w = 0, else clone w (see
+    /// prepare_clones). A clone simulates with this simulator's ties.
+    FaultSimulator& clone(std::size_t w) { return w == 0 ? *this : *workers_[w - 1]; }
+
+    /// Free the clones drop_detected() has never run passes on: a stage
+    /// that fans out wider than the passes (an ATPG campaign) calls this
+    /// when it ends, so only the clones the passes reuse stay resident.
+    void release_unused_clones() { workers_.resize(pass_clones_); }
 
     /// Attach run-governance hooks for the current stage (all may be null;
     /// the owner clears them when its run ends). drop_detected() polls
@@ -189,6 +205,7 @@ private:
     exec::Budget* budget_ = nullptr;
     exec::FailurePoint* failpoint_ = nullptr;
     std::vector<std::unique_ptr<FaultSimulator>> workers_;
+    std::size_t pass_clones_ = 0;  // how many of workers_ drop_detected has used
     std::unique_ptr<std::atomic<std::uint64_t>[]> detected_bits_;
     std::size_t detected_words_ = 0;
 };

@@ -1,5 +1,7 @@
 #include "netlist/builder.hpp"
 
+#include "util/bytes.hpp"
+
 #include <stdexcept>
 
 namespace seqlearn::netlist {
@@ -7,12 +9,7 @@ namespace seqlearn::netlist {
 namespace {
 
 std::uint64_t hash_bytes(std::string_view s) noexcept {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
+    return util::Fnv1a{}.mix_bytes(s).value;
 }
 
 }  // namespace

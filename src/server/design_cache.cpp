@@ -1,17 +1,14 @@
 #include "server/design_cache.hpp"
 
+#include "util/bytes.hpp"
+
 #include <sstream>
 #include <utility>
 
 namespace seqlearn::server {
 
 std::uint64_t content_digest(std::string_view bytes) {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
+    return util::Fnv1a{}.mix_bytes(bytes).value;
 }
 
 std::size_t DesignCache::entry_bytes(const Entry& e) {

@@ -2,7 +2,9 @@
 
 #include "core/db_io.hpp"
 #include "server/design_cache.hpp"
+#include "server/json.hpp"
 #include "util/atomic_file.hpp"
+#include "util/bytes.hpp"
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -26,50 +28,15 @@ constexpr std::size_t kStoreHeaderBytes = 40;
 constexpr char kEntrySuffix[] = ".snap";
 constexpr char kQuarantineSuffix[] = ".quarantined";
 
-void put_u32(std::string& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t get_u32(const unsigned char* p) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
-    return v;
-}
-
-std::uint64_t get_u64(const unsigned char* p) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
-    return v;
-}
-
-std::string digest_hex(std::uint64_t digest) {
-    static const char* kHex = "0123456789abcdef";
-    std::string s(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        s[static_cast<std::size_t>(i)] = kHex[digest & 0xf];
-        digest >>= 4;
-    }
-    return s;
-}
-
-/// Parse a "<16 hex>.snap" file name back to its digest. nullopt for
-/// anything else (temp files, quarantined entries, stray files).
+/// The digest an entry file name stands for: only a name that is exactly
+/// hex_u64(digest) + ".snap" is an entry. nullopt for anything else (temp
+/// files, quarantined entries, stray files).
 std::optional<std::uint64_t> digest_from_name(std::string_view name) {
-    const std::string_view suffix = kEntrySuffix;
-    if (name.size() != 16 + suffix.size()) return std::nullopt;
-    if (name.substr(16) != suffix) return std::nullopt;
-    std::uint64_t v = 0;
-    for (const char c : name.substr(0, 16)) {
-        v <<= 4;
-        if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint64_t>(c - 'a' + 10);
-        else return std::nullopt;
-    }
-    return v;
+    if (!name.ends_with(kEntrySuffix)) return std::nullopt;
+    const std::optional<std::uint64_t> digest =
+        parse_hex_u64(name.substr(0, name.size() - (sizeof kEntrySuffix - 1)));
+    if (!digest || name != hex_u64(*digest) + kEntrySuffix) return std::nullopt;
+    return digest;
 }
 
 bool read_file(const std::string& path, std::string* out) {
@@ -91,11 +58,11 @@ bool validate_entry(std::uint64_t expect_digest, const std::string& bytes,
     if (bytes.size() < kStoreHeaderBytes) return false;
     const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
     if (std::memcmp(p, kStoreMagic, sizeof kStoreMagic) != 0) return false;
-    if (get_u32(p + 8) != kStoreVersion) return false;
-    if (get_u32(p + 12) != 0) return false;
-    const std::uint64_t digest = get_u64(p + 16);
-    const std::uint64_t bench_bytes = get_u64(p + 24);
-    const std::uint64_t learned_bytes = get_u64(p + 32);
+    if (util::get_u32(p + 8) != kStoreVersion) return false;
+    if (util::get_u32(p + 12) != 0) return false;
+    const std::uint64_t digest = util::get_u64(p + 16);
+    const std::uint64_t bench_bytes = util::get_u64(p + 24);
+    const std::uint64_t learned_bytes = util::get_u64(p + 32);
     if (digest != expect_digest) return false;
     if (bench_bytes > bytes.size() || learned_bytes > bytes.size()) return false;
     if (kStoreHeaderBytes + bench_bytes + learned_bytes != bytes.size()) return false;
@@ -190,7 +157,7 @@ bool SnapshotStore::scan(std::string* error) {
 }
 
 std::string SnapshotStore::entry_path(std::uint64_t digest) const {
-    return cfg_.dir + "/" + digest_hex(digest) + kEntrySuffix;
+    return cfg_.dir + "/" + hex_u64(digest) + kEntrySuffix;
 }
 
 void SnapshotStore::quarantine_file_locked(const std::string& path) {
@@ -228,11 +195,11 @@ bool SnapshotStore::put(std::uint64_t digest, std::string_view bench,
     std::string bytes;
     bytes.reserve(kStoreHeaderBytes + bench.size() + learned.size());
     bytes.append(kStoreMagic, sizeof kStoreMagic);
-    put_u32(bytes, kStoreVersion);
-    put_u32(bytes, 0);
-    put_u64(bytes, digest);
-    put_u64(bytes, bench.size());
-    put_u64(bytes, learned.size());
+    util::put_u32(bytes, kStoreVersion);
+    util::put_u32(bytes, 0);
+    util::put_u64(bytes, digest);
+    util::put_u64(bytes, bench.size());
+    util::put_u64(bytes, learned.size());
     bytes.append(bench);
     bytes.append(learned);
 

@@ -4,12 +4,14 @@
 // The DesignCache makes the daemon fast across *requests*; this store makes
 // it fast across *restarts*. Every first successful full learn writes one
 // entry — the original .bench bytes plus the binary v2 learned blob — keyed
-// by the FNV-1a digest of the bench bytes, to `<dir>/<16-hex-digest>.snap`.
+// by the FNV-1a digest of the bench bytes, to `<dir>/<hex_u64(digest)>.snap`
+// (16 lowercase hex digits). Only a file whose name is exactly that is an
+// entry; the store leaves every other file alone.
 // A restarted daemon scans the directory once, rebuilds its index, and a
 // later request naming a stored design re-attaches the learned snapshot
 // instead of re-learning: a warm restart costs one parse, not a learn run.
 //
-// Entry file layout (all integers little-endian):
+// Entry file layout (all integers little-endian, util/bytes.hpp):
 //
 //     offset  size  field
 //          0     8  magic "SEQLSTR1"

@@ -78,10 +78,9 @@ TEST(Engine, CombinationalTestGeneration) {
     b.output("y");
     const Netlist nl = b.build();
     const netlist::Topology topo(nl);
-    Engine engine(topo);
     EngineConfig cfg;
     cfg.backtrack_limit = 100;
-    const EngineResult r = engine.solve(Fault{nl.find("a"), kOutputPin, Val3::Zero}, 1, cfg);
+    const EngineResult r = solve(topo, Fault{nl.find("a"), kOutputPin, Val3::Zero}, 1, cfg);
     ASSERT_EQ(r.status, EngineResult::Status::TestFound);
     fault::FaultSimulator fsim(topo);
     EXPECT_TRUE(fsim.detects(r.test, Fault{nl.find("a"), kOutputPin, Val3::Zero}));
@@ -94,7 +93,6 @@ TEST(Engine, GeneratesForEveryDetectableS27Fault) {
     const Netlist nl = make_s27();
     const auto collapsed = fault::collapse(nl);
     const netlist::Topology topo(nl);
-    Engine engine(topo);
     fault::FaultSimulator fsim(topo);
     EngineConfig cfg;
     cfg.backtrack_limit = 5000;
@@ -102,7 +100,7 @@ TEST(Engine, GeneratesForEveryDetectableS27Fault) {
     for (const Fault& f : collapsed.representatives()) {
         bool detected = false;
         for (std::uint32_t w : {1u, 2u, 3u, 4u, 6u, 8u}) {
-            const EngineResult r = engine.solve(f, w, cfg);
+            const EngineResult r = solve(topo, f, w, cfg);
             if (r.status == EngineResult::Status::TestFound) {
                 ASSERT_TRUE(fsim.detects(r.test, f)) << to_string(nl, f) << " window " << w;
                 detected = true;
@@ -124,12 +122,11 @@ TEST(Engine, SequentialDepthNeedsWiderWindow) {
     b.output("f2");
     const Netlist nl = b.build();
     const netlist::Topology topo(nl);
-    Engine engine(topo);
     EngineConfig cfg;
     cfg.backtrack_limit = 1000;
     const Fault f{nl.find("i"), kOutputPin, Val3::Zero};
-    EXPECT_NE(engine.solve(f, 2, cfg).status, EngineResult::Status::TestFound);
-    const EngineResult r = engine.solve(f, 3, cfg);
+    EXPECT_NE(solve(topo, f, 2, cfg).status, EngineResult::Status::TestFound);
+    const EngineResult r = solve(topo, f, 3, cfg);
     ASSERT_EQ(r.status, EngineResult::Status::TestFound);
     fault::FaultSimulator fsim(topo);
     EXPECT_TRUE(fsim.detects(r.test, f));
@@ -145,12 +142,11 @@ TEST(Engine, SelfInitializingSequenceRequired) {
     b.output("g");
     const Netlist nl = b.build();
     const netlist::Topology topo(nl);
-    Engine engine(topo);
     EngineConfig cfg;
     cfg.backtrack_limit = 1000;
     const Fault f{nl.find("j"), kOutputPin, Val3::One};
-    EXPECT_NE(engine.solve(f, 1, cfg).status, EngineResult::Status::TestFound);
-    const EngineResult r = engine.solve(f, 2, cfg);
+    EXPECT_NE(solve(topo, f, 1, cfg).status, EngineResult::Status::TestFound);
+    const EngineResult r = solve(topo, f, 2, cfg);
     ASSERT_EQ(r.status, EngineResult::Status::TestFound);
     fault::FaultSimulator fsim(topo);
     EXPECT_TRUE(fsim.detects(r.test, f));
@@ -169,13 +165,12 @@ TEST(Redundancy, ProvesUntestableAndTestable) {
     b.output("y");
     const Netlist nl = b.build();
     const netlist::Topology topo(nl);
-    Engine engine(topo);
     EngineConfig cfg;
-    EXPECT_EQ(prove_redundancy(engine, Fault{nl.find("g"), kOutputPin, Val3::Zero}, cfg, 10000)
+    EXPECT_EQ(prove_redundancy(topo, Fault{nl.find("g"), kOutputPin, Val3::Zero}, cfg, 10000)
                   .proof,
               fault::UntestableProof::Combinational);
     const RedundancyResult c_verdict =
-        prove_redundancy(engine, Fault{nl.find("c"), kOutputPin, Val3::Zero}, cfg, 10000);
+        prove_redundancy(topo, Fault{nl.find("c"), kOutputPin, Val3::Zero}, cfg, 10000);
     EXPECT_EQ(c_verdict.proof, fault::UntestableProof::None);
     EXPECT_TRUE(c_verdict.combinationally_testable);
 }
@@ -190,11 +185,10 @@ TEST(Redundancy, FreeStateSeparatesCombinationalFromSequential) {
     b.output("y");
     const Netlist nl = b.build();
     const netlist::Topology topo(nl);
-    Engine engine(topo);
     EngineConfig cfg;
     for (const Fault f : {Fault{nl.find("f"), kOutputPin, Val3::Zero},
                           Fault{nl.find("j"), kOutputPin, Val3::One}}) {
-        EXPECT_EQ(prove_redundancy(engine, f, cfg, 10000).proof,
+        EXPECT_EQ(prove_redundancy(topo, f, cfg, 10000).proof,
                   fault::UntestableProof::None)
             << to_string(nl, f);
     }

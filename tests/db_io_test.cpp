@@ -166,8 +166,13 @@ TEST(DbIoCorpus, TruncationAtEveryByteIsAStructuredErrorNeverAPartialLoad) {
     }
 
     // Trailing garbage: the probe demands the sections tile the bytes
-    // exactly (a store must not index a blob with unexplained bytes).
+    // exactly (a store must not index a blob with unexplained bytes), and
+    // the loader validates through the same walk.
     EXPECT_FALSE(probe_binary_db(good + "x").has_value());
+    {
+        std::istringstream in(good + "x");
+        EXPECT_THROW((void)load_learned_binary(in, nl), std::runtime_error);
+    }
 
     // Header bit flips across every *checked* field. Bytes 28..31 are the
     // reserved word, which loaders deliberately ignore for forward
@@ -179,6 +184,21 @@ TEST(DbIoCorpus, TruncationAtEveryByteIsAStructuredErrorNeverAPartialLoad) {
         EXPECT_THROW((void)load_learned_binary(in, nl), std::runtime_error)
             << "header byte " << at;
     }
+}
+
+// A finished learn keeps no growth slack in its adjacency lists: the result
+// a Session holds (read in place, since a copy would be exact-sized anyway)
+// holds exactly what the same DB loaded back from its binary save holds.
+TEST(DbIo, LearnedDbHoldsExactlyWhatItsBinaryTwinHolds) {
+    api::Session session(workload::suite_circuit("gen5378"));
+    const Netlist& nl = session.netlist();
+    const LearnResult& learned = session.learn();
+    ASSERT_GT(learned.db.size(), 0u);
+    std::stringstream blob;
+    save_learned_binary(blob, nl, learned.db, learned.ties);
+    const LoadedLearned twin = load_learned_binary(blob, nl);
+    EXPECT_EQ(twin.db.size(), learned.db.size());
+    EXPECT_EQ(learned.db.memory_bytes(), twin.db.memory_bytes());
 }
 
 TEST(DbIo, UnknownGateEntriesAreSkippedNotFatal) {
@@ -358,6 +378,88 @@ TEST(DbIoCorpus, StrictNumericParsingRejectsTrailingGarbage) {
     EXPECT_EQ(loaded.db.size(), 0u);
     ASSERT_EQ(diags.error_count(), 1u);
     EXPECT_NE(diags.records()[0].message.find("'12x'"), std::string::npos);
+}
+
+// Every one-line mutation of a text file: each line deleted, duplicated, or
+// cut after each of its tokens.
+std::vector<std::string> line_mutations(const std::string& text) {
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    const auto join = [&](std::size_t skip, std::size_t at, const std::string& insert) {
+        std::string out;
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+            if (i == at) out += insert;
+            if (i != skip) out += lines[i] + "\n";
+        }
+        return out;
+    };
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        out.push_back(join(i, lines.size(), ""));
+        out.push_back(join(lines.size(), i, lines[i] + "\n"));
+        for (std::size_t end = lines[i].find(' '); end != std::string::npos;
+             end = lines[i].find(' ', end + 1))
+            out.push_back(join(i, i, lines[i].substr(0, end) + "\n"));
+    }
+    return out;
+}
+
+// The seed of a fuzzer for the text formats: every line mutation of a saved
+// DB and of a mid-pass checkpoint is a structured result. The collecting
+// loaders return without throwing and the throwing wrappers throw nothing
+// but std::runtime_error. A tie statement appended as a rel record is a
+// line-numbered error in both formats.
+TEST(DbIoCorpus, LineMutationsOfBothTextFormatsStayStructured) {
+    const Netlist nl = testing::random_circuit(21, 6, 5, 30);
+    const LearnResult full = testing::learn(nl);
+    core::LearnConfig cfg;
+    cfg.budget.max_items = 9;
+    const LearnResult partial = testing::learn(nl, cfg);
+    ASSERT_TRUE(partial.cursor.valid);
+    ASSERT_GT(partial.db.size(), 0u);
+    ASSERT_GT(partial.records.total_records(), 0u);
+    std::ostringstream db_text;
+    save_learned(db_text, nl, full.db, full.ties);
+    std::ostringstream ckpt_text;
+    save_checkpoint(ckpt_text, nl, partial);
+
+    // `text` through the collecting loader into `diags`, then through the
+    // throwing wrapper, which may throw only std::runtime_error.
+    const auto load = [&](bool checkpoint, const std::string& text,
+                          netlist::Diagnostics& diags) {
+        std::istringstream in(text);
+        std::istringstream again(text);
+        if (checkpoint) {
+            (void)load_checkpoint(in, nl, diags);
+        } else {
+            (void)load_learned(in, nl, diags);
+        }
+        try {
+            if (checkpoint) {
+                (void)load_checkpoint(again, nl);
+            } else {
+                (void)load_learned(again, nl);
+            }
+        } catch (const std::runtime_error&) {
+        }
+    };
+    const std::string g(nl.name_of(0));
+    const std::string tie_as_rel = "rel " + g + " 1 " + g + " 0 0\n";
+    for (const bool checkpoint : {false, true}) {
+        const std::string saved = checkpoint ? ckpt_text.str() : db_text.str();
+        for (const std::string& text : line_mutations(saved)) {
+            netlist::Diagnostics diags;
+            EXPECT_NO_THROW(load(checkpoint, text, diags)) << text;
+        }
+        const auto appended_line =
+            static_cast<std::uint32_t>(std::count(saved.begin(), saved.end(), '\n') + 1);
+        netlist::Diagnostics diags;
+        EXPECT_NO_THROW(load(checkpoint, saved + tie_as_rel, diags));
+        EXPECT_EQ(lines_with(diags, netlist::Severity::Error),
+                  std::vector<std::uint32_t>{appended_line})
+            << (checkpoint ? "checkpoint" : "DB");
+    }
 }
 
 TEST(DbIoCorpus, CheckpointRoundTripPreservesEveryField) {

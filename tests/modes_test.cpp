@@ -121,16 +121,15 @@ TEST(ForbiddenMode, ForbidPruningDetectsConflictEarly) {
         learned.db.implies({nl.find("F1"), Val3::One}, {nl.find("F2"), Val3::One}));
 
     const netlist::Topology topo(nl);
-    Engine engine(topo);
     EngineConfig cfg;
     cfg.backtrack_limit = 10000;
     // bad s-a-0: excitation needs bad=1, i.e. the invalid state F1=1,F2=0.
     const Fault f{nl.find("bad"), kOutputPin, Val3::Zero};
-    const EngineResult none = engine.solve(f, 4, cfg);
+    const EngineResult none = solve(topo, f, 4, cfg);
     cfg.mode = LearnMode::ForbiddenValue;
     cfg.db = &learned.db;
     cfg.ties = &learned.ties;
-    const EngineResult forb = engine.solve(f, 4, cfg);
+    const EngineResult forb = solve(topo, f, 4, cfg);
     // Both must fail to find a test (it does not exist); learning must not
     // cost more backtracks than no-learning.
     EXPECT_NE(none.status, EngineResult::Status::TestFound);
@@ -189,11 +188,10 @@ TEST(CompleteSearch, ProverAgreesWithExhaustiveOracleOnTinyCircuits) {
     for (const std::uint64_t seed : {4ULL, 23ULL, 37ULL}) {
         const Netlist nl = testing::random_circuit(seed, 2, 3, 9);
         const netlist::Topology topo(nl);
-        Engine engine(topo);
         fault::FaultSimulator fsim(topo);
         const auto universe = fault::fault_universe(nl);
         for (const Fault& f : universe) {
-            const RedundancyResult v = prove_redundancy(engine, f, {}, 1u << 20);
+            const RedundancyResult v = prove_redundancy(topo, f, {}, 1u << 20);
             if (v.proof != fault::UntestableProof::Combinational) continue;
             // Exhaustive cross-check over all sequences up to 4 frames.
             bool detectable = false;
@@ -218,14 +216,13 @@ TEST(CompleteSearch, FindsTestsThatFrontierSearchMisses) {
     // complete prover also reaches (as CombinationallyTestable).
     const Netlist nl = testing::random_circuit(8, 3, 0, 12);
     const netlist::Topology topo(nl);
-    Engine engine(topo);
     EngineConfig frontier_cfg;
     frontier_cfg.backtrack_limit = 1000;
     const fault::CollapsedFaults collapsed = fault::collapse(nl);
     for (const Fault& f : collapsed.representatives()) {
-        const EngineResult r = engine.solve(f, 1, frontier_cfg);
+        const EngineResult r = solve(topo, f, 1, frontier_cfg);
         if (r.status != EngineResult::Status::TestFound) continue;
-        EXPECT_TRUE(prove_redundancy(engine, f, {}, 1u << 20).combinationally_testable)
+        EXPECT_TRUE(prove_redundancy(topo, f, {}, 1u << 20).combinationally_testable)
             << to_string(nl, f);
     }
 }
