@@ -52,7 +52,8 @@
 // protocol codes are the same numbers):
 //   0  success (stage ran to completion)
 //   2  usage error (bad command line)
-//   3  input parse errors (all reported, line-numbered, before exiting)
+//   3  input parse errors (all reported, line-numbered, before exiting; a
+//      malformed --resume checkpoint or --load-db file reports its first)
 //   4  budget exhausted (deadline / item limit; partial results were
 //      produced and saved where requested)
 //   5  stage cancelled
@@ -78,6 +79,7 @@
 
 #include "api/request.hpp"
 #include "api/session.hpp"
+#include "core/db_io.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/structure.hpp"
 #include "server/json.hpp"
@@ -574,6 +576,8 @@ int main(int argc, char** argv) {
         return cmd_circuit(cmd, argv[2], fields, json);
     } catch (const api::FieldError& e) {
         return fail(json, 2, "usage", e.what());
+    } catch (const core::ParseError& e) {
+        return fail(json, 3, "parse", e.what());
     } catch (const std::exception& e) {
         return fail(json, 6, "internal", e.what());
     }

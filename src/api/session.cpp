@@ -178,12 +178,19 @@ FaultSimReport Session::fault_sim(std::span<const sim::InputSequence> tests,
     // The tie-augmented good machine closes the 3-valued pessimism gap for
     // learning-aware campaigns (Section 4).
     const core::LearnResult* active = active_learned();
+    fault::FaultList list(design_->collapsed_faults().representatives());
     if (with_ties && active) {
         fsim.set_good_ties(&active->ties.dense(), &active->ties.dense_cycles());
+        // A fault stuck at the value its line is tied to from cycle 0 keeps
+        // its site at the good value in every frame, so its lane refines the
+        // good lane and never differs from it in binary: it gets no lane.
+        for (std::size_t i = 0; i < list.size(); ++i) {
+            if (active->ties.stuck_at_tie(topology(), list.fault(i), 0))
+                list.set_status(i, fault::FaultStatus::Untestable);
+        }
     } else {
         fsim.set_good_ties(nullptr, nullptr);
     }
-    fault::FaultList list(design_->collapsed_faults().representatives());
     cancel_->reset();
     // Validation runs under the session-wide budget (it has no per-call
     // config of its own); the simulator additionally polls the same hooks

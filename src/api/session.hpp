@@ -264,6 +264,9 @@ public:
     FaultSimReport fault_sim();
     /// Fault-simulate an explicit test set. The good machine is
     /// tie-augmented when this session has learned data (see has_learned()).
+    /// With ties, a fault stuck at the value its line is tied to from cycle
+    /// 0 is never detected and gets no simulation lane; the counts are those
+    /// of simulating every fault.
     FaultSimReport fault_sim(std::span<const sim::InputSequence> tests);
 
     SessionStats stats();

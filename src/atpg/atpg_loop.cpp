@@ -169,13 +169,10 @@ void run_campaign(fault::FaultSimulator& fsim, fault::FaultList& list, const Atp
     // line can never be excited. Fault equivalence makes this valid for the
     // whole class of each marked representative.
     if (cfg.identify_untestable && cfg.learned != nullptr) {
+        const std::uint32_t max_cycle = cfg.count_c_cycle_redundant ? core::TieSet::kAnyCycle : 0;
         for (std::size_t i = 0; i < list.size(); ++i) {
             if (list.status(i) != FaultStatus::Undetected) continue;
-            const fault::Fault& f = list.fault(i);
-            const GateId line =
-                f.pin == fault::kOutputPin ? f.gate : topo.fanins(f.gate)[f.pin];
-            if (cfg.learned->ties.value(line) != f.stuck) continue;
-            if (cfg.learned->ties.cycle(line) > 0 && !cfg.count_c_cycle_redundant) continue;
+            if (!cfg.learned->ties.stuck_at_tie(topo, list.fault(i), max_cycle)) continue;
             list.set_status(i, FaultStatus::Untestable);
             ++out.untestable_by_tie;
             out.untestable_records.push_back({i, fault::UntestableProof::TieGate, 0});

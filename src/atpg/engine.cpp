@@ -62,7 +62,7 @@ struct Search {
     Search(const Topology& topology, const fault::Fault& f, std::uint32_t frames,
            const EngineConfig& config)
         : topo(topology), ila(topology, frames), fault(f), cfg(config) {
-        fault_line = f.pin == fault::kOutputPin ? f.gate : topo.fanins(f.gate)[f.pin];
+        fault_line = fault::line_driver(topo, f);
         cone = fault_cone_mask(topo, f);
         site_output_pinned = f.pin == fault::kOutputPin;
         site_seq_data_pinned = f.pin == 0 && topo.is_seq(f.gate);

@@ -62,7 +62,7 @@ void write_relations_and_ties(std::ostream& out, const Netlist& nl,
     const netlist::Diagnostic* e = diags.first_error();
     std::string msg = std::string(who) + ": " + e->message;
     if (e->line != 0) msg += " at line " + std::to_string(e->line);
-    throw std::runtime_error(msg);
+    throw ParseError(msg);
 }
 
 // The one reader of both text formats. A learned DB (`ckpt` null) holds rel
@@ -312,7 +312,7 @@ constexpr std::uint32_t kBinaryVersion = 2;
 constexpr std::uint32_t kBinaryHeaderBytes = 32;
 
 [[noreturn]] void binary_error(const std::string& what) {
-    throw std::runtime_error("load_learned_binary: " + what);
+    throw ParseError("load_learned_binary: " + what);
 }
 
 std::uint32_t checked_lit_key(Literal l) {

@@ -30,8 +30,8 @@
 // skipped entry in a DB, an error in a checkpoint. Both loaders come in two
 // flavors: a Diagnostics-collecting one that reports every problem with its
 // line number in a single pass (the way the .bench reader does) and never
-// throws on bad input, and a throwing wrapper that raises
-// std::runtime_error on the first error.
+// throws on bad input, and a throwing wrapper that raises ParseError on the
+// first error.
 
 #include "core/impl_db.hpp"
 #include "core/learned_snapshot.hpp"
@@ -42,9 +42,18 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string_view>
 
 namespace seqlearn::core {
+
+/// Malformed learned data: what the throwing loaders raise for input that
+/// does not parse, or a binary blob that does not walk, decode or bind to
+/// the netlist. A std::runtime_error, so a front end can tell bad input
+/// (the CLI's exit 3) from a failure of the program.
+struct ParseError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
 
 /// Write relations and ties for `nl`.
 void save_learned(std::ostream& out, const netlist::Netlist& nl, const ImplicationDB& db,
@@ -69,8 +78,8 @@ struct LoadedLearned {
 LoadedLearned load_learned(std::istream& in, const netlist::Netlist& nl,
                            netlist::Diagnostics& diags);
 
-/// Throwing wrapper: std::runtime_error carrying the first error's message
-/// and line number. Unknown-gate entries stay non-fatal skips.
+/// Throwing wrapper: ParseError carrying the first error's message and line
+/// number. Unknown-gate entries stay non-fatal skips.
 LoadedLearned load_learned(std::istream& in, const netlist::Netlist& nl);
 
 /// load_learned_any straight into a frozen shareable snapshot — the path a
@@ -99,7 +108,7 @@ void save_checkpoint(std::ostream& out, const netlist::Netlist& nl,
 LearnResult load_checkpoint(std::istream& in, const netlist::Netlist& nl,
                             netlist::Diagnostics& diags);
 
-/// Throwing wrapper: std::runtime_error on the first error.
+/// Throwing wrapper: ParseError on the first error.
 LearnResult load_checkpoint(std::istream& in, const netlist::Netlist& nl);
 
 // --- binary snapshot format (v2) -------------------------------------------
@@ -163,8 +172,7 @@ bool is_binary_db(std::istream& in);
 /// meaningful for the exact circuit the file was saved from. Anything
 /// probe_binary_db rejects, a gate-count or digest mismatch, and a list
 /// that breaks ImplicationDB::set_edges / seal (unsorted or out-of-range
-/// targets, adjacency not closed under contraposition) throw
-/// std::runtime_error.
+/// targets, adjacency not closed under contraposition) throw ParseError.
 LoadedLearned load_learned_binary(std::istream& in, const netlist::Netlist& nl);
 
 /// Sniff the format (binary magic vs text header) and dispatch to

@@ -43,12 +43,7 @@ std::vector<fault::Fault> TieSet::untestable_faults(
     const Netlist& nl, std::span<const fault::Fault> universe) const {
     std::vector<fault::Fault> out;
     for (const fault::Fault& f : universe) {
-        // The faulted line is the output of f.gate (stem fault) or the
-        // branch driven by fanin `pin`; either way its fault-free value is
-        // the driver's value. Stuck at the tied value is unexcitable.
-        const GateId line_driver =
-            f.pin == fault::kOutputPin ? f.gate : nl.fanins(f.gate)[f.pin];
-        if (value_[line_driver] == f.stuck) out.push_back(f);
+        if (stuck_at_tie(nl, f)) out.push_back(f);
     }
     return out;
 }

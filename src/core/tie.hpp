@@ -62,9 +62,23 @@ public:
         return value_.capacity() * sizeof(Val3) + cycle_.capacity() * sizeof(std::uint32_t);
     }
 
-    /// Untestable stuck-at faults implied by the ties, restricted to the
-    /// given fault universe: for a gate tied to v, the stem fault s-a-v and
-    /// every same-polarity branch fault on its fanout pins are untestable.
+    /// stuck_at_tie()'s bound that accepts a tie proven at any cycle.
+    static constexpr std::uint32_t kAnyCycle = ~std::uint32_t{0};
+
+    /// True when `f` is stuck at the value its line is tied to, proven from
+    /// frame `max_cycle` or earlier: for a gate tied to v, the stem fault
+    /// s-a-v and every s-a-v branch fault on its fanout pins. The fault can
+    /// never be excited once the tie holds, so it is untestable; a tie from
+    /// cycle 0 (max_cycle 0) holds in every frame of every sequence. `graph`
+    /// is a Netlist or a Topology.
+    template <typename Graph>
+    bool stuck_at_tie(const Graph& graph, const fault::Fault& f,
+                      std::uint32_t max_cycle = kAnyCycle) const noexcept {
+        const GateId line = fault::line_driver(graph, f);
+        return value_[line] == f.stuck && cycle_[line] <= max_cycle;
+    }
+
+    /// The faults of `universe` stuck_at_tie() marks, at any proof cycle.
     std::vector<fault::Fault> untestable_faults(const Netlist& nl,
                                                 std::span<const fault::Fault> universe) const;
 

@@ -35,6 +35,14 @@ struct Fault {
     friend auto operator<=>(const Fault&, const Fault&) = default;
 };
 
+/// The gate whose output is `f`'s line: f.gate for a stem fault, the driver
+/// of pin f.pin for a branch fault. Its fault-free value is the line's.
+/// `graph` is a netlist::Netlist or a netlist::Topology.
+template <typename Graph>
+GateId line_driver(const Graph& graph, const Fault& f) noexcept {
+    return f.pin == kOutputPin ? f.gate : graph.fanins(f.gate)[f.pin];
+}
+
 /// "G14 s-a-1" or "G9.in2 s-a-0".
 std::string to_string(const Netlist& nl, const Fault& f);
 

@@ -6,7 +6,6 @@
 #include <bit>
 #include <numeric>
 #include <stdexcept>
-#include <tuple>
 
 namespace seqlearn::fault {
 
@@ -15,28 +14,24 @@ using logic::Pattern;
 using netlist::GateId;
 using netlist::Topology;
 
-namespace {
-
-constexpr std::uint32_t kNoTie = ~0u;
-
-}  // namespace
-
 struct FaultSimulator::Schedule {
-    /// Same-level gates with one operator and arity, all tied or all
-    /// untied: slots [begin, end), fanins at fanin_off[begin - num_sources]
-    /// with stride `arity`, and (tied) ties [tie_begin, tie_begin + size).
-    struct Group {
+    /// How an instruction evaluates: AND or XOR folded over its three
+    /// operands, or (Words) logic::eval_op over its CSR fanins — constants,
+    /// gates without operands and gates with more than three.
+    enum class Kind : std::uint8_t { And, Xor, Words };
+    /// One non-source slot: `kind` folded over in[0..2] with each operand's
+    /// rails swapped when `swap_in`, the result's when `swap_out` (OR, NOR,
+    /// NAND and NOT are AND under De Morgan), then OR-ed with tie_on[tie]
+    /// (the all-zero last entry when untied). Missing operands read the
+    /// fold's identity: the all-1 slot for AND, the all-0 slot for XOR and
+    /// for AND over swapped rails.
+    struct Instr {
+        std::array<std::uint32_t, 3> in;
+        std::uint32_t tie;
         GateOp op;
-        bool tied;
-        std::uint32_t arity;
-        std::uint32_t begin;
-        std::uint32_t end;
-        std::uint32_t tie_begin;
-    };
-    /// One level: its groups end at `group_end`, its slots at `slot_end`.
-    struct Level {
-        std::uint32_t group_end;
-        std::uint32_t slot_end;
+        Kind kind;
+        bool swap_in;
+        bool swap_out;
     };
     struct Tie {
         std::uint32_t slot;
@@ -49,19 +44,23 @@ struct FaultSimulator::Schedule {
              const std::vector<std::uint32_t>* cycles);
     std::size_t bytes() const noexcept;
 
+    /// vals holds one slot per gate, then the all-1 and all-0 constants.
+    std::size_t num_vals() const noexcept { return slot.size() + 2; }
+    std::uint32_t one_slot() const noexcept { return static_cast<std::uint32_t>(slot.size()); }
+    std::uint32_t zero_slot() const noexcept { return one_slot() + 1; }
+
     // Slots: primary inputs [0, num_inputs), sequential elements
-    // [num_inputs, num_sources), then every other gate in group order.
+    // [num_inputs, num_sources), then every other gate in
+    // Topology::schedule() order.
     std::uint32_t num_inputs = 0;
     std::uint32_t num_sources = 0;
     std::vector<std::uint32_t> slot;  // GateId -> slot
-    // Per non-source slot s, at index s - num_sources: operator, tie id (or
-    // kNoTie) and CSR fanin slots (one more offset than slots).
-    std::vector<GateOp> op;
-    std::vector<std::uint32_t> tie;
+    // Per non-source slot s, at index s - num_sources: its instruction, and
+    // its CSR fanin slots (one more offset than slots) for Words
+    // instructions and re-evaluated forced gates.
+    std::vector<Instr> code;
     std::vector<std::uint32_t> fanin_off;
     std::vector<std::uint32_t> fanins;
-    std::vector<Group> groups;
-    std::vector<Level> levels;
     std::vector<std::uint32_t> outputs;     // primary-output slots
     std::vector<std::uint32_t> next_state;  // data-input slot per sequential element
     // Ties on sequential elements first (ids [0, seq_ties), element order),
@@ -70,6 +69,32 @@ struct FaultSimulator::Schedule {
     std::uint32_t seq_ties = 0;
     std::vector<std::uint32_t> tie_order;
 };
+
+namespace {
+
+using Kind = FaultSimulator::Schedule::Kind;
+using Instr = FaultSimulator::Schedule::Instr;
+
+constexpr std::uint32_t kUntied = ~0u;
+
+/// `op` as an instruction without operands: its fold and rail swaps.
+Instr instr_for(GateOp op) noexcept {
+    switch (op) {
+        case GateOp::Const0:
+        case GateOp::Const1: return {{}, kUntied, op, Kind::Words, false, false};
+        case GateOp::Buf:
+        case GateOp::And: return {{}, kUntied, op, Kind::And, false, false};
+        case GateOp::Not:
+        case GateOp::Nand: return {{}, kUntied, op, Kind::And, false, true};
+        case GateOp::Or: return {{}, kUntied, op, Kind::And, true, true};
+        case GateOp::Nor: return {{}, kUntied, op, Kind::And, true, false};
+        case GateOp::Xor: return {{}, kUntied, op, Kind::Xor, false, false};
+        case GateOp::Xnor: return {{}, kUntied, op, Kind::Xor, false, true};
+    }
+    return {{}, kUntied, op, Kind::Words, false, false};
+}
+
+}  // namespace
 
 FaultSimulator::Schedule::Schedule(const Topology& topo, const std::vector<Val3>* values,
                                    const std::vector<std::uint32_t>* cycles) {
@@ -88,40 +113,31 @@ FaultSimulator::Schedule::Schedule(const Topology& topo, const std::vector<Val3>
     num_sources = next;
     seq_ties = static_cast<std::uint32_t>(ties.size());
 
-    std::vector<GateId> order;
-    for (const GateId g : topo.schedule()) {
-        if (!topo.is_input(g) && !topo.is_seq(g)) order.push_back(g);
-    }
-    const auto key = [&](GateId g) {
-        return std::tuple(topo.level(g), tied(g), topo.op(g), topo.fanins(g).size());
-    };
-    std::stable_sort(order.begin(), order.end(),
-                     [&](GateId a, GateId b) { return key(a) < key(b); });
-
-    op.reserve(order.size());
-    tie.reserve(order.size());
-    fanin_off.reserve(order.size() + 1);
+    code.reserve(topo.size() - num_sources);
+    fanin_off.reserve(topo.size() - num_sources + 1);
     fanin_off.push_back(0);
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        const GateId g = order[i];
-        const std::uint32_t s = next++;
-        slot[g] = s;
-        if (i > 0 && topo.level(g) != topo.level(order[i - 1]))
-            levels.push_back({static_cast<std::uint32_t>(groups.size()), s});
+    for (const GateId g : topo.schedule()) {
+        if (topo.is_input(g) || topo.is_seq(g)) continue;
+        slot[g] = next++;
         const auto fi = topo.fanins(g);
-        if (i == 0 || key(g) != key(order[i - 1])) {
-            groups.push_back({topo.op(g), tied(g), static_cast<std::uint32_t>(fi.size()), s, s,
-                              static_cast<std::uint32_t>(ties.size())});
+        Instr& ins = code.emplace_back(instr_for(topo.op(g)));
+        if (fi.empty() || fi.size() > ins.in.size()) ins.kind = Kind::Words;
+        ins.in.fill(ins.kind == Kind::And && !ins.swap_in ? one_slot() : zero_slot());
+        // The schedule puts every fanin before its gate: its slot is set.
+        for (std::size_t i = 0; i < fi.size(); ++i) {
+            if (i < ins.in.size()) ins.in[i] = slot[fi[i]];
+            fanins.push_back(slot[fi[i]]);
         }
-        ++groups.back().end;
-        op.push_back(topo.op(g));
-        tie.push_back(tied(g) ? static_cast<std::uint32_t>(ties.size()) : kNoTie);
-        if (tied(g)) add_tie(g);
-        // Fanins sit at lower levels or are sources: their slots are set.
-        for (const GateId d : fi) fanins.push_back(slot[d]);
         fanin_off.push_back(static_cast<std::uint32_t>(fanins.size()));
+        if (tied(g)) {
+            ins.tie = static_cast<std::uint32_t>(ties.size());
+            add_tie(g);
+        }
     }
-    if (!order.empty()) levels.push_back({static_cast<std::uint32_t>(groups.size()), next});
+    // Untied gates read the all-zero entry after the last tie.
+    for (Instr& ins : code) {
+        if (ins.tie == kUntied) ins.tie = static_cast<std::uint32_t>(ties.size());
+    }
 
     for (const GateId o : topo.outputs()) outputs.push_back(slot[o]);
     for (const GateId ff : topo.seq_elements()) next_state.push_back(slot[topo.fanins(ff)[0]]);
@@ -132,22 +148,20 @@ FaultSimulator::Schedule::Schedule(const Topology& topo, const std::vector<Val3>
     });
     // Every worker clone shares this: drop the growth slack.
     fanins.shrink_to_fit();
-    groups.shrink_to_fit();
-    levels.shrink_to_fit();
     ties.shrink_to_fit();
 }
 
 std::size_t FaultSimulator::Schedule::bytes() const noexcept {
     const auto vec = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
-    return vec(slot) + vec(op) + vec(tie) + vec(fanin_off) + vec(fanins) + vec(groups) +
-           vec(levels) + vec(outputs) + vec(next_state) + vec(ties) + vec(tie_order);
+    return vec(slot) + vec(code) + vec(fanin_off) + vec(fanins) + vec(outputs) +
+           vec(next_state) + vec(ties) + vec(tie_order);
 }
 
 template <std::size_t W>
 void FaultSimulator::Scratch<W>::reserve(const Schedule& sched) {
-    vals.reserve(sched.slot.size());
+    vals.reserve(sched.num_vals());
     state.reserve(sched.num_sources - sched.num_inputs);
-    tie_on.reserve(sched.ties.size());
+    tie_on.reserve(sched.ties.size() + 1);
     gates.reserve(W * 64 - 1);
     pins.reserve(W * 64 - 1);
 }
@@ -179,17 +193,14 @@ void apply_tie(WideLanes<W>& v, const WideLanes<W>& t) noexcept {
     }
 }
 
-/// Fold operand `x` into `acc` under the non-inverting operator `Op` (And,
-/// Or or Xor), lane-wise with logic::Pattern's semantics.
+/// Fold operand `x` into `acc` under the non-inverting operator `Op` (And
+/// or Xor), lane-wise with logic::Pattern's semantics.
 template <GateOp Op, std::size_t W>
 void fold(WideLanes<W>& acc, const WideLanes<W>& x) noexcept {
     for (std::size_t w = 0; w < W; ++w) {
         if constexpr (Op == GateOp::And) {
             acc.ones[w] &= x.ones[w];
             acc.zeros[w] |= x.zeros[w];
-        } else if constexpr (Op == GateOp::Or) {
-            acc.ones[w] |= x.ones[w];
-            acc.zeros[w] &= x.zeros[w];
         } else {
             const std::uint64_t ones = (acc.ones[w] & x.zeros[w]) | (acc.zeros[w] & x.ones[w]);
             acc.zeros[w] = (acc.ones[w] & x.ones[w]) | (acc.zeros[w] & x.zeros[w]);
@@ -198,31 +209,29 @@ void fold(WideLanes<W>& acc, const WideLanes<W>& x) noexcept {
     }
 }
 
-/// Evaluate one group of arity >= 1: `Op` folded over the operands (Buf
-/// reads the first only), inverted when `Invert`, then OR-ed with the
-/// group's tie lanes when `ties` is set.
-template <GateOp Op, bool Invert, std::size_t W>
-void eval_run(const FaultSimulator::Schedule::Group& g, const std::uint32_t* fi,
-              WideLanes<W>* vals, const WideLanes<W>* ties) noexcept {
-    for (std::uint32_t s = g.begin; s < g.end; ++s, fi += g.arity) {
-        WideLanes<W> acc = vals[fi[0]];
-        if constexpr (Op != GateOp::Buf)
-            for (std::uint32_t k = 1; k < g.arity; ++k) fold<Op>(acc, vals[fi[k]]);
-        if constexpr (Invert) std::swap(acc.ones, acc.zeros);
-        if (ties != nullptr) apply_tie(acc, ties[s - g.begin]);
-        vals[s] = acc;
-    }
+template <std::size_t W>
+void swap_rails(WideLanes<W>& v) noexcept {
+    std::swap(v.ones, v.zeros);
 }
 
-template <std::size_t W>
-Pattern word(const WideLanes<W>& v, std::size_t w) noexcept {
-    return {v.ones[w], v.zeros[w]};
+/// `ins`'s fold over `n` operands, get(i) yielding operand i.
+template <std::size_t W, typename GetFn>
+WideLanes<W> fold_operands(const Instr& ins, std::size_t n, GetFn&& get) noexcept {
+    WideLanes<W> acc = get(0);
+    if (ins.swap_in) swap_rails(acc);
+    for (std::size_t i = 1; i < n; ++i) {
+        WideLanes<W> x = get(i);
+        if (ins.swap_in) swap_rails(x);
+        if (ins.kind == Kind::Xor) fold<GateOp::Xor>(acc, x);
+        else fold<GateOp::And>(acc, x);
+    }
+    if (ins.swap_out) swap_rails(acc);
+    return acc;
 }
 
 /// Evaluate `op` over `n` operands word by word through
 /// logic::eval_op_indirect; get(i, w) yields operand i's word w as a
-/// Pattern. The slow path, for constants, gates without operands and
-/// re-evaluated forced gates.
+/// Pattern. The path of Words instructions.
 template <std::size_t W, typename GetFn>
 WideLanes<W> eval_words(GateOp op, std::size_t n, GetFn&& get) noexcept {
     WideLanes<W> out;
@@ -234,29 +243,26 @@ WideLanes<W> eval_words(GateOp op, std::size_t n, GetFn&& get) noexcept {
     return out;
 }
 
+/// Evaluate slots [begin, end): one instruction each, in schedule order.
 template <std::size_t W>
-void eval_group(const FaultSimulator::Schedule& sched, const FaultSimulator::Schedule::Group& g,
-                WideLanes<W>* vals, const WideLanes<W>* tie_on) noexcept {
-    const std::uint32_t* fi = sched.fanins.data() + sched.fanin_off[g.begin - sched.num_sources];
-    const WideLanes<W>* ties = g.tied ? tie_on + g.tie_begin : nullptr;
-    if (g.arity > 0) {
-        switch (g.op) {
-            case GateOp::Buf: return eval_run<GateOp::Buf, false>(g, fi, vals, ties);
-            case GateOp::Not: return eval_run<GateOp::Buf, true>(g, fi, vals, ties);
-            case GateOp::And: return eval_run<GateOp::And, false>(g, fi, vals, ties);
-            case GateOp::Nand: return eval_run<GateOp::And, true>(g, fi, vals, ties);
-            case GateOp::Or: return eval_run<GateOp::Or, false>(g, fi, vals, ties);
-            case GateOp::Nor: return eval_run<GateOp::Or, true>(g, fi, vals, ties);
-            case GateOp::Xor: return eval_run<GateOp::Xor, false>(g, fi, vals, ties);
-            case GateOp::Xnor: return eval_run<GateOp::Xor, true>(g, fi, vals, ties);
-            case GateOp::Const0:
-            case GateOp::Const1: break;
+void run_slots(const FaultSimulator::Schedule& s, std::uint32_t begin, std::uint32_t end,
+               WideLanes<W>* vals, const WideLanes<W>* tie_on) noexcept {
+    for (std::uint32_t slot = begin; slot < end; ++slot) {
+        const std::uint32_t k = slot - s.num_sources;
+        const Instr& ins = s.code[k];
+        WideLanes<W> v;
+        if (ins.kind == Kind::Words) [[unlikely]] {
+            const std::uint32_t* fi = s.fanins.data() + s.fanin_off[k];
+            v = eval_words<W>(ins.op, s.fanin_off[k + 1] - s.fanin_off[k],
+                              [&](std::size_t i, std::size_t w) -> Pattern {
+                                  return {vals[fi[i]].ones[w], vals[fi[i]].zeros[w]};
+                              });
+        } else {
+            v = fold_operands<W>(ins, ins.in.size(),
+                                 [&](std::size_t i) { return vals[ins.in[i]]; });
         }
-    }
-    for (std::uint32_t s = g.begin; s < g.end; ++s, fi += g.arity) {
-        vals[s] = eval_words<W>(g.op, g.arity,
-                                [&](std::size_t i, std::size_t w) { return word(vals[fi[i]], w); });
-        if (ties != nullptr) apply_tie(vals[s], ties[s - g.begin]);
+        apply_tie(v, tie_on[ins.tie]);
+        vals[slot] = v;
     }
 }
 
@@ -287,21 +293,28 @@ void FaultSimulator::set_executor(exec::Pool* pool) {
     }
 }
 
+void FaultSimulator::reserve_scratch() {
+    const Schedule& sched = schedule();
+    narrow_.reserve(sched);
+    wide_.reserve(sched);
+    cone_lanes_.reserve(kPassWords * topo_->num_components());
+    force_order_.reserve(kFaultsPerPass);
+    chunk_.reserve(kFaultsPerPass);
+}
+
 void FaultSimulator::prepare_clones(std::size_t workers) {
     if (workers <= 1) return;
     while (workers_.size() + 1 < workers)
         workers_.push_back(std::make_unique<FaultSimulator>(*topo_));
-    const Schedule& sched = schedule();
+    // Allocate every simulator's scratch on this thread, this one's too:
+    // memory a pool thread allocates comes from its own malloc arena, which
+    // keeps it resident after the thread (and the pool) is gone, and a
+    // footprint grown by whichever passes a worker happened to run would
+    // differ from run to run.
+    reserve_scratch();
     for (const std::unique_ptr<FaultSimulator>& w : workers_) {
         w->sched_ = sched_;
-        // Allocate the clone's scratch on this thread: memory a pool thread
-        // allocates comes from its own malloc arena, which keeps it
-        // resident after the thread (and the pool) is gone.
-        w->narrow_.reserve(sched);
-        w->wide_.reserve(sched);
-        w->cone_lanes_.reserve(kPassWords * topo_->num_components());
-        w->force_order_.reserve(kFaultsPerPass);
-        w->chunk_.reserve(kFaultsPerPass);
+        w->reserve_scratch();
     }
 }
 
@@ -311,7 +324,11 @@ FaultSimulator::PassLanes FaultSimulator::simulate(Scratch<W>& sc, const sim::In
     const Schedule& s = schedule();
     const Topology& topo = *topo_;
     const std::uint32_t num_seq = s.num_sources - s.num_inputs;
-    sc.vals.resize(s.slot.size());
+    sc.vals.resize(s.num_vals());
+    sc.vals[s.one_slot()] = {};
+    sc.vals[s.one_slot()].ones.fill(~0ULL);
+    sc.vals[s.zero_slot()] = {};
+    sc.vals[s.zero_slot()].zeros.fill(~0ULL);
     sc.state.assign(num_seq, WideLanes<W>{});
 
     // Force table: fault j owns lane j + 1; faults sorted by (slot, pin)
@@ -349,9 +366,10 @@ FaultSimulator::PassLanes FaultSimulator::simulate(Scratch<W>& sc, const sim::In
     // Tie lanes: lane 0 always; faulty lanes only where the tied gate is
     // outside that fault's cone (there the machines agree line-for-line).
     // Fault j seeds its lane at its site's component; one sweep of the
-    // component DAG per word then marks every cone of the pass.
+    // component DAG per word then marks every cone of the pass. The last
+    // entry stays all zero for the untied gates.
     const std::size_t comps = topo.num_components();
-    sc.tie_on.assign(s.ties.size(), WideLanes<W>{});
+    sc.tie_on.assign(s.ties.size() + 1, WideLanes<W>{});
     if (!s.ties.empty()) {
         cone_lanes_.assign(W * comps, 0);
         std::array<std::uint32_t, W> first;
@@ -381,31 +399,31 @@ FaultSimulator::PassLanes FaultSimulator::simulate(Scratch<W>& sc, const sim::In
         }
     };
 
-    // A forced gate, re-evaluated once its level is done: its pin forces
-    // on the operands, then its tie, then its output forces.
+    // A forced gate, re-fixed right after its own slot: its instruction
+    // folded over copies of its operands that carry the pin forces, then
+    // its tie, then its output forces.
     WideLanes<W>* vals = sc.vals.data();
     const auto refix = [&](const GateForce<W>& g) {
         WideLanes<W>& v = vals[g.slot];
         if (g.pin_begin != g.pin_end) {
             const std::uint32_t k = g.slot - s.num_sources;
             const std::uint32_t* fi = s.fanins.data() + s.fanin_off[k];
-            v = eval_words<W>(s.op[k], s.fanin_off[k + 1] - s.fanin_off[k],
-                              [&](std::size_t i, std::size_t w) {
-                                  Pattern x = word(vals[fi[i]], w);
-                                  for (std::uint32_t p = g.pin_begin; p < g.pin_end; ++p) {
-                                      if (sc.pins[p].pin != i) continue;
-                                      const std::uint64_t f1 = sc.pins[p].lanes.ones[w];
-                                      const std::uint64_t f0 = sc.pins[p].lanes.zeros[w];
-                                      x.ones = (x.ones & ~(f1 | f0)) | f1;
-                                      x.zeros = (x.zeros & ~(f1 | f0)) | f0;
-                                  }
-                                  return x;
-                              });
-            if (s.tie[k] != kNoTie) apply_tie(v, sc.tie_on[s.tie[k]]);
+            // A gate with pins has operands: its operator folds, even where
+            // its instruction is a Words one.
+            const Instr rails = instr_for(s.code[k].op);
+            v = fold_operands<W>(rails, s.fanin_off[k + 1] - s.fanin_off[k], [&](std::size_t i) {
+                WideLanes<W> x = vals[fi[i]];
+                for (std::uint32_t p = g.pin_begin; p < g.pin_end; ++p) {
+                    if (sc.pins[p].pin == i) apply_force(x, sc.pins[p].lanes);
+                }
+                return x;
+            });
+            apply_tie(v, sc.tie_on[s.code[k].tie]);
         }
         apply_force(v, g.out);
     };
 
+    const auto num_slots = static_cast<std::uint32_t>(s.slot.size());
     PassLanes detected{};
     for (std::size_t t = 0; t < seq.size(); ++t) {
         if (seq[t].size() != s.num_inputs)
@@ -423,13 +441,16 @@ FaultSimulator::PassLanes FaultSimulator::simulate(Scratch<W>& sc, const sim::In
         std::size_t fi = 0;
         for (; fi < sc.gates.size() && sc.gates[fi].slot < s.num_sources; ++fi)
             apply_force(vals[sc.gates[fi].slot], sc.gates[fi].out);
-        // Level by level: the groups, then that level's forced gates.
-        std::size_t gi = 0;
-        for (const Schedule::Level& level : s.levels) {
-            for (; gi < level.group_end; ++gi) eval_group<W>(s, s.groups[gi], vals, sc.tie_on.data());
-            for (; fi < sc.gates.size() && sc.gates[fi].slot < level.slot_end; ++fi)
-                refix(sc.gates[fi]);
+        // Every other slot in schedule order, each forced gate re-fixed
+        // before any later slot reads it.
+        std::uint32_t from = s.num_sources;
+        for (; fi < sc.gates.size(); ++fi) {
+            const GateForce<W>& g = sc.gates[fi];
+            run_slots<W>(s, from, g.slot + 1, vals, sc.tie_on.data());
+            refix(g);
+            from = g.slot + 1;
         }
+        run_slots<W>(s, from, num_slots, vals, sc.tie_on.data());
         // Detection: a faulty lane differs from the good lane at a PO while
         // both are binary.
         for (const std::uint32_t o : s.outputs) {

@@ -9,23 +9,29 @@
 // conservative definition a tester can rely on).
 //
 // Hot-path design: the simulator compiles netlist::Topology once per tie set
-// into a flat schedule — every non-source gate in level order, grouped
-// within its level by (tied, operator, arity), with one flat fanin list in
-// that order. Same-level gates never read each other, so the regrouping
-// cannot change a value, and the kernel runs each group as one tight loop
-// over two planes of std::array<std::uint64_t, W> words per gate, with no
-// per-gate operator, tie-cycle or force test. One template is instantiated
-// at W = 4 and at W = 1; a pass holding at most 63 faults (detects()
-// included) runs the narrow one. Faults are a per-pass table of at most 255
-// forced gates sorted by schedule slot: after each level the forced gates
-// of that level are re-evaluated with their pin forces and tie, then their
-// output forces are applied, before the next level reads them. With ties attached, one Topology::propagate_lanes() sweep per word
-// marks every fault cone of the pass (one lane bit per fault, one word per
-// component); each tie's lane masks switch on when the frame reaches its
-// proof cycle, so the tied groups apply them with no per-gate cycle test.
-// Primary-output detection accumulates into one lane mask per word. Apart
-// from run()'s returned flags, simulation performs no per-pass heap
-// allocation once its scratch has grown.
+// into a flat schedule of one instruction per non-source gate, in
+// Topology::schedule() order. Every instruction has one shape: three
+// operand slots folded under AND or XOR, an input and an output rail swap
+// (OR, NOR, NAND and NOT are AND under De Morgan; BUF and NOT pad with the
+// all-1 slot), and an index into the tie lanes whose extra last entry is
+// all zero, so the kernel evaluates any gate of one to three inputs, tied
+// or not, with no per-gate operator, arity or tie test. Gates with fewer
+// than three inputs read two constant slots (all-1 and all-0) kept after
+// the gates; constants and gates with no input or more than three
+// evaluate operator by operator. Each gate is two planes of
+// std::array<std::uint64_t, W> words; the template is instantiated at
+// W = 4 and at W = 1, and a pass holding at most 63 faults (detects()
+// included) runs the narrow one. Faults are a per-pass table of at most
+// 255 forced gates sorted by slot: each forced gate is re-fixed right
+// after its own slot (its instruction folded over copies of its operands
+// that carry its pin forces, then its tie, then its output forces), before
+// any later slot reads it. With ties attached, one
+// Topology::propagate_lanes() sweep per word marks every fault cone of the
+// pass (one lane bit per fault, one word per component); each tie's lane
+// masks switch on when the frame reaches its proof cycle, so tied gates
+// need no per-gate cycle test. Primary-output detection accumulates into
+// one lane mask per word. Apart from run()'s returned flags, simulation
+// performs no per-pass heap allocation once its scratch has grown.
 
 #include "exec/budget.hpp"
 #include "exec/cancel.hpp"
@@ -74,7 +80,8 @@ public:
 
     /// Make clones 1..workers-1 ready for a stage that fans out over
     /// `workers` workers: built, handed this simulator's compiled schedule
-    /// and their scratch reserved, all on the calling thread. Clones persist
+    /// and, with this simulator's own, their scratch reserved, all on the
+    /// calling thread. Clones persist
     /// across calls. drop_detected() prepares its own; the ATPG campaign
     /// prepares them before its pool validates tests on them.
     void prepare_clones(std::size_t workers);
@@ -165,9 +172,9 @@ private:
     /// Reusable per-width simulation scratch.
     template <std::size_t W>
     struct Scratch {
-        std::vector<WideLanes<W>> vals;    // per schedule slot
+        std::vector<WideLanes<W>> vals;    // per schedule slot, then all-1, all-0
         std::vector<WideLanes<W>> state;   // per sequential element
-        std::vector<WideLanes<W>> tie_on;  // per tie: lanes it is asserted in
+        std::vector<WideLanes<W>> tie_on;  // per tie, then all zero: lanes it is asserted in
         std::vector<GateForce<W>> gates;
         std::vector<PinForce<W>> pins;
         /// Allocate for a full pass of `sched` without touching the memory.
@@ -176,6 +183,8 @@ private:
     };
 
     const Schedule& schedule();
+    /// Reserve this simulator's scratch for a full pass of its schedule.
+    void reserve_scratch();
     /// Simulate one pass of at most kFaultsPerPass faults; bit j + 1 of the
     /// returned lanes (word (j + 1) / 64) is fault j's verdict.
     PassLanes simulate_pass(const sim::InputSequence& seq, std::span<const Fault> faults);

@@ -143,9 +143,7 @@ FiresResult fires_untestable(const Netlist& nl, std::span<const fault::Fault> un
                                   std::vector<bool>& mask) {
         for (std::size_t i = 0; i < universe.size(); ++i) {
             const fault::Fault& f = universe[i];
-            const GateId line =
-                f.pin == fault::kOutputPin ? f.gate : nl.fanins(f.gate)[f.pin];
-            mask[i] = val[line] == f.stuck;
+            mask[i] = val[fault::line_driver(nl, f)] == f.stuck;
         }
     };
 

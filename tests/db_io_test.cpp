@@ -130,14 +130,14 @@ TEST(DbIo, BinarySnapshotRejectsBitFlippedAdjacency) {
         ASSERT_LT(corrupt_at, bad.size());
         bad[corrupt_at] = static_cast<char>(bad[corrupt_at] ^ 1);
         std::istringstream in(bad);
-        EXPECT_THROW((void)load_learned_binary(in, nl), std::runtime_error)
+        EXPECT_THROW((void)load_learned_binary(in, nl), ParseError)
             << "byte " << corrupt_at;
     }
 }
 
 // The torn-snapshot corpus: a binary v2 blob truncated at EVERY byte
 // position (a superset of every section boundary) must produce a structured
-// std::runtime_error from the loader — never a crash, never a silent
+// ParseError from the loader — never a crash, never a silent
 // partial load — and must fail probe_binary_db's structural walk. Bit flips
 // across the checked header fields (magic, version, header size, netlist
 // digest, gate count) are rejected the same way, and appended trailing
@@ -161,7 +161,7 @@ TEST(DbIoCorpus, TruncationAtEveryByteIsAStructuredErrorNeverAPartialLoad) {
         const std::string torn = good.substr(0, cut);
         EXPECT_FALSE(probe_binary_db(torn).has_value()) << "cut at " << cut;
         std::istringstream in(torn);
-        EXPECT_THROW((void)load_learned_binary(in, nl), std::runtime_error)
+        EXPECT_THROW((void)load_learned_binary(in, nl), ParseError)
             << "cut at " << cut;
     }
 
@@ -171,7 +171,7 @@ TEST(DbIoCorpus, TruncationAtEveryByteIsAStructuredErrorNeverAPartialLoad) {
     EXPECT_FALSE(probe_binary_db(good + "x").has_value());
     {
         std::istringstream in(good + "x");
-        EXPECT_THROW((void)load_learned_binary(in, nl), std::runtime_error);
+        EXPECT_THROW((void)load_learned_binary(in, nl), ParseError);
     }
 
     // Header bit flips across every *checked* field. Bytes 28..31 are the
@@ -181,7 +181,7 @@ TEST(DbIoCorpus, TruncationAtEveryByteIsAStructuredErrorNeverAPartialLoad) {
         std::string bad = good;
         bad[at] = static_cast<char>(bad[at] ^ 0x10);
         std::istringstream in(bad);
-        EXPECT_THROW((void)load_learned_binary(in, nl), std::runtime_error)
+        EXPECT_THROW((void)load_learned_binary(in, nl), ParseError)
             << "header byte " << at;
     }
 }
@@ -217,7 +217,7 @@ TEST(DbIo, MalformedInputThrows) {
     const Netlist nl = testing::random_circuit(21, 6, 5, 30);
     for (const char* bad : {"rel i0 1 f0\n", "tie i0 2 0\n", "bogus line here\n"}) {
         std::istringstream in(bad);
-        EXPECT_THROW((void)load_learned(in, nl), std::runtime_error) << bad;
+        EXPECT_THROW((void)load_learned(in, nl), ParseError) << bad;
     }
 }
 

@@ -315,6 +315,74 @@ TEST(FaultSim, WidePassLanesMatchSingleFaultRuns) {
         EXPECT_EQ(all[j], fsim.detects(seq, many[j])) << to_string(nl, many[j]);
 }
 
+// Every gate shape the compiled kernel distinguishes: BUF and NOT, the AND
+// family at two to five inputs (three-slot instructions up to three, the
+// operator-by-operator path beyond), XOR and XNOR at two to four, constants
+// feeding gates, and flip-flops in the loop. Every output and pin fault of
+// the universe must get the surgery reference's verdict from a 256-lane
+// run() and from the one-word detects().
+TEST(FaultSim, EveryGateShapeMatchesSurgeryReference) {
+    NetlistBuilder b("shapes");
+    const std::vector<std::string> ops = {"a", "bb", "c", "d", "e", "q1", "q2", "nt", "bf"};
+    for (const char* in : {"a", "bb", "c", "d", "e"}) b.input(in);
+    b.constant("k0", false).constant("k1", true);
+    b.gate(GateType::Buf, "bf", {"a"});
+    b.gate(GateType::Not, "nt", {"bb"});
+    std::vector<std::string> gates = {"bf", "nt"};
+    std::size_t rot = 0;
+    const auto add = [&](GateType type, const std::string& name, std::size_t n) {
+        std::vector<std::string> fi;
+        for (std::size_t i = 0; i < n; ++i) fi.push_back(ops[(rot + i) % ops.size()]);
+        rot += 2;
+        b.gate(type, name, fi);
+        gates.push_back(name);
+    };
+    for (std::size_t n = 2; n <= 5; ++n) {
+        add(GateType::And, "and" + std::to_string(n), n);
+        add(GateType::Nand, "nand" + std::to_string(n), n);
+        add(GateType::Or, "or" + std::to_string(n), n);
+        add(GateType::Nor, "nor" + std::to_string(n), n);
+    }
+    for (std::size_t n = 2; n <= 4; ++n) {
+        add(GateType::Xor, "xor" + std::to_string(n), n);
+        add(GateType::Xnor, "xnor" + std::to_string(n), n);
+    }
+    b.gate(GateType::And, "kand", {"k1", "a", "c"});
+    b.gate(GateType::Or, "kor", {"k0", "bb"});
+    b.gate(GateType::Xor, "kxor", {"k1", "d"});
+    b.gate(GateType::Nand, "knand", {"k0", "e", "k1"});
+    for (const char* k : {"kand", "kor", "kxor", "knand"}) gates.push_back(k);
+    b.dff("q1", "xor3");
+    b.dff("q2", "nor4");
+    for (const std::string& g : gates) b.output(g);
+    const Netlist nl = b.build();
+    const netlist::Topology topo(nl);
+
+    const std::vector<Fault> universe = fault_universe(nl);
+    const auto pin_faults = std::count_if(universe.begin(), universe.end(),
+                                          [](const Fault& f) { return f.pin != kOutputPin; });
+    ASSERT_GT(universe.size(), 2 * kFaultsPerPass / 3);
+    ASSERT_GT(pin_faults, 100);
+    FaultSimulator fsim(topo);
+    util::Rng rng(5);
+    for (int trial = 0; trial < 4; ++trial) {
+        InputSequence seq = random_sequence(nl, 6, rng);
+        for (auto& frame : seq)
+            for (auto& v : frame)
+                if (rng.chance(0.15)) v = Val3::X;
+        const std::vector<bool> wide = fsim.run(seq, universe);
+        std::size_t detected = 0;
+        for (std::size_t i = 0; i < universe.size(); ++i) {
+            const bool want = reference_detects(nl, universe[i], seq);
+            EXPECT_EQ(wide[i], want) << to_string(nl, universe[i]) << " trial " << trial;
+            EXPECT_EQ(fsim.detects(seq, universe[i]), want)
+                << to_string(nl, universe[i]) << " trial " << trial;
+            detected += want;
+        }
+        EXPECT_GT(detected, universe.size() / 4) << trial;
+    }
+}
+
 TEST(FaultSim, XInputsNeverProduceFalseDetections) {
     // With all-X stimuli nothing is observable, so nothing may be detected.
     const Netlist nl = make_s27();

@@ -4,6 +4,7 @@
 
 #include "api/session.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 #include "workload/suite.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 namespace seqlearn::api {
 namespace {
 
+using logic::Val3;
 using netlist::Netlist;
 
 TEST(Session, SharedTopologyBacksEveryEngine) {
@@ -308,6 +310,62 @@ TEST(Session, FaultSimValidatesExplicitTestSets) {
     EXPECT_EQ(none.detected, 0u);
     EXPECT_EQ(none.sequences, 0u);
     EXPECT_EQ(none.total, all.total);
+}
+
+// fault_sim() gives no lane to a fault stuck at the value its line is tied
+// to from cycle 0. That must be exact: the same counts as grading every
+// collapsed fault with the same ties, where no such fault is detected.
+TEST(Session, FaultSimSkipsCycleZeroTieFaultsExactly) {
+    for (const char* name : {"gen953", "rt510b", "gen5378"}) {
+        SCOPED_TRACE(name);
+        Session session(workload::suite_circuit(name));
+        const core::TieSet& ties = session.learn().ties;
+        const netlist::Topology& topo = session.topology();
+        util::Rng rng(29);
+        std::vector<sim::InputSequence> tests(
+            6, sim::InputSequence(16, sim::InputFrame(topo.inputs().size())));
+        for (sim::InputSequence& t : tests)
+            for (sim::InputFrame& f : t)
+                for (Val3& v : f) v = rng.chance(0.5) ? Val3::One : Val3::Zero;
+        const FaultSimReport report = session.fault_sim(tests);
+
+        fault::FaultSimulator fsim(topo);
+        fsim.set_good_ties(&ties.dense(), &ties.dense_cycles());
+        fault::FaultList full(session.collapsed_faults().representatives());
+        for (const sim::InputSequence& t : tests) fsim.drop_detected(t, full);
+        EXPECT_EQ(report.total, full.counts().total);
+        EXPECT_EQ(report.detected, full.counts().detected);
+        EXPECT_EQ(report.fault_coverage, full.fault_coverage());
+        EXPECT_GT(report.detected, 0u);
+
+        std::size_t skipped = 0;
+        for (std::size_t i = 0; i < full.size(); ++i) {
+            if (!ties.stuck_at_tie(topo, full.fault(i), 0)) continue;
+            ++skipped;
+            EXPECT_NE(full.status(i), fault::FaultStatus::Detected)
+                << fault::to_string(session.netlist(), full.fault(i));
+        }
+        EXPECT_GT(skipped, 0u);
+    }
+}
+
+// A campaign's fault-simulation scratch is reserved for a full pass on
+// every worker, the primary simulator's included, so the footprint a
+// serving cache charges does not depend on which worker validated what.
+TEST(Session, ScratchBytesDoNotDependOnThreadTiming) {
+    const DesignPtr design = DesignBuilder(workload::suite_circuit("gen953")).build();
+    std::vector<std::size_t> bytes;
+    for (int run = 0; run < 5; ++run) {
+        SessionConfig cfg;
+        cfg.threads = 4;
+        Session session(design, std::move(cfg));
+        atpg::AtpgConfig acfg;
+        acfg.backtrack_limit = 1;
+        acfg.redundancy_effort = 0;
+        session.atpg(acfg);
+        bytes.push_back(session.stats().memory.scratch_bytes);
+    }
+    for (const std::size_t b : bytes) EXPECT_EQ(b, bytes[0]);
 }
 
 TEST(Session, MoveKeepsEnginePointersValid) {
