@@ -1,7 +1,5 @@
 #include "fault/fault_sim.hpp"
 
-#include "logic/pattern.hpp"
-
 #include <algorithm>
 #include <bit>
 #include <numeric>
@@ -10,28 +8,27 @@
 namespace seqlearn::fault {
 
 using logic::GateOp;
-using logic::Pattern;
 using netlist::GateId;
 using netlist::Topology;
 
 struct FaultSimulator::Schedule {
-    /// How an instruction evaluates: AND or XOR folded over its three
-    /// operands, or (Words) logic::eval_op over its CSR fanins — constants,
-    /// gates without operands and gates with more than three.
-    enum class Kind : std::uint8_t { And, Xor, Words };
-    /// One non-source slot: `kind` folded over in[0..2] with each operand's
+    /// The fold of an instruction.
+    enum class Kind : std::uint8_t { And, Xor };
+    /// One non-source slot: `kind` folded over its operands, each with its
     /// rails swapped when `swap_in`, the result's when `swap_out` (OR, NOR,
     /// NAND and NOT are AND under De Morgan), then OR-ed with tie_on[tie]
-    /// (the all-zero last entry when untied). Missing operands read the
-    /// fold's identity: the all-1 slot for AND, the all-0 slot for XOR and
-    /// for AND over swapped rails.
+    /// (the all-zero last entry when untied). The operands are in[0..2],
+    /// or the CSR fanins of a gate with more than three inputs (`wide`).
+    /// Missing operands read the fold's identity: the all-1 slot for AND,
+    /// the all-0 slot for XOR and for AND over swapped rails, so a constant
+    /// is AND (1) or OR (0) over identities alone.
     struct Instr {
         std::array<std::uint32_t, 3> in;
         std::uint32_t tie;
-        GateOp op;
         Kind kind;
         bool swap_in;
         bool swap_out;
+        bool wide;
     };
     struct Tie {
         std::uint32_t slot;
@@ -56,7 +53,7 @@ struct FaultSimulator::Schedule {
     std::uint32_t num_sources = 0;
     std::vector<std::uint32_t> slot;  // GateId -> slot
     // Per non-source slot s, at index s - num_sources: its instruction, and
-    // its CSR fanin slots (one more offset than slots) for Words
+    // its CSR fanin slots (one more offset than slots) for wide
     // instructions and re-evaluated forced gates.
     std::vector<Instr> code;
     std::vector<std::uint32_t> fanin_off;
@@ -79,19 +76,13 @@ constexpr std::uint32_t kUntied = ~0u;
 
 /// `op` as an instruction without operands: its fold and rail swaps.
 Instr instr_for(GateOp op) noexcept {
-    switch (op) {
-        case GateOp::Const0:
-        case GateOp::Const1: return {{}, kUntied, op, Kind::Words, false, false};
-        case GateOp::Buf:
-        case GateOp::And: return {{}, kUntied, op, Kind::And, false, false};
-        case GateOp::Not:
-        case GateOp::Nand: return {{}, kUntied, op, Kind::And, false, true};
-        case GateOp::Or: return {{}, kUntied, op, Kind::And, true, true};
-        case GateOp::Nor: return {{}, kUntied, op, Kind::And, true, false};
-        case GateOp::Xor: return {{}, kUntied, op, Kind::Xor, false, false};
-        case GateOp::Xnor: return {{}, kUntied, op, Kind::Xor, false, true};
-    }
-    return {{}, kUntied, op, Kind::Words, false, false};
+    Instr ins{};
+    ins.tie = kUntied;
+    ins.kind = op == GateOp::Xor || op == GateOp::Xnor ? Kind::Xor : Kind::And;
+    ins.swap_in = op == GateOp::Or || op == GateOp::Nor || op == GateOp::Const0;
+    ins.swap_out = op == GateOp::Not || op == GateOp::Nand || op == GateOp::Or ||
+                   op == GateOp::Xnor || op == GateOp::Const0;
+    return ins;
 }
 
 }  // namespace
@@ -121,7 +112,7 @@ FaultSimulator::Schedule::Schedule(const Topology& topo, const std::vector<Val3>
         slot[g] = next++;
         const auto fi = topo.fanins(g);
         Instr& ins = code.emplace_back(instr_for(topo.op(g)));
-        if (fi.empty() || fi.size() > ins.in.size()) ins.kind = Kind::Words;
+        ins.wide = fi.size() > ins.in.size();
         ins.in.fill(ins.kind == Kind::And && !ins.swap_in ? one_slot() : zero_slot());
         // The schedule puts every fanin before its gate: its slot is set.
         for (std::size_t i = 0; i < fi.size(); ++i) {
@@ -217,30 +208,29 @@ void swap_rails(WideLanes<W>& v) noexcept {
 /// `ins`'s fold over `n` operands, get(i) yielding operand i.
 template <std::size_t W, typename GetFn>
 WideLanes<W> fold_operands(const Instr& ins, std::size_t n, GetFn&& get) noexcept {
-    WideLanes<W> acc = get(0);
-    if (ins.swap_in) swap_rails(acc);
-    for (std::size_t i = 1; i < n; ++i) {
+    const auto operand = [&](std::size_t i) {
         WideLanes<W> x = get(i);
         if (ins.swap_in) swap_rails(x);
-        if (ins.kind == Kind::Xor) fold<GateOp::Xor>(acc, x);
-        else fold<GateOp::And>(acc, x);
+        return x;
+    };
+    WideLanes<W> acc = operand(0);
+    if (ins.kind == Kind::Xor) {
+        for (std::size_t i = 1; i < n; ++i) fold<GateOp::Xor>(acc, operand(i));
+    } else {
+        for (std::size_t i = 1; i < n; ++i) fold<GateOp::And>(acc, operand(i));
     }
     if (ins.swap_out) swap_rails(acc);
     return acc;
 }
 
-/// Evaluate `op` over `n` operands word by word through
-/// logic::eval_op_indirect; get(i, w) yields operand i's word w as a
-/// Pattern. The path of Words instructions.
+/// `ins`'s fold over the CSR fanins of non-source slot k, get(i, x) yielding
+/// operand i given its value x.
 template <std::size_t W, typename GetFn>
-WideLanes<W> eval_words(GateOp op, std::size_t n, GetFn&& get) noexcept {
-    WideLanes<W> out;
-    for (std::size_t w = 0; w < W; ++w) {
-        const Pattern p = logic::eval_op_indirect(op, n, [&](std::size_t i) { return get(i, w); });
-        out.ones[w] = p.ones;
-        out.zeros[w] = p.zeros;
-    }
-    return out;
+WideLanes<W> fold_fanins(const FaultSimulator::Schedule& s, std::uint32_t k,
+                         const WideLanes<W>* vals, GetFn&& get) noexcept {
+    const std::uint32_t* fi = s.fanins.data() + s.fanin_off[k];
+    return fold_operands<W>(s.code[k], s.fanin_off[k + 1] - s.fanin_off[k],
+                            [&](std::size_t i) { return get(i, vals[fi[i]]); });
 }
 
 /// Evaluate slots [begin, end): one instruction each, in schedule order.
@@ -251,12 +241,8 @@ void run_slots(const FaultSimulator::Schedule& s, std::uint32_t begin, std::uint
         const std::uint32_t k = slot - s.num_sources;
         const Instr& ins = s.code[k];
         WideLanes<W> v;
-        if (ins.kind == Kind::Words) [[unlikely]] {
-            const std::uint32_t* fi = s.fanins.data() + s.fanin_off[k];
-            v = eval_words<W>(ins.op, s.fanin_off[k + 1] - s.fanin_off[k],
-                              [&](std::size_t i, std::size_t w) -> Pattern {
-                                  return {vals[fi[i]].ones[w], vals[fi[i]].zeros[w]};
-                              });
+        if (ins.wide) [[unlikely]] {
+            v = fold_fanins<W>(s, k, vals, [](std::size_t, const WideLanes<W>& x) { return x; });
         } else {
             v = fold_operands<W>(ins, ins.in.size(),
                                  [&](std::size_t i) { return vals[ins.in[i]]; });
@@ -407,12 +393,7 @@ FaultSimulator::PassLanes FaultSimulator::simulate(Scratch<W>& sc, const sim::In
         WideLanes<W>& v = vals[g.slot];
         if (g.pin_begin != g.pin_end) {
             const std::uint32_t k = g.slot - s.num_sources;
-            const std::uint32_t* fi = s.fanins.data() + s.fanin_off[k];
-            // A gate with pins has operands: its operator folds, even where
-            // its instruction is a Words one.
-            const Instr rails = instr_for(s.code[k].op);
-            v = fold_operands<W>(rails, s.fanin_off[k + 1] - s.fanin_off[k], [&](std::size_t i) {
-                WideLanes<W> x = vals[fi[i]];
+            v = fold_fanins<W>(s, k, vals, [&](std::size_t i, WideLanes<W> x) {
                 for (std::uint32_t p = g.pin_begin; p < g.pin_end; ++p) {
                     if (sc.pins[p].pin == i) apply_force(x, sc.pins[p].lanes);
                 }

@@ -10,28 +10,28 @@
 //
 // Hot-path design: the simulator compiles netlist::Topology once per tie set
 // into a flat schedule of one instruction per non-source gate, in
-// Topology::schedule() order. Every instruction has one shape: three
-// operand slots folded under AND or XOR, an input and an output rail swap
-// (OR, NOR, NAND and NOT are AND under De Morgan; BUF and NOT pad with the
-// all-1 slot), and an index into the tie lanes whose extra last entry is
-// all zero, so the kernel evaluates any gate of one to three inputs, tied
-// or not, with no per-gate operator, arity or tie test. Gates with fewer
-// than three inputs read two constant slots (all-1 and all-0) kept after
-// the gates; constants and gates with no input or more than three
-// evaluate operator by operator. Each gate is two planes of
-// std::array<std::uint64_t, W> words; the template is instantiated at
-// W = 4 and at W = 1, and a pass holding at most 63 faults (detects()
-// included) runs the narrow one. Faults are a per-pass table of at most
-// 255 forced gates sorted by slot: each forced gate is re-fixed right
-// after its own slot (its instruction folded over copies of its operands
-// that carry its pin forces, then its tie, then its output forces), before
-// any later slot reads it. With ties attached, one
-// Topology::propagate_lanes() sweep per word marks every fault cone of the
-// pass (one lane bit per fault, one word per component); each tie's lane
-// masks switch on when the frame reaches its proof cycle, so tied gates
-// need no per-gate cycle test. Primary-output detection accumulates into
-// one lane mask per word. Apart from run()'s returned flags, simulation
-// performs no per-pass heap allocation once its scratch has grown.
+// Topology::schedule() order. An instruction folds its operands under AND or
+// XOR with an input and an output rail swap (OR, NOR, NAND and NOT are AND
+// under De Morgan), then ORs in its entry of the tie lanes, whose extra last
+// entry is all zero for untied gates. Its operands are three slots — gates
+// with fewer than three inputs read two constant slots (all-1 and all-0) kept
+// after the gates, and a constant is AND (1) or OR (0) over those alone — or,
+// for a gate of more than three inputs, its fanin list. The kernel thus
+// branches per gate only on what the instruction holds (AND or XOR, the two
+// swaps, three slots or a fanin list), never on the gate's operator, and an
+// untied gate ORs in zeros instead of testing for a tie. Each gate is two
+// planes of std::array<std::uint64_t, W> words; the template is instantiated
+// at W = 4 and at W = 1, and a pass holding at most 63 faults (detects()
+// included) runs the narrow one. Faults are a per-pass table of at most 255
+// forced gates sorted by slot: each forced gate is re-fixed right after its
+// own slot (its instruction folded over copies of its operands that carry its
+// pin forces, then its tie, then its output forces), before any later slot
+// reads it. With ties attached, one Topology::propagate_lanes() sweep per word
+// marks every fault cone of the pass (one lane bit per fault, one word per
+// component); each tie's lane masks switch on when the frame reaches its proof
+// cycle, so tied gates need no per-gate cycle test. Primary-output detection
+// accumulates into one lane mask per word. Apart from run()'s returned flags,
+// simulation performs no per-pass heap allocation once its scratch has grown.
 
 #include "exec/budget.hpp"
 #include "exec/cancel.hpp"

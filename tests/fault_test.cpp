@@ -316,11 +316,11 @@ TEST(FaultSim, WidePassLanesMatchSingleFaultRuns) {
 }
 
 // Every gate shape the compiled kernel distinguishes: BUF and NOT, the AND
-// family at two to five inputs (three-slot instructions up to three, the
-// operator-by-operator path beyond), XOR and XNOR at two to four, constants
-// feeding gates, and flip-flops in the loop. Every output and pin fault of
-// the universe must get the surgery reference's verdict from a 256-lane
-// run() and from the one-word detects().
+// family at two to five inputs (three operand slots up to three, the fanin
+// list beyond), XOR and XNOR at two to four, constants feeding gates, and
+// flip-flops in the loop. Every output and pin fault of the universe must
+// get the surgery reference's verdict from a 256-lane run() and from the
+// one-word detects().
 TEST(FaultSim, EveryGateShapeMatchesSurgeryReference) {
     NetlistBuilder b("shapes");
     const std::vector<std::string> ops = {"a", "bb", "c", "d", "e", "q1", "q2", "nt", "bf"};
