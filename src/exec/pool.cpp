@@ -1,8 +1,28 @@
 #include "exec/pool.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 namespace seqlearn::exec {
+
+namespace {
+
+/// How long a waiting thread polls before it blocks. It covers the gap
+/// between back-to-back jobs (a stage's serial step between two fan-outs)
+/// and the wait for the last items of a job of short items, so neither
+/// puts a CPU to sleep only to wake it again a moment later.
+constexpr std::chrono::microseconds kSpinBeforeBlock{2000};
+
+/// Poll `done` until it holds or kSpinBeforeBlock has passed, yielding to
+/// any other runnable thread between polls. The caller then waits on its
+/// condition variable, which returns at once when `done` already holds.
+template <typename Done>
+void spin_until(Done&& done) {
+    const auto until = std::chrono::steady_clock::now() + kSpinBeforeBlock;
+    while (!done() && std::chrono::steady_clock::now() < until) std::this_thread::yield();
+}
+
+}  // namespace
 
 unsigned Pool::hardware_threads() {
     return std::max(1u, std::thread::hardware_concurrency());
@@ -25,6 +45,7 @@ Pool::~Pool() {
     {
         const std::lock_guard<std::mutex> lock(mx_);
         shutdown_ = true;
+        generation_.fetch_add(1, std::memory_order_relaxed);  // ends the helpers' polls
     }
     wake_cv_.notify_all();
     for (std::thread& t : threads_) t.join();
@@ -49,11 +70,13 @@ void Pool::drain(unsigned worker, const TaskView& task) {
 void Pool::worker_main(unsigned id) {
     std::uint64_t seen = 0;
     for (;;) {
+        spin_until([&] { return generation_.load(std::memory_order_relaxed) != seen; });
         std::unique_lock<std::mutex> lock(mx_);
-        wake_cv_.wait(lock, [&] { return shutdown_ || (generation_ != seen && job_open_); });
+        wake_cv_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
         if (shutdown_) return;
         seen = generation_;
-        if (id >= job_workers_) continue;  // more workers than items
+        // A job closed before this helper got here, or more workers than items.
+        if (!job_open_ || id >= job_workers_) continue;
         ++active_;
         const TaskView* task = task_;
         lock.unlock();
@@ -82,7 +105,7 @@ void Pool::run(std::size_t items, TaskView task) {
         job_workers_ = workers;
         error_ = nullptr;
         job_open_ = true;
-        ++generation_;
+        generation_.fetch_add(1, std::memory_order_relaxed);
     }
     wake_cv_.notify_all();
 
@@ -93,6 +116,9 @@ void Pool::run(std::size_t items, TaskView task) {
     // wake from now on would find nothing; close the job so they skip it
     // (and never touch the dying TaskView), then wait out the ones inside.
     job_open_ = false;
+    lock.unlock();
+    spin_until([&] { return active_.load(std::memory_order_relaxed) == 0; });
+    lock.lock();
     done_cv_.wait(lock, [&] { return active_ == 0; });
     task_ = nullptr;
     if (error_) {

@@ -17,6 +17,13 @@
 // blocking and pools are not reentrant: a task must not call run() on the
 // pool executing it (drivers that need nested parallelism run their inner
 // stage between outer dispatches instead).
+//
+// Waiting: an idle helper, and a run() whose items are all claimed but not
+// all finished, poll for up to 2 ms (yielding between polls) before they
+// block on a condition variable. A stage that fans out one short job after
+// another — fault simulation runs one job of sub-millisecond passes per
+// test sequence — then hands each job over without putting CPUs to sleep
+// and waking them again, a delay that varies with the machine's load.
 
 #include <atomic>
 #include <condition_variable>
@@ -78,10 +85,11 @@ private:
     std::mutex mx_;
     std::condition_variable wake_cv_;   // helpers wait here for a job
     std::condition_variable done_cv_;   // run() waits here for helpers
-    std::uint64_t generation_ = 0;      // bumped per published job
+    // Changed under mx_ only; atomic so that a waiter can poll them first.
+    std::atomic<std::uint64_t> generation_{0};  // bumped per published job and at shutdown
     bool job_open_ = false;             // late helpers skip closed jobs
     bool shutdown_ = false;
-    unsigned active_ = 0;               // helpers inside the current job
+    std::atomic<unsigned> active_{0};   // helpers inside the current job
     std::exception_ptr error_;
 
     // Current job (valid only while job_open_ or helpers are active).

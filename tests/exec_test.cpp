@@ -42,6 +42,21 @@ TEST(Pool, ReusableAcrossManyRuns) {
     EXPECT_EQ(total.load(), 1700u);
 }
 
+TEST(Pool, DestroyedRightAfterRunsWhileHelpersPoll) {
+    // Helpers poll for the next job before they block; the destructor must
+    // end those polls, and back-to-back runs must still run every item once.
+    for (int round = 0; round < 20; ++round) {
+        std::vector<std::atomic<int>> hits(64);
+        auto task = [&](unsigned, std::size_t item) { hits[item].fetch_add(1); };
+        {
+            Pool pool(4);
+            pool.run(hits.size(), TaskView(task));
+            pool.run(hits.size(), TaskView(task));
+        }
+        for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 2) << i;
+    }
+}
+
 TEST(Pool, SingleItemRunsInlineOnCaller) {
     Pool pool(8);
     const std::thread::id caller = std::this_thread::get_id();
