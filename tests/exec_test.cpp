@@ -1,6 +1,6 @@
 // Tests for the exec subsystem: pool scheduling (every item exactly once,
-// worker ids in range, caller participation, the null pool, exceptions)
-// and the cancel flag. The ATPG campaign's in-order commits are tested
+// worker ids in range, caller participation, the null pool, exceptions,
+// destruction while helpers poll) and the cancel flag. The ATPG campaign's in-order commits are tested
 // through the Session (session_test's AtpgCancellationFlagsOutcome).
 
 #include "exec/cancel.hpp"
