@@ -130,7 +130,7 @@ Row bench_frame_sim(const Netlist& nl) {
     const auto stems = nl.stems();
     sim::FrameSimOptions opt;
     opt.max_frames = 50;
-    sim::FrameSimResult res;  // reused: the zero-allocation steady state
+    sim::FrameSimResult res;  // reused across runs
     std::size_t i = 0;
     return measure("frame_sim_stem_injection", 1, g_min_seconds, [&] {
         const sim::Injection inj{0, stems[i++ % stems.size()], Val3::One};
@@ -166,12 +166,11 @@ Row bench_frame_sim_batch(const Netlist& nl, const netlist::Topology& topo) {
 
 Row bench_parallel_patterns(const Netlist& nl) {
     const netlist::Topology topo(nl);
-    const sim::ParallelSim psim(topo);
     util::Rng rng(1);
     std::vector<logic::Pattern> pats(nl.size());
     // 64 patterns per evaluation.
     return measure("parallel_pattern_eval", 64, g_min_seconds,
-                   [&] { psim.eval_random(pats, rng); });
+                   [&] { sim::eval_random(topo, pats, rng); });
 }
 
 Row bench_learn(const Netlist& nl, const netlist::Topology& topo) {

@@ -2,6 +2,7 @@
 
 #include "logic/pattern.hpp"
 #include "netlist/structure.hpp"
+#include "sim/level_queue.hpp"
 #include "sim/parallel_sim.hpp"
 
 #include <algorithm>
@@ -106,33 +107,16 @@ struct ConeCache {
     }
 };
 
-// Evaluate the union cone of the jobs sharing `pats` and check each job's
-// lane range. `pats`/`touched` are reusable scratch (all-X between
-// batches). Jobs must already have their support patterns staged.
-void eval_cone_and_touch(const Netlist& nl, std::span<const GateId> cone,
-                         std::vector<Pattern>& pats, std::vector<GateId>& touched,
-                         std::vector<Pattern>& ins) {
-    for (const GateId g : cone) {
-        const GateType t = nl.type(g);
-        if (t == GateType::Input || netlist::is_sequential(t)) continue;
-        ins.clear();
-        for (const GateId f : nl.fanins(g)) ins.push_back(pats[f]);
-        pats[g] = logic::eval_op(netlist::to_op(t), ins.data(), static_cast<int>(ins.size()));
-        touched.push_back(g);
-    }
-}
-
 // Stage one job's support assignments into lanes [base, base + count) for
 // the chunk of assignments starting at `first`.
-void stage_support(const ProofJob& job, std::vector<Pattern>& pats,
-                   std::vector<GateId>& touched, int base, std::uint64_t first, int count) {
+void stage_support(const ProofJob& job, std::vector<Pattern>& pats, int base,
+                   std::uint64_t first, int count) {
     for (std::size_t b = 0; b < job.support.size(); ++b) {
         Pattern& p = pats[job.support[b]];
         for (int lane = 0; lane < count; ++lane) {
             const std::uint64_t assignment = first + static_cast<std::uint64_t>(lane);
             logic::pat_set(p, base + lane, (assignment >> b) & 1 ? Val3::One : Val3::Zero);
         }
-        touched.push_back(job.support[b]);
     }
 }
 
@@ -147,32 +131,29 @@ bool job_verdict_lanes(const ProofJob& job, const std::vector<Pattern>& pats, in
     return ((logic::pat_known(a) & logic::pat_known(b)) & lane_mask) == lane_mask;
 }
 
-// Reusable evaluation scratch. `pats` is all-X outside a batch; the touch
-// list undoes exactly the gates a batch wrote.
+// Reusable evaluation scratch. `pats` is all-X outside a batch: a batch
+// writes only its cone, which holds its supports, and resets the cone.
 struct ProofScratch {
     std::vector<Pattern> pats;
-    std::vector<GateId> touched;
-    std::vector<Pattern> ins;
     std::vector<GateId> cone;  // union cone of a packed batch
 
-    void reset() {
-        for (const GateId g : touched) pats[g] = logic::kPatAllX;
-        touched.clear();
+    void reset(std::span<const GateId> written) {
+        for (const GateId g : written) pats[g] = logic::kPatAllX;
     }
 };
 
 // Prove a single oversized-assignment-space job (support 7..cap) by
 // iterating 64-lane chunks, as the pre-batched implementation did.
-bool prove_solo(const Netlist& nl, const ProofJob& job, ProofScratch& s) {
+bool prove_solo(const netlist::Topology& topo, const ProofJob& job, ProofScratch& s) {
     const std::size_t k = job.support.size();
     const std::uint64_t total = 1ULL << k;
     bool ok = true;
     for (std::uint64_t first = 0; ok && first < total; first += 64) {
         const int count = static_cast<int>(std::min<std::uint64_t>(64, total - first));
-        stage_support(job, s.pats, s.touched, 0, first, count);
-        eval_cone_and_touch(nl, job.cone, s.pats, s.touched, s.ins);
+        stage_support(job, s.pats, 0, first, count);
+        sim::eval_gates(topo, job.cone, s.pats);
         ok = job_verdict_lanes(job, s.pats, 0, count);
-        s.reset();
+        s.reset(job.cone);
     }
     return ok;
 }
@@ -181,13 +162,12 @@ bool prove_solo(const Netlist& nl, const ProofJob& job, ProofScratch& s) {
 // side in one 64-lane pass over the union of their cones. A cone gate
 // shared by several jobs is evaluated once for all of them, and evaluation
 // is lane-wise, so each job reads exactly its own assignments.
-void prove_packed(const Netlist& nl, std::span<const ProofJob* const> jobs,
+void prove_packed(const netlist::Topology& topo, std::span<const ProofJob* const> jobs,
                   const std::vector<std::uint32_t>& pos, std::span<std::uint8_t> verdicts,
                   ProofScratch& s) {
     int base = 0;
     for (const ProofJob* job : jobs) {
-        stage_support(*job, s.pats, s.touched, base, 0,
-                      1 << static_cast<int>(job->support.size()));
+        stage_support(*job, s.pats, base, 0, 1 << static_cast<int>(job->support.size()));
         base += 1 << static_cast<int>(job->support.size());
     }
     s.cone.clear();
@@ -196,14 +176,14 @@ void prove_packed(const Netlist& nl, std::span<const ProofJob* const> jobs,
     std::sort(s.cone.begin(), s.cone.end(),
               [&](GateId a, GateId b) { return pos[a] < pos[b]; });
     s.cone.erase(std::unique(s.cone.begin(), s.cone.end()), s.cone.end());
-    eval_cone_and_touch(nl, s.cone, s.pats, s.touched, s.ins);
+    sim::eval_gates(topo, s.cone, s.pats);
     base = 0;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         const int count = 1 << static_cast<int>(jobs[j]->support.size());
         verdicts[j] = job_verdict_lanes(*jobs[j], s.pats, base, count) ? 1 : 0;
         base += count;
     }
-    s.reset();
+    s.reset(s.cone);
 }
 
 }  // namespace
@@ -319,12 +299,12 @@ EquivResult find_equivalences(const Netlist& nl, const netlist::Topology& topo) 
     scratch.pats.assign(nl.size(), logic::kPatAllX);
     for (const Batch& b : batches) {
         if (!b.packed) {
-            proven_flags[b.first] = prove_solo(nl, proofs[b.first], scratch) ? 1 : 0;
+            proven_flags[b.first] = prove_solo(topo, proofs[b.first], scratch) ? 1 : 0;
             continue;
         }
         std::array<const ProofJob*, 64> jobs{};
         for (std::uint32_t j = 0; j < b.count; ++j) jobs[j] = &proofs[b.first + j];
-        prove_packed(nl, {jobs.data(), b.count}, pos,
+        prove_packed(topo, {jobs.data(), b.count}, pos,
                      {proven_flags.data() + b.first, b.count}, scratch);
     }
 

@@ -2,12 +2,13 @@
 // Minimal JSON for the serving protocol.
 //
 // The server speaks newline-framed JSON: one request object per line in,
-// one response object per line out, the same schema the CLI's --json mode
-// prints. Requests are small and flat (a command name, a design digest, a
-// handful of numeric knobs, at most one large string — the .bench text), so
-// a dependency-free recursive-descent parser is all that is needed. The
-// daemon's responses, the CLI's --json output and BENCH_sim.json's rows are
-// all written by the one JsonWriter below.
+// one response object per line out (service.hpp says which parts of a
+// response the CLI's --json document shares). Requests are small and flat
+// (a command name, a design digest, a handful of numeric knobs, at most one
+// large string — the .bench text), so a dependency-free recursive-descent
+// parser is all that is needed. The daemon's responses, the CLI's --json
+// output and BENCH_sim.json's rows are all written by the one JsonWriter
+// below.
 //
 // Numbers are stored as double. Every numeric field in the protocol (ports,
 // budgets, counts, thread counts) fits a double exactly; 64-bit digests do

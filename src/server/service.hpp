@@ -2,9 +2,14 @@
 // The serving protocol, independent of any transport.
 //
 // A Service turns one newline-framed JSON request into one JSON response
-// line — the same schema the CLI's --json mode prints, so anything that can
-// read `seqlearn_cli learn --json` output can read a server response. The
-// transport (server.hpp, or a test harness calling handle() directly) owns
+// line. A response is not the CLI's --json document: the daemon's learn and
+// atpg responses carry `design`, `warm`, `relation_hash` and
+// `campaign_digest`, and the CLI document carries the circuit stats, the
+// `memory` section and one section per stage. They share the `outcome`
+// object (write_outcome), the `diagnostics` array (write_diagnostics) and
+// the atpg count names (`total`, `detected`, `untestable`,
+// `untestable_bounded`, `aborted`, `undetected`, `test_coverage`, `tests`).
+// The transport (server.hpp, or a test harness calling handle() directly) owns
 // the sockets; the Service owns everything stateful:
 //
 //   * the content-addressed DesignCache (bench bytes -> compiled Design,

@@ -180,7 +180,9 @@ void SnapshotStore::drop_locked(std::uint64_t digest) {
 
 void SnapshotStore::evict_past_cap_locked() {
     if (cfg_.max_bytes == 0) return;
-    while (bytes_ > cfg_.max_bytes && !lru_.empty()) {
+    // Never evict the MRU entry: a design whose one entry alone exceeds the
+    // cap must still restart warm, as the DesignCache keeps serving it.
+    while (bytes_ > cfg_.max_bytes && lru_.size() > 1) {
         const IndexEntry victim = lru_.back();
         const std::string path = entry_path(victim.digest);
         ::unlink(path.c_str());

@@ -42,7 +42,8 @@
 //
 // Disk budget: entries are LRU-tracked (seeded from file mtime at scan
 // time, bumped by fetch/put) and inserting past `max_bytes` unlinks
-// least-recently-used entries first.
+// least-recently-used entries first. The most recently used entry is never
+// evicted, even when it alone exceeds `max_bytes`.
 //
 // Thread safety: all public methods lock one mutex; entry files are small
 // relative to learn times, so holding it across file I/O is fine.

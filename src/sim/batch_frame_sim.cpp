@@ -74,28 +74,14 @@ BatchFrameSimulator::BatchFrameSimulator(const TieClosure& closure)
       topo_(&closure.topology()),
       bg_(closure.entries().data()),
       val_(closure.topology().size(), logic::kPatAllX),
-      queued_(closure.topology().size(), 0) {
-    buckets_.resize(topo_->max_level() + 1);
-}
+      queue_(closure.topology()) {}
 
 void BatchFrameSimulator::reset_frame_scratch() {
-    for (const GateId g : touched_) {
-        val_[g] = logic::kPatAllX;
-        queued_[g] = 0;
-    }
+    for (const GateId g : touched_) val_[g] = logic::kPatAllX;
     touched_.clear();
-    // As in the scalar simulator: a drained sweep leaves the buckets empty;
-    // only an early bail-out (every lane retired mid-frame) leaves events
-    // behind, and [evt_lo_, evt_hi_] still brackets them.
-    if (evt_lo_ != UINT32_MAX) {
-        for (std::uint32_t l = evt_lo_; l <= evt_hi_ && l < buckets_.size(); ++l) {
-            for (const GateId g : buckets_[l]) queued_[g] = 0;
-            buckets_[l].clear();
-        }
-        evt_lo_ = UINT32_MAX;
-        evt_hi_ = 0;
-    }
-    pending_ = 0;
+    // Only an early bail-out (every lane retired mid-frame) leaves events
+    // behind.
+    queue_.clear();
 }
 
 // Give `g` the binary values of `p` in the lanes of `mask`: detect per-lane
@@ -132,16 +118,7 @@ void BatchFrameSimulator::assign(GateId g, Pattern p, std::uint64_t mask,
     v.ones |= new1;
     v.zeros |= new0;
     res.events.push_back({frame_, g, new1, new0});
-    for (const GateId fo : topo_->comb_fanouts(g)) {
-        if (!queued_[fo]) {
-            queued_[fo] = 1;
-            const std::uint32_t lvl = topo_->level(fo);
-            buckets_[lvl].push_back(fo);
-            evt_lo_ = std::min(evt_lo_, lvl);
-            evt_hi_ = std::max(evt_hi_, lvl);
-            ++pending_;
-        }
-    }
+    queue_.push_fanouts(g);
     const EquivMap* equiv = closure_->equivalences();
     if (equiv && g < equiv->size()) {
         for (const EquivLink& link : (*equiv)[g]) {
@@ -149,33 +126,6 @@ void BatchFrameSimulator::assign(GateId g, Pattern p, std::uint64_t mask,
             assign(link.other, forced, new1 | new0, res);
         }
     }
-}
-
-void BatchFrameSimulator::propagate(BatchFrameResult& res) {
-    // Identical sweep structure to the scalar simulator; evaluation is
-    // lane-wise over the pattern planes (background values read through),
-    // and an evaluated gate is assigned only in the lanes where the result
-    // is binary.
-    while (pending_ > 0) {
-        if (live_ == 0) return;  // every lane retired; reset cleans the rest
-        for (std::uint32_t level = evt_lo_; level <= evt_hi_; ++level) {
-            for (std::size_t i = 0; i < buckets_[level].size(); ++i) {
-                const GateId g = buckets_[level][i];
-                queued_[g] = 0;
-                --pending_;
-                if (!topo_->is_comb(g)) continue;
-                const auto fi = topo_->fanins(g);
-                const Pattern v = logic::eval_op_indirect(
-                    topo_->op(g), fi.size(), [&](std::size_t k) { return lane_value(fi[k]); });
-                const std::uint64_t known = v.ones | v.zeros;
-                if (known == 0) continue;
-                assign(g, v, known, res);
-            }
-            buckets_[level].clear();
-        }
-    }
-    evt_lo_ = UINT32_MAX;
-    evt_hi_ = 0;
 }
 
 // Lanes whose full state entering frame_ + 1 differs from the one entering
@@ -285,7 +235,19 @@ BatchFrameResult& BatchFrameSimulator::run_batch(std::span<const BatchLane> lane
             assign(x.gate, p, lane_bit(x.lane), out);
         }
 
-        propagate(out);
+        // Evaluation is lane-wise over the pattern planes (background values
+        // read through), and an evaluated gate is assigned only in the lanes
+        // where the result is binary. Once every lane has retired nothing
+        // can be assigned, so the drain stops; the reset drops the rest.
+        queue_.drain([&](GateId g) {
+            if (live_ == 0) return false;
+            const auto fi = topo_->fanins(g);
+            const Pattern v = logic::eval_op_indirect(
+                topo_->op(g), fi.size(), [&](std::size_t k) { return lane_value(fi[k]); });
+            const std::uint64_t known = v.ones | v.zeros;
+            if (known != 0) assign(g, v, known, out);
+            return true;
+        });
         if (live_ == 0) break;
 
         // Capture: sequential elements fed by a divergent gate take their

@@ -58,6 +58,7 @@
 
 #include "logic/pattern.hpp"
 #include "sim/frame_sim.hpp"
+#include "sim/level_queue.hpp"
 #include "sim/tie_closure.hpp"
 
 #include <array>
@@ -159,7 +160,6 @@ private:
         return {p.ones | (fixed & one), p.zeros | (fixed & ~one)};
     }
     void assign(netlist::GateId g, Pattern p, std::uint64_t mask, BatchFrameResult& res);
-    void propagate(BatchFrameResult& res);
     std::uint64_t state_diff() const;
     void reset_frame_scratch();
 
@@ -172,11 +172,7 @@ private:
     // decides or no lane assigned), and the gates holding them.
     std::vector<Pattern> val_;
     std::vector<netlist::GateId> touched_;
-    std::vector<std::vector<netlist::GateId>> buckets_;
-    std::vector<std::uint8_t> queued_;
-    std::size_t pending_ = 0;
-    std::uint32_t evt_lo_ = UINT32_MAX;
-    std::uint32_t evt_hi_ = 0;
+    LevelQueue queue_;
     std::uint64_t live_ = 0;
 
     // Flattened injection schedule, frame-major with per-lane tags, plus the

@@ -1,5 +1,7 @@
 #include "sim/comb_engine.hpp"
 
+#include "sim/level_queue.hpp"
+
 #include <stdexcept>
 
 namespace seqlearn::sim {
@@ -8,14 +10,7 @@ CombEngine::CombEngine(const Netlist& nl) : nl_(&nl), topo_(nl) {}
 
 void CombEngine::eval(std::vector<Val3>& vals) const {
     if (vals.size() != topo_.size()) throw std::invalid_argument("CombEngine::eval: bad size");
-    Val3* const v = vals.data();
-    for (const GateId id : topo_.schedule()) {
-        if (!(topo_.flags(id) & (netlist::Topology::kComb | netlist::Topology::kConst)))
-            continue;
-        const auto fi = topo_.fanins(id);
-        v[id] = logic::eval_op_indirect(topo_.op(id), fi.size(),
-                                        [&](std::size_t k) { return v[fi[k]]; });
-    }
+    eval_gates(topo_, topo_.schedule(), vals);
 }
 
 SequenceResult simulate_sequence(const Netlist& nl, const InputSequence& seq,

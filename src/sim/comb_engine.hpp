@@ -4,7 +4,7 @@
 //
 // These are the *reference* engines: simple, exhaustive, used by tests,
 // reachability analysis, and anywhere clarity beats speed. The learning
-// passes use the sparse event-driven FrameSimulator instead.
+// passes use the sparse event-driven BatchFrameSimulator instead.
 
 #include "logic/val3.hpp"
 #include "netlist/levelize.hpp"
@@ -19,9 +19,8 @@ using logic::Val3;
 using netlist::GateId;
 using netlist::Netlist;
 
-/// Levelized evaluator over all combinational gates. Evaluation walks the
-/// CSR topology schedule and reads fanin values through flat index spans —
-/// no per-gate operand gather.
+/// Levelized evaluator over all combinational gates: sim::eval_gates over
+/// the CSR topology schedule.
 class CombEngine {
 public:
     explicit CombEngine(const Netlist& nl);

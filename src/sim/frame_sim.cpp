@@ -44,38 +44,19 @@ FrameSimulator::FrameSimulator(const Netlist& nl, SeqGating gating)
       topo_(owned_topo_.get()),
       gating_(std::move(gating)),
       val_(topo_->size(), Val3::X),
-      queued_(topo_->size(), 0) {
-    buckets_.resize(topo_->max_level() + 1);
-}
+      queue_(*topo_) {}
 
 FrameSimulator::FrameSimulator(const Topology& topo, SeqGating gating)
     : topo_(&topo),
       gating_(std::move(gating)),
       val_(topo.size(), Val3::X),
-      queued_(topo.size(), 0) {
-    buckets_.resize(topo.max_level() + 1);
-}
+      queue_(topo) {}
 
 void FrameSimulator::reset_frame_scratch() {
-    for (const GateId g : touched_) {
-        val_[g] = Val3::X;
-        queued_[g] = 0;
-    }
+    for (const GateId g : touched_) val_[g] = Val3::X;
     touched_.clear();
-    // A completed propagate() drains, clears, and bound-resets every bucket
-    // it visited; only a conflict abort leaves events behind, and then
-    // [evt_lo_, evt_hi_] still brackets them. Clear the queued_ flag of
-    // every discarded event (gates already drained have it down; undrained
-    // ones must not stay blocked) or later runs silently skip them.
-    if (evt_lo_ != UINT32_MAX) {
-        for (std::uint32_t l = evt_lo_; l <= evt_hi_ && l < buckets_.size(); ++l) {
-            for (const GateId g : buckets_[l]) queued_[g] = 0;
-            buckets_[l].clear();
-        }
-        evt_lo_ = UINT32_MAX;
-        evt_hi_ = 0;
-    }
-    pending_ = 0;
+    // Only a conflict abort leaves events behind.
+    queue_.clear();
 }
 
 // Give `g` the binary value `v`; detect contradictions; record; enqueue
@@ -92,16 +73,7 @@ bool FrameSimulator::assign(GateId g, Val3 v, std::uint32_t frame, FrameSimResul
     val_[g] = v;
     touched_.push_back(g);
     res.implied.push_back({frame, g, v});
-    for (const GateId fo : topo_->comb_fanouts(g)) {
-        if (!queued_[fo]) {
-            queued_[fo] = 1;
-            const std::uint32_t lvl = topo_->level(fo);
-            buckets_[lvl].push_back(fo);
-            evt_lo_ = std::min(evt_lo_, lvl);
-            evt_hi_ = std::max(evt_hi_, lvl);
-            ++pending_;
-        }
-    }
+    queue_.push_fanouts(g);
     if (equiv_ && g < equiv_->size()) {
         for (const EquivLink& link : (*equiv_)[g]) {
             const Val3 forced = link.inverted ? logic::v3_not(v) : v;
@@ -109,35 +81,6 @@ bool FrameSimulator::assign(GateId g, Val3 v, std::uint32_t frame, FrameSimResul
         }
     }
     return true;
-}
-
-void FrameSimulator::propagate(std::uint32_t frame, FrameSimResult& res) {
-    // Equivalence forcing can enqueue gates at levels already swept, so the
-    // level sweep repeats until no events remain. Values only move X ->
-    // binary, so the total work is bounded by the number of assignments.
-    // Only the occupied band [evt_lo_, evt_hi_] is visited; enqueues during
-    // the sweep extend evt_hi_ (picked up by the re-read bound) or lower
-    // evt_lo_ (picked up by the next while pass).
-    while (pending_ > 0) {
-        for (std::uint32_t level = evt_lo_; level <= evt_hi_; ++level) {
-            // assign() may append to the bucket being drained; index-based
-            // loop handles growth.
-            for (std::size_t i = 0; i < buckets_[level].size(); ++i) {
-                const GateId g = buckets_[level][i];
-                queued_[g] = 0;
-                --pending_;
-                if (!topo_->is_comb(g)) continue;
-                const auto fi = topo_->fanins(g);
-                const Val3 v = logic::eval_op_indirect(
-                    topo_->op(g), fi.size(), [&](std::size_t k) { return val_[fi[k]]; });
-                if (v == Val3::X) continue;
-                if (!assign(g, v, frame, res)) return;
-            }
-            buckets_[level].clear();
-        }
-    }
-    evt_lo_ = UINT32_MAX;
-    evt_hi_ = 0;
 }
 
 FrameSimResult& FrameSimulator::run_into(std::span<const Injection> injections,
@@ -150,29 +93,14 @@ FrameSimResult& FrameSimulator::run_into(std::span<const Injection> injections,
     out.stopped_on_repeat = false;
     FrameSimResult& res = out;
 
-    // Injections are applied in frame order. The universal caller — learning
-    // passing one frame-0 injection per run — is already sorted, so the copy
-    // + sort happens only for genuinely out-of-order schedules. Equal
-    // (frame, gate) keys are in order by definition, so the paired
-    // stem=0/stem=1 probes and tie-seeded multi-injection schedules stay on
-    // the fast path; the slow path uses a stable sort so equal-frame
-    // injections keep their given order (matching what the fast path does —
-    // an unstable sort would make the conflict outcome of same-frame
-    // schedules depend on std::sort internals).
-    std::span<const Injection> inj = injections;
-    bool sorted = true;
-    for (std::size_t i = 1; i < injections.size(); ++i) {
-        if (injections[i].frame < injections[i - 1].frame) {
-            sorted = false;
-            break;
-        }
-    }
-    if (!sorted) {
-        inj_scratch_.assign(injections.begin(), injections.end());
-        std::stable_sort(inj_scratch_.begin(), inj_scratch_.end(),
-                         [](const Injection& a, const Injection& b) { return a.frame < b.frame; });
-        inj = inj_scratch_;
-    }
+    // Injections are applied in frame order. The sort is stable so that
+    // equal-frame injections keep their given order: an unstable sort would
+    // make the conflict outcome of a same-frame schedule depend on
+    // std::sort internals.
+    inj_scratch_.assign(injections.begin(), injections.end());
+    std::stable_sort(inj_scratch_.begin(), inj_scratch_.end(),
+                     [](const Injection& a, const Injection& b) { return a.frame < b.frame; });
+    const std::span<const Injection> inj = inj_scratch_;
     std::uint32_t last_seed_frame = 0;
     for (const Injection& x : inj) last_seed_frame = std::max(last_seed_frame, x.frame);
     if (ties_ && tie_cycles_) {
@@ -227,7 +155,12 @@ FrameSimResult& FrameSimulator::run_into(std::span<const Injection> injections,
             }
         }
 
-        propagate(frame, res);
+        queue_.drain([&](GateId g) {
+            const auto fi = topo_->fanins(g);
+            const Val3 v = logic::eval_op_indirect(
+                topo_->op(g), fi.size(), [&](std::size_t k) { return val_[fi[k]]; });
+            return v == Val3::X || assign(g, v, frame, res);
+        });
         res.frames_run = frame + 1;
         if (res.conflict) return res;
 

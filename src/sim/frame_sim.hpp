@@ -1,6 +1,9 @@
 #pragma once
-// Sparse event-driven forward simulation across time frames — the engine
-// underneath both learning passes (paper Section 3).
+// Sparse event-driven forward simulation across time frames, one injection
+// scenario per run (paper Section 3). Learning runs the 64-lane
+// BatchFrameSimulator; this scalar simulator is the reference its lanes are
+// checked against, and the engine a caller re-runs a conflicting lane on
+// when it wants that lane's full result.
 //
 // A run starts from the all-X state, applies scheduled injections at the
 // start of their frames, and propagates three-valued values forward. Within
@@ -15,15 +18,14 @@
 // Conflicts — a node acquiring both binary values — abort the run and are
 // reported; multiple-node learning turns them into tie-gate proofs.
 //
-// Hot-path design: all connectivity is read from a flat CSR
-// netlist::Topology (contiguous fanin/fanout spans, per-gate op codes,
-// fanouts partitioned into combinational/sequential sub-spans), and every
-// scratch buffer — including the result's implied list via run_into() — is
-// reused across runs, so a run in steady state performs no heap allocation.
+// All connectivity is read from a flat CSR netlist::Topology, events run
+// through a sim::LevelQueue, and every scratch buffer — including the
+// result's implied list via run_into() — is reused across runs.
 
 #include "logic/val3.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/topology.hpp"
+#include "sim/level_queue.hpp"
 
 #include <cstdint>
 #include <memory>
@@ -144,10 +146,10 @@ public:
     }
 
     /// Run one injection scenario into a caller-owned result whose buffers
-    /// are reused across calls (the zero-allocation path — hand the same
-    /// result object back on every call). Injections may target any frame
-    /// below opt.max_frames; out-of-range injections are ignored.
-    /// Returns `out` for chaining.
+    /// are reused across calls (hand the same result object back on every
+    /// call). Injections may target any frame below opt.max_frames, in any
+    /// order; equal-frame injections apply in their given order, and
+    /// out-of-range injections are ignored. Returns `out` for chaining.
     FrameSimResult& run_into(std::span<const Injection> injections,
                              const FrameSimOptions& opt, FrameSimResult& out);
 
@@ -168,7 +170,6 @@ private:
     };
 
     bool assign(GateId g, Val3 v, std::uint32_t frame, FrameSimResult& res);
-    void propagate(std::uint32_t frame, FrameSimResult& res);
     void reset_frame_scratch();
 
     std::unique_ptr<const Topology> owned_topo_;  // null when sharing
@@ -180,15 +181,8 @@ private:
 
     std::vector<Val3> val_;
     std::vector<GateId> touched_;
-    std::vector<std::vector<GateId>> buckets_;
-    std::vector<std::uint8_t> queued_;
-    std::size_t pending_ = 0;
-    // Occupied-level bounds of the event buckets: the sweep visits only
-    // [evt_lo_, evt_hi_] instead of every level (deep circuits have hundreds
-    // of levels while a sparse run touches a handful of gates).
-    std::uint32_t evt_lo_ = UINT32_MAX;
-    std::uint32_t evt_hi_ = 0;
-    // Reused run() scratch: out-of-order injections (slow path) and the
+    LevelQueue queue_;
+    // Reused run() scratch: the injections in frame order and the
     // sequential state entering/leaving the current frame.
     std::vector<Injection> inj_scratch_;
     std::vector<StateEntry> state_;

@@ -1,14 +1,9 @@
 #pragma once
-// 64-way bit-parallel levelized simulation.
-//
-// Drives the gate-equivalence candidate search (paper Section 3.1:
-// "Equivalent combinational gates can be efficiently identified based on
-// parallel pattern simulation techniques") and provides the plane machinery
-// reused by the fault simulator.
-//
-// Evaluation walks the CSR topology schedule and applies each gate's
-// operator directly over the pattern array through the flat fanin span —
-// no per-gate operand gather.
+// 64-way bit-parallel random-pattern simulation for the gate-equivalence
+// candidate search (paper Section 3.1: "Equivalent combinational gates can
+// be efficiently identified based on parallel pattern simulation
+// techniques"). Evaluation is sim::eval_gates over the CSR topology
+// schedule.
 
 #include "logic/pattern.hpp"
 #include "netlist/netlist.hpp"
@@ -24,24 +19,10 @@ using logic::Pattern;
 using netlist::GateId;
 using netlist::Netlist;
 
-/// Levelized evaluator over 64-lane patterns on a caller-owned CSR
-/// snapshot, which must outlive it.
-class ParallelSim {
-public:
-    explicit ParallelSim(const netlist::Topology& topo) : topo_(&topo) {}
-
-    /// Evaluate every combinational gate from the source patterns already in
-    /// `pats` (inputs and sequential-element outputs). `pats` must be sized
-    /// topo.size().
-    void eval(std::vector<Pattern>& pats) const;
-
-    /// Fill all source lanes (inputs and sequential outputs) with random
-    /// binary values and evaluate. Convenient for signature collection.
-    void eval_random(std::vector<Pattern>& pats, util::Rng& rng) const;
-
-private:
-    const netlist::Topology* topo_;
-};
+/// Fill every source lane (inputs and sequential outputs) of `pats` with
+/// random binary values and evaluate every combinational gate. `pats` must
+/// be sized topo.size().
+void eval_random(const netlist::Topology& topo, std::vector<Pattern>& pats, util::Rng& rng);
 
 /// Per-gate 64-bit signatures accumulated over `rounds` random evaluations;
 /// two combinationally equivalent gates always have equal signatures, and

@@ -58,8 +58,7 @@ TieClosure::TieClosure(const Topology& topo, SeqGating gating, const EquivMap* e
       cycles_(topo.size(), 0),
       entry_(topo.size(), Entry{kNever, Val3::X}),
       conflict_frame_(frames),
-      queued_(topo.size(), 0) {
-    buckets_.resize(topo.max_level() + 1);
+      queue_(topo) {
     // Constant sources are ties from frame 0.
     std::vector<Seed> seeds;
     for (const GateId g : topo.const_gates())
@@ -131,18 +130,6 @@ void TieClosure::append_fixed(std::uint32_t t, std::vector<ImpliedValue>& out) c
     }
 }
 
-void TieClosure::enqueue_fanouts(GateId g) {
-    for (const GateId fo : topo_->comb_fanouts(g)) {
-        if (queued_[fo]) continue;
-        queued_[fo] = 1;
-        const std::uint32_t lvl = topo_->level(fo);
-        buckets_[lvl].push_back(fo);
-        evt_lo_ = std::min(evt_lo_, lvl);
-        evt_hi_ = std::max(evt_hi_, lvl);
-        ++pending_;
-    }
-}
-
 // Give `g` the value `v` from frame_ on. Returns false on a contradiction.
 bool TieClosure::assign(GateId g, Val3 v) {
     Entry& e = entry_[g];
@@ -154,47 +141,13 @@ bool TieClosure::assign(GateId g, Val3 v) {
     fresh_.push_back({g, e.since});
     e.since = frame_;
     e.value = v;
-    enqueue_fanouts(g);
+    queue_.push_fanouts(g);
     if (equiv_ != nullptr && g < equiv_->size()) {
         for (const EquivLink& link : (*equiv_)[g]) {
             if (!assign(link.other, link.inverted ? logic::v3_not(v) : v)) return false;
         }
     }
     return true;
-}
-
-bool TieClosure::propagate() {
-    while (pending_ > 0) {
-        for (std::uint32_t level = evt_lo_; level <= evt_hi_; ++level) {
-            for (std::size_t i = 0; i < buckets_[level].size(); ++i) {
-                const GateId g = buckets_[level][i];
-                queued_[g] = 0;
-                --pending_;
-                if (!topo_->is_comb(g)) continue;
-                const auto fi = topo_->fanins(g);
-                const Val3 v = logic::eval_op_indirect(
-                    topo_->op(g), fi.size(), [&](std::size_t k) { return value(fi[k], frame_); });
-                if (v == Val3::X) continue;
-                if (!assign(g, v)) return false;
-            }
-            buckets_[level].clear();
-        }
-    }
-    evt_lo_ = UINT32_MAX;
-    evt_hi_ = 0;
-    return true;
-}
-
-void TieClosure::drop_events() {
-    if (evt_lo_ != UINT32_MAX) {
-        for (std::uint32_t l = evt_lo_; l <= evt_hi_ && l < buckets_.size(); ++l) {
-            for (const GateId g : buckets_[l]) queued_[g] = 0;
-            buckets_[l].clear();
-        }
-    }
-    evt_lo_ = UINT32_MAX;
-    evt_hi_ = 0;
-    pending_ = 0;
 }
 
 // Extend the closure with `seeds` (sorted by frame), frame by frame. Frame
@@ -224,7 +177,7 @@ void TieClosure::close_from(std::span<const Seed> seeds) {
         // Past the old horizon the old closure no longer changes, so earlier
         // values have nothing new to meet.
         if (t <= old_horizon) {
-            for (const Changed& c : fresh_) enqueue_fanouts(c.gate);
+            for (const Changed& c : fresh_) queue_.push_fanouts(c.gate);
         }
         const std::size_t carried = fresh_.size();
         bool ok = true;
@@ -232,9 +185,16 @@ void TieClosure::close_from(std::span<const Seed> seeds) {
             ok = assign(caps_[i].gate, caps_[i].value);
         for (; ok && si < seeds.size() && seeds[si].frame == t; ++si)
             ok = assign(seeds[si].gate, seeds[si].value);
-        if (ok) ok = propagate();
+        if (ok) {
+            ok = queue_.drain([&](GateId g) {
+                const auto fi = topo_->fanins(g);
+                const Val3 v = logic::eval_op_indirect(
+                    topo_->op(g), fi.size(), [&](std::size_t k) { return value(fi[k], frame_); });
+                return v == Val3::X || assign(g, v);
+            });
+        }
         if (!ok) {
-            drop_events();
+            queue_.clear();
             conflict_frame_ = t;
             break;
         }

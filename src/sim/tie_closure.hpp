@@ -24,6 +24,7 @@
 // while a batch runs; it must not be extended during a run.
 
 #include "sim/frame_sim.hpp"
+#include "sim/level_queue.hpp"
 
 #include <cstdint>
 #include <span>
@@ -121,9 +122,6 @@ private:
     void note_cycle(std::uint32_t cycle, int delta);
     void close_from(std::span<const Seed> seeds);
     bool assign(GateId g, Val3 v);
-    bool propagate();
-    void drop_events();
-    void enqueue_fanouts(GateId g);
 
     const Topology* topo_;
     SeqGating gating_;
@@ -146,11 +144,7 @@ private:
     std::vector<Changed> changed_;  // gates entered during this extension
     std::vector<Changed> fresh_;    // of those, the ones the old closure lacked at frame_
     std::vector<Seed> caps_;
-    std::vector<std::vector<GateId>> buckets_;
-    std::vector<std::uint8_t> queued_;
-    std::size_t pending_ = 0;
-    std::uint32_t evt_lo_ = UINT32_MAX;
-    std::uint32_t evt_hi_ = 0;
+    LevelQueue queue_;
 };
 
 }  // namespace seqlearn::sim

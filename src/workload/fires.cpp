@@ -1,7 +1,6 @@
 #include "workload/fires.hpp"
 
 #include "logic/val3.hpp"
-#include "netlist/levelize.hpp"
 
 #include <algorithm>
 
@@ -20,7 +19,7 @@ namespace {
 // three-valued.
 class ImplyBox {
 public:
-    explicit ImplyBox(const Netlist& nl) : nl_(&nl), lv_(netlist::levelize(nl)) {}
+    explicit ImplyBox(const Netlist& nl) : nl_(&nl) {}
 
     // Assert `g = v` and return all implied values (empty-on-conflict with
     // `ok=false`). Values indexed by gate; X = unknown.
@@ -116,7 +115,6 @@ private:
     }
 
     const Netlist* nl_;
-    netlist::Levelization lv_;
     std::vector<GateId> work_;
     mutable std::vector<Val3> ins_;
     bool ok_ = true;

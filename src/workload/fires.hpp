@@ -7,11 +7,16 @@
 // Therefore a fault undetectable when s=0 is asserted AND undetectable when
 // s=1 is asserted is undetectable outright. For each stem value the
 // analysis computes necessary implications (forward + unique backward, one
-// frame, free state, pseudo outputs observable) and declares a fault
-// undetectable under that value when it is unexcitable (the faulted line is
-// implied to the stuck value) or unpropagatable (every path from the fault
-// site to an observation point passes a gate with an implied controlling
-// side input).
+// frame, free state) and declares a fault undetectable under that value
+// when it is unexcitable: the faulted line is implied to the stuck value.
+//
+// Only this excitation half of FIRE is applied. The published algorithm
+// also declares a fault unpropagatable when every path from its site to an
+// observation point passes a gate with an implied controlling side input;
+// without per-fault reconvergence analysis that is unsound (a "blocking"
+// side input inside the fault's cone can itself carry the effect), so it is
+// left out, and the comparator reports conservatively fewer untestable
+// faults than the published one would.
 
 #include "fault/fault.hpp"
 

@@ -1,6 +1,7 @@
 // Tests for the simulation substrate: the levelized reference engine, the
-// scalar sequence simulator, the event-driven multi-frame simulator used by
-// learning, and the 64-lane parallel simulator.
+// scalar sequence simulator, the level-ordered event queue, the
+// event-driven multi-frame simulator used by learning, and the 64-lane
+// parallel simulator.
 
 #include "netlist/bench_io.hpp"
 #include "netlist/builder.hpp"
@@ -9,6 +10,7 @@
 #include "sim/batch_frame_sim.hpp"
 #include "sim/comb_engine.hpp"
 #include "sim/frame_sim.hpp"
+#include "sim/level_queue.hpp"
 #include "sim/parallel_sim.hpp"
 #include "util/rng.hpp"
 #include "workload/circuit_gen.hpp"
@@ -516,11 +518,10 @@ TEST(FrameSim, AgreesWithReferenceSequenceSimulation) {
 TEST(ParallelSim, MatchesScalarEngineLanewise) {
     const Netlist nl = netlist::read_bench_string(kS27, "s27");
     const netlist::Topology topo(nl);
-    const ParallelSim psim(topo);
     const CombEngine eng(nl);
     util::Rng rng(99);
     std::vector<logic::Pattern> pats(nl.size());
-    psim.eval_random(pats, rng);
+    eval_random(topo, pats, rng);
     for (int lane = 0; lane < 64; lane += 17) {
         std::vector<Val3> vals(nl.size(), Val3::X);
         for (const GateId id : nl.inputs()) vals[id] = logic::pat_get(pats[id], lane);
@@ -556,12 +557,93 @@ TEST(ParallelSim, SignaturesDeterministicAndEquivalenceRevealing) {
     }
 }
 
+// --- LevelQueue ------------------------------------------------------------
+
+TEST(LevelQueue, VisitsEachQueuedGateOnceInLevelOrderAndClearsAfterAStop) {
+    NetlistBuilder b("lq");
+    b.input("a").input("b");
+    b.gate(GateType::And, "g1", {"a", "b"});  // level 1
+    b.gate(GateType::Buf, "h1", {"b"});       // level 1
+    b.gate(GateType::Not, "g2", {"g1"});      // level 2
+    b.gate(GateType::Or, "g3", {"g2", "a"});  // level 3
+    b.output("g3").output("h1");
+    const Netlist nl = b.build();
+    const netlist::Topology topo(nl);
+    const GateId a = nl.find("a"), bb = nl.find("b"), g1 = nl.find("g1"),
+                 h1 = nl.find("h1"), g3 = nl.find("g3");
+    LevelQueue q(topo);
+    std::vector<GateId> seen;
+    const auto record = [&](GateId g) {
+        seen.push_back(g);
+        return true;
+    };
+
+    // g1 is a fanout of both inputs: queued once, visited once, and the
+    // visits come level by level.
+    q.push_fanouts(a);
+    q.push_fanouts(bb);
+    EXPECT_TRUE(q.drain(record));
+    EXPECT_EQ(seen, (std::vector<GateId>{g1, h1, g3}));
+
+    // A visit that queues gates below its own level gets them in a further
+    // sweep.
+    seen.clear();
+    bool requeued = false;
+    q.push_fanouts(a);
+    EXPECT_TRUE(q.drain([&](GateId g) {
+        seen.push_back(g);
+        if (g == g3 && !requeued) {
+            requeued = true;
+            q.push_fanouts(bb);
+        }
+        return true;
+    }));
+    EXPECT_EQ(seen, (std::vector<GateId>{g1, g3, g1, h1}));
+
+    // A stopped drain leaves g3 queued; clear() drops it, and afterwards
+    // both gates queue and visit again.
+    seen.clear();
+    q.push_fanouts(a);
+    EXPECT_FALSE(q.drain([&](GateId g) {
+        seen.push_back(g);
+        return false;
+    }));
+    EXPECT_EQ(seen, (std::vector<GateId>{g1}));
+    q.clear();
+    seen.clear();
+    EXPECT_TRUE(q.drain(record));
+    EXPECT_TRUE(seen.empty());
+    q.push_fanouts(a);
+    EXPECT_TRUE(q.drain(record));
+    EXPECT_EQ(seen, (std::vector<GateId>{g1, g3}));
+
+    // Propagating from every input of a generated circuit visits each gate
+    // at most once, in non-decreasing level order.
+    workload::GenParams p;
+    p.seed = 5;
+    p.n_gates = 300;
+    const Netlist big = workload::generate(p);
+    const netlist::Topology big_topo(big);
+    LevelQueue big_q(big_topo);
+    for (const GateId in : big.inputs()) big_q.push_fanouts(in);
+    std::vector<int> visits(big.size(), 0);
+    std::uint32_t last_level = 0;
+    EXPECT_TRUE(big_q.drain([&](GateId g) {
+        ++visits[g];
+        EXPECT_GE(big_topo.level(g), last_level) << big.name_of(g);
+        last_level = big_topo.level(g);
+        big_q.push_fanouts(g);
+        return true;
+    }));
+    EXPECT_GT(last_level, 1u);
+    for (GateId g = 0; g < big.size(); ++g) EXPECT_LE(visits[g], 1) << big.name_of(g);
+}
+
 // ---------------------------------------------------------------------------
-// Injection-schedule regressions: equal (frame, gate) keys are "sorted" (the
-// paired stem=0/stem=1 probes and tie-seeded multi-injection schedules stay
-// on the no-copy fast path), and the out-of-order slow path must keep
-// equal-frame injections in their given order (stable sort) so conflict
-// outcomes don't depend on std::sort internals.
+// Injection-schedule regressions: run_into() orders injections by frame with
+// a stable sort, so equal-frame injections keep their given order and
+// conflict outcomes don't depend on std::sort internals, and a frame-sorted
+// schedule gives the same result as a shuffled one.
 
 TEST(FrameSim, EqualFrameInjectionsKeepGivenOrder) {
     NetlistBuilder b("stab");

@@ -14,7 +14,7 @@
 //     cleanly: error set, no temp litter, and the *previous* entry contents
 //     still served — the crash-safety invariant, observed from userspace.
 //   * Disk LRU: inserting past the byte budget unlinks the
-//     least-recently-used entry file.
+//     least-recently-used entry file, but never the entry just put.
 //   * End to end through the Service: a learn on one Service instance
 //     writes through; a *fresh* Service sharing the store directory answers
 //     stats/learn/atpg on that digest warm — same relation hash, no
@@ -344,6 +344,32 @@ TEST(SnapshotStore, ByteBudgetEvictsLeastRecentlyUsedEntryFile) {
                        F_OK),
               -1)
         << "evicted entry file must be unlinked";
+}
+
+TEST(SnapshotStore, OversizedEntrySurvivesItsPutUntilTheNext) {
+    const LearnedDesign& d = s27_learned();
+    TempDir tmp;
+    // Budget smaller than one entry.
+    auto store = open_store(tmp.path, 100);
+    ASSERT_NE(store, nullptr);
+    const std::string path_a = tmp.path + "/" + server::hex_u64(d.digest) + ".snap";
+
+    std::string error;
+    ASSERT_TRUE(store->put(d.digest, d.bench, d.learned, &error)) << error;
+    EXPECT_TRUE(store->contains(d.digest)) << "the entry just put must stay";
+    const std::optional<StoredSnapshot> got = store->fetch(d.digest);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->learned, d.learned);
+    EXPECT_EQ(::access(path_a.c_str(), F_OK), 0);
+    EXPECT_EQ(store->stats().evictions, 0u);
+
+    const std::string bench_b = d.bench + "# variant\n";
+    const std::uint64_t digest_b = server::content_digest(bench_b);
+    ASSERT_TRUE(store->put(digest_b, bench_b, d.learned, &error)) << error;
+    EXPECT_FALSE(store->contains(d.digest));
+    EXPECT_TRUE(store->contains(digest_b));
+    EXPECT_EQ(::access(path_a.c_str(), F_OK), -1) << "evicted entry file must be unlinked";
+    EXPECT_EQ(store->stats().evictions, 1u);
 }
 
 TEST(SnapshotStore, ExplicitQuarantineDropsEntry) {
